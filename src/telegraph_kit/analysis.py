@@ -18,6 +18,7 @@ from scipy.stats import ks_2samp
 from .coupling import coalescent_couple_reflected, coalescent_couple_unreflected
 from .excursions import EstimateWithCI
 from .model import ModelParams, tv_bound
+from .paths import write_csv
 from .simulate import sample_unreflected_states, simulate_reflected, simulate_unreflected
 
 __all__ = [
@@ -305,14 +306,12 @@ def scaling_limit_check(
 
 def write_tv_curve_csv(curve: TvCurve, dest) -> None:
     """Write ``t,coupling_survival,binned_tv,theoretical_bound`` rows."""
-    own = isinstance(dest, (str, bytes))
-    fh = open(dest, "w") if own else dest
-    try:
-        fh.write("t,coupling_survival,binned_tv,theoretical_bound\n")
-        for t, s, tv, bd in zip(
-            curve.t_grid, curve.coupling_survival, curve.binned_tv, curve.theoretical_bound
-        ):
-            fh.write(f"{float(t)!r},{float(s)!r},{float(tv)!r},{float(bd)!r}\n")
-    finally:
-        if own:
-            fh.close()
+    columns = (curve.t_grid, curve.coupling_survival, curve.binned_tv, curve.theoretical_bound)
+    write_csv(
+        dest,
+        "t,coupling_survival,binned_tv,theoretical_bound",
+        (
+            f"{float(t)!r},{float(s)!r},{float(tv)!r},{float(bd)!r}\n"
+            for t, s, tv, bd in zip(*columns)
+        ),
+    )

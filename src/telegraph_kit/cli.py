@@ -210,7 +210,7 @@ def _resolve(argv) -> RunConfig:
     defaults.update(_COMMAND_DEFAULTS[args.command])
     threads = pick("threads", None)
     if threads is None:
-        threads = os.environ.get(THREADS_ENV) or (os.cpu_count() or 1)
+        threads = os.environ.get(THREADS_ENV) or 1
     try:
         threads = max(1, int(threads))
         a = float(pick("a", defaults["a"]))

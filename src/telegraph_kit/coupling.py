@@ -33,8 +33,8 @@ import numpy as np
 
 from .excursions import sample_hitting, sample_sigma
 from .model import INFINITE, LaplaceValue, ModelParams, excursion_mgf, hitting_exponent
-from .paths import PiecewisePath
-from .simulate import ExpSource
+from .paths import PiecewisePath, write_csv
+from .simulate import ExpSource, KnotRecorder, fold, walk_reflected
 
 __all__ = [
     "CouplingResult",
@@ -73,112 +73,15 @@ class CouplingResult:
         return self.coalescence_time is not None
 
 
-def _dedup(times, xs, vs):
-    """Collapse zero-duration knot pairs (keep the later state)."""
-    out_t: list[float] = []
-    out_x: list[float] = []
-    out_v: list[int] = []
-    for t, x, v in zip(times, xs, vs):
-        if out_t and t == out_t[-1]:
-            out_x[-1] = x
-            out_v[-1] = v
-            continue
-        out_t.append(t)
-        out_x.append(x)
-        out_v.append(v)
-    return out_t, out_x, out_v
+def _both(rec_1, rec_2):
+    """One knot sink feeding both legs, for the stretches where they share a walk."""
+    add_1, add_2 = rec_1.add, rec_2.add
 
+    def add(t: float, x: float, v: int) -> None:
+        add_1(t, x, v)
+        add_2(t, x, v)
 
-class _PathRec:
-    """Knot recorder for one reflected leg."""
-
-    __slots__ = ("t", "x", "v")
-
-    def __init__(self, x0: float, v0: int):
-        self.t = [0.0]
-        self.x = [float(x0)]
-        self.v = [int(v0)]
-
-    def add(self, t: float, x: float, v: int) -> None:
-        self.t.append(t)
-        self.x.append(x)
-        self.v.append(v)
-
-    def build(self, horizon: float) -> PiecewisePath:
-        t, x, v = _dedup(self.t, self.x, self.v)
-        k = len(t)
-        while k > 1 and t[k - 1] > horizon:
-            k -= 1
-        return PiecewisePath.from_lists(t[:k], x[:k], v[:k], horizon)
-
-
-class _NullRec:
-    """Recorder stub for time-only runs."""
-
-    __slots__ = ()
-
-    def add(self, t: float, x: float, v: int) -> None:
-        pass
-
-    def build(self, horizon: float) -> None:
-        return None
-
-
-class _SignedRec:
-    """Recorder for one whole-line leg fed by half-line machinery.
-
-    Folded knots arrive through :meth:`add`; origin knots flip the leg's
-    sign and vanish (the unfolded velocity is continuous there), other knots
-    are stored as (t, sign*x, sign*v).  Phases that construct the whole-line
-    pair directly bypass the sign with :meth:`add_raw`.
-    """
-
-    __slots__ = ("sign", "t", "y", "w")
-
-    def __init__(self, y0: float, w0: int):
-        self.sign = 1 if y0 > 0.0 else (-1 if y0 < 0.0 else int(w0))
-        self.t = [0.0]
-        self.y = [float(y0)]
-        self.w = [int(w0)]
-
-    def add(self, t: float, x: float, v: int) -> None:
-        if x == 0.0:
-            self.sign = -self.sign
-            return
-        self.t.append(t)
-        self.y.append(self.sign * x)
-        self.w.append(self.sign * v)
-
-    def add_raw(self, t: float, y: float, w: int) -> None:
-        self.t.append(t)
-        self.y.append(y)
-        self.w.append(w)
-
-    def build(self, horizon: float) -> PiecewisePath:
-        t, y, w = _dedup(self.t, self.y, self.w)
-        k = len(t)
-        while k > 1 and t[k - 1] > horizon:
-            k -= 1
-        return PiecewisePath.from_lists(t[:k], y[:k], w[:k], horizon)
-
-
-class _NullSignedRec:
-    """Sign tracking without storage, for time-only whole-line runs."""
-
-    __slots__ = ("sign",)
-
-    def __init__(self, y0: float, w0: int):
-        self.sign = 1 if y0 > 0.0 else (-1 if y0 < 0.0 else int(w0))
-
-    def add(self, t: float, x: float, v: int) -> None:
-        if x == 0.0:
-            self.sign = -self.sign
-
-    def add_raw(self, t: float, y: float, w: int) -> None:
-        pass
-
-    def build(self, horizon: float) -> None:
-        return None
+    return add
 
 
 def _check_reflected_state(x: float, v: int) -> tuple[float, int]:
@@ -323,61 +226,15 @@ def _stick_phase(t, x_cur, horizon, a, b, src, rec_up, rec_dn):
             return t_end, q
 
 
-def _extend_reflected(x, v, t, horizon, a, b, src, recs, stop_at_zero=False):
-    """Shared reflected continuation; every knot goes to every recorder.
+def _merged_tail(y, w, t, horizon, a, b, src, rec_1, rec_2):
+    """Continue merged whole-line legs from (y, w) to the horizon.
 
-    With stop_at_zero the walk ends at (and records) the next origin hit and
-    returns its time; otherwise it runs to the horizon and returns None.
+    The shared walk runs folded from (|y|, sign(y)*w); both legs take the
+    sign of the merged state and unfold it at every origin visit.
     """
-    while True:
-        if v == -1:
-            d = src.draw() / a
-            if x <= d:
-                t_hit = t + x
-                if t_hit > horizon:
-                    return None
-                for r in recs:
-                    r.add(t_hit, 0.0, 1)
-                if stop_at_zero:
-                    return t_hit
-                t = t_hit
-                x = 0.0
-                v = 1
-                continue
-        else:
-            d = src.draw() / b
-        t_next = t + d
-        if t_next > horizon:
-            return None
-        t = t_next
-        x += v * d
-        v = -v
-        for r in recs:
-            r.add(t, x, v)
-
-
-def _extend_unreflected(y, w, t, horizon, a, b, src, recs):
-    """Shared whole-line continuation to the horizon (raw knots)."""
-    while True:
-        if y * w < 0.0:
-            d = src.draw() / a
-            gap = abs(y)
-            if gap <= d:
-                t += gap
-                y = 0.0
-                if t >= horizon:
-                    return
-                continue
-        else:
-            d = src.draw() / b
-        t_next = t + d
-        if t_next > horizon:
-            return
-        t = t_next
-        y += w * d
-        w = -w
-        for r in recs:
-            r.add_raw(t, y, w)
+    x, v, sign = fold(y, w)
+    rec_1.sign = rec_2.sign = sign
+    walk_reflected(x, v, t, horizon, a, b, src, _both(rec_1, rec_2))
 
 
 def _symmetric_blocks(t, u, sigma, horizon, a, b, src, rec_away, rec_toward):
@@ -386,8 +243,9 @@ def _symmetric_blocks(t, u, sigma, horizon, a, b, src, rec_away, rec_toward):
     The away leg sits at sigma*u moving away from the origin; the toward leg
     mirrors it.  Each block reuses the half-line clock swap through the
     mirror: R < u restores the symmetric picture at u+Q-R, R >= u lets the
-    toward leg cross the origin and merges the pair at (sigma*Q, -sigma).
-    Returns (merge time, merged position, merged velocity) or None.
+    toward leg cross the origin and merges the pair at (sigma*Q, -sigma),
+    from where the merged tail runs to the horizon.  Returns the merge time,
+    or None on horizon abort.
     """
     while True:
         if t > horizon:
@@ -408,18 +266,23 @@ def _symmetric_blocks(t, u, sigma, horizon, a, b, src, rec_away, rec_toward):
             rec_away.add_raw(t + q, sigma * (u + q), -sigma)
             rec_toward.add_raw(t_end, sigma * q, -sigma)
             rec_away.add_raw(t_end, sigma * q, -sigma)
-            return t_end, sigma * q, -sigma
+            if t_end > horizon:
+                return None
+            _merged_tail(sigma * q, -sigma, t_end, horizon, a, b, src, rec_away, rec_toward)
+            return t_end
 
 
 def _wait_and_blocks(t_zero, rec_1, rec_2, horizon, a, b, src):
-    """Sign-mismatch repair at a shared origin visit.
+    """Sign-mismatch repair at a shared origin visit at t_zero (None: no visit).
 
     Both legs sit at the origin heading opposite ways.  The first of their
     two Exp(b) flip clocks fires after Exp(2b); a fair coin names the leg,
     which leaves the mirror-symmetric picture handled by the blocks.  Each
     leg's marginal flip stream stays rate correct because the losing clock
-    is restarted by memorylessness.
+    is restarted by memorylessness.  Returns the merge time or None.
     """
+    if t_zero is None:
+        return None
     e_wait = src.draw() / (2.0 * b)
     t_flip = t_zero + e_wait
     if t_flip > horizon:
@@ -489,12 +352,12 @@ def crossing_couple(
     if x < x_other:
         raise ValueError("crossing_couple expects the first start at or above the second")
     hz = math.inf if horizon is None else float(horizon)
-    rec1 = _PathRec(x, v) if record_paths else _NullRec()
-    rec2 = _PathRec(x_other, v_other) if record_paths else _NullRec()
+    rec1 = KnotRecorder(x, v, store=record_paths)
+    rec2 = KnotRecorder(x_other, v_other, store=record_paths)
     src = ExpSource(rng)
     a, b = params.a, params.b
     if x == x_other and v == v_other:
-        hit = _extend_reflected(x, v, 0.0, hz, a, b, src, (rec1, rec2), stop_at_zero=True)
+        hit = walk_reflected(x, v, 0.0, hz, a, b, src, _both(rec1, rec2), stop_at_zero=True)
         t_c, pos_c, indep = (hit, 0.0, 0.0) if hit is not None else (None, None, 0.0)
     else:
         cross = _crossing_phase(x, v, x_other, v_other, hz, a, b, src, rec1, rec2)
@@ -533,8 +396,8 @@ def stick_couple(
         raise ValueError("positions must be nonnegative")
     hz = math.inf if horizon is None else float(horizon)
     dn_v = 1 if x == 0.0 else -1
-    rec_up = _PathRec(x, 1) if record_paths else _NullRec()
-    rec_dn = _PathRec(x, dn_v) if record_paths else _NullRec()
+    rec_up = KnotRecorder(x, 1, store=record_paths)
+    rec_dn = KnotRecorder(x, dn_v, store=record_paths)
     src = ExpSource(rng)
     a, b = params.a, params.b
     stick = _stick_phase(0.0, x, hz, a, b, src, rec_up, rec_dn)
@@ -547,7 +410,7 @@ def stick_couple(
             path_horizon = t_m
         else:
             path_horizon = hz
-            _extend_reflected(x_m, -1, t_m, hz, a, b, src, (rec_up, rec_dn))
+            walk_reflected(x_m, -1, t_m, hz, a, b, src, _both(rec_up, rec_dn))
     return CouplingResult(
         crossing_time=None,
         crossing_position=None,
@@ -580,18 +443,18 @@ def coalescent_couple_reflected(
     hz = float(horizon)
     if not (hz > 0.0 and math.isfinite(hz)):
         raise ValueError("horizon must be positive and finite")
-    rec1 = _PathRec(x, v) if record_paths else _NullRec()
-    rec2 = _PathRec(x_other, v_other) if record_paths else _NullRec()
+    rec1 = KnotRecorder(x, v, store=record_paths)
+    rec2 = KnotRecorder(x_other, v_other, store=record_paths)
     src = ExpSource(rng)
     a, b = params.a, params.b
     if x == x_other and v == v_other:
-        _extend_reflected(x, v, 0.0, hz, a, b, src, (rec1, rec2))
+        walk_reflected(x, v, 0.0, hz, a, b, src, _both(rec1, rec2))
         return CouplingResult(None, None, 0.0, 0.0, rec1.build(hz), rec2.build(hz), hz)
     t_c, pos_c, indep, t_m, x_m = _run_halfline_engine(
         x, v, x_other, v_other, hz, params, src, rec1, rec2
     )
     if t_m is not None:
-        _extend_reflected(x_m, -1, t_m, hz, a, b, src, (rec1, rec2))
+        walk_reflected(x_m, -1, t_m, hz, a, b, src, _both(rec1, rec2))
     return CouplingResult(t_c, pos_c, t_m, indep, rec1.build(hz), rec2.build(hz), hz)
 
 
@@ -622,9 +485,8 @@ def coalescent_couple_unreflected(
     hz = float(horizon)
     if not (hz > 0.0 and math.isfinite(hz)):
         raise ValueError("horizon must be positive and finite")
-    rec_cls = _SignedRec if record_paths else _NullSignedRec
-    rec1 = rec_cls(y, w)
-    rec2 = rec_cls(y_other, w_other)
+    rec1 = KnotRecorder(y, w, signed=True, store=record_paths)
+    rec2 = KnotRecorder(y_other, w_other, signed=True, store=record_paths)
     src = ExpSource(rng)
     a, b = params.a, params.b
 
@@ -634,22 +496,16 @@ def coalescent_couple_unreflected(
         )
 
     if y == y_other and w == w_other:
-        _extend_unreflected(y, w, 0.0, hz, a, b, src, (rec1, rec2))
+        _merged_tail(y, w, 0.0, hz, a, b, src, rec1, rec2)
         return result(None, None, 0.0, 0.0)
     if y_other == -y and w_other == w and y != 0.0:
         # mirror-symmetric start: the folded copies are identical, so the
         # run goes straight to the sign repair blocks
         away, toward = (rec1, rec2) if y * w > 0.0 else (rec2, rec1)
-        blocks = _symmetric_blocks(0.0, abs(y), w, hz, a, b, src, away, toward)
-        if blocks is None or blocks[0] > hz:
-            return result(None, None, 0.0, None)
-        t_coal, y_m, w_m = blocks
-        _extend_unreflected(y_m, w_m, t_coal, hz, a, b, src, (rec1, rec2))
+        t_coal = _symmetric_blocks(0.0, abs(y), w, hz, a, b, src, away, toward)
         return result(None, None, 0.0, t_coal)
-    x1 = abs(y)
-    v1 = 1 if y == 0.0 else (1 if y > 0.0 else -1) * w
-    x2 = abs(y_other)
-    v2 = 1 if y_other == 0.0 else (1 if y_other > 0.0 else -1) * w_other
+    x1, v1, _ = fold(y, w)
+    x2, v2, _ = fold(y_other, w_other)
     if x1 == x2 and v1 == v2:
         # anti-symmetric pair: the folded copies coincide from the start but
         # the signs differ, so run one shared folded path to its next origin
@@ -657,37 +513,21 @@ def coalescent_couple_unreflected(
         if x1 == 0.0:
             t_zero = 0.0
         else:
-            t_zero = _extend_reflected(
-                x1, v1, 0.0, hz, a, b, src, (rec1, rec2), stop_at_zero=True
-            )
-        if t_zero is None:
-            return result(None, None, 0.0, None)
-        blocks = _wait_and_blocks(t_zero, rec1, rec2, hz, a, b, src)
-        if blocks is None or blocks[0] > hz:
-            return result(None, None, 0.0, None)
-        t_coal, y_m, w_m = blocks
-        _extend_unreflected(y_m, w_m, t_coal, hz, a, b, src, (rec1, rec2))
-        return result(None, None, 0.0, t_coal)
+            both = _both(rec1, rec2)
+            t_zero = walk_reflected(x1, v1, 0.0, hz, a, b, src, both, stop_at_zero=True)
+        return result(None, None, 0.0, _wait_and_blocks(t_zero, rec1, rec2, hz, a, b, src))
     t_c, pos_c, indep, t_m, x_m = _run_halfline_engine(
         x1, v1, x2, v2, hz, params, src, rec1, rec2
     )
     if t_m is None:
         return result(t_c, pos_c, indep, None)
+    both = _both(rec1, rec2)
     if rec1.sign == rec2.sign:
         # folded legs merged with matching signs: equal from the merge on
-        _extend_reflected(x_m, -1, t_m, hz, a, b, src, (rec1, rec2))
+        walk_reflected(x_m, -1, t_m, hz, a, b, src, both)
         return result(t_c, pos_c, indep, t_m)
-    t_zero = _extend_reflected(
-        x_m, -1, t_m, hz, a, b, src, (rec1, rec2), stop_at_zero=True
-    )
-    if t_zero is None:
-        return result(t_c, pos_c, indep, None)
-    blocks = _wait_and_blocks(t_zero, rec1, rec2, hz, a, b, src)
-    if blocks is None or blocks[0] > hz:
-        return result(t_c, pos_c, indep, None)
-    t_coal, y_m, w_m = blocks
-    _extend_unreflected(y_m, w_m, t_coal, hz, a, b, src, (rec1, rec2))
-    return result(t_c, pos_c, indep, t_coal)
+    t_zero = walk_reflected(x_m, -1, t_m, hz, a, b, src, both, stop_at_zero=True)
+    return result(t_c, pos_c, indep, _wait_and_blocks(t_zero, rec1, rec2, hz, a, b, src))
 
 
 @dataclass(frozen=True)
@@ -781,19 +621,16 @@ def write_coupling_batch_csv(results, dest) -> None:
 
     Times that did not occur are written as empty fields; floats use repr.
     """
-    own = isinstance(dest, (str, bytes))
-    fh = open(dest, "w") if own else dest
 
     def fmt(value):
         return "" if value is None else repr(float(value))
 
-    try:
-        fh.write("run_id,crossing_time,coalescence_time,crossing_position,coalesced\n")
-        for i, res in enumerate(results):
-            fh.write(
-                f"{i},{fmt(res.crossing_time)},{fmt(res.coalescence_time)},"
-                f"{fmt(res.crossing_position)},{int(res.coalesced)}\n"
-            )
-    finally:
-        if own:
-            fh.close()
+    write_csv(
+        dest,
+        "run_id,crossing_time,coalescence_time,crossing_position,coalesced",
+        (
+            f"{i},{fmt(res.crossing_time)},{fmt(res.coalescence_time)},"
+            f"{fmt(res.crossing_position)},{int(res.coalesced)}\n"
+            for i, res in enumerate(results)
+        ),
+    )

@@ -19,8 +19,8 @@ from typing import Callable
 import numpy as np
 
 from .model import ModelParams
-from .paths import PiecewisePath
-from .simulate import ExpSource
+from .paths import PiecewisePath, write_csv
+from .simulate import ExpSource, KnotRecorder, walk_reflected
 
 __all__ = [
     "RecursionBudgetError",
@@ -176,49 +176,18 @@ def simulate_excursion(params: ModelParams, rng: np.random.Generator) -> Piecewi
     knot is (S, 0.0, +1) and the path's horizon is S.
     """
     a, b = params.a, params.b
+    rec = KnotRecorder(0.0, 1)
     src = ExpSource(rng)
-    times = [0.0]
-    positions = [0.0]
-    velocities = [1]
-    t = 0.0
-    x = 0.0
-    v = 1
-    while True:
-        if v == 1:
-            d = src.draw() / b
-        else:
-            d = src.draw() / a
-            if x <= d:
-                t_hit = t + x
-                times.append(t_hit)
-                positions.append(0.0)
-                velocities.append(1)
-                return PiecewisePath.from_lists(times, positions, velocities, t_hit)
-        t += d
-        x += v * d
-        v = -v
-        times.append(t)
-        positions.append(x)
-        velocities.append(v)
+    t_hit = walk_reflected(0.0, 1, 0.0, math.inf, a, b, src, rec.add, stop_at_zero=True)
+    return rec.build(t_hit)
 
 
 def first_return_time(params: ModelParams, rng: np.random.Generator) -> float:
     """Return time to the origin from (0, +1) by direct event simulation."""
     a, b = params.a, params.b
+    add = KnotRecorder(0.0, 1, store=False).add
     src = ExpSource(rng)
-    t = 0.0
-    x = 0.0
-    v = 1
-    while True:
-        if v == 1:
-            d = src.draw() / b
-        else:
-            d = src.draw() / a
-            if x <= d:
-                return t + x
-        t += d
-        x += v * d
-        v = -v
+    return walk_reflected(0.0, 1, 0.0, math.inf, a, b, src, add, stop_at_zero=True)
 
 
 # 16-point Gauss-Legendre on [0, 1]; exact for polynomial segments and at
@@ -327,12 +296,8 @@ def regenerative_estimate(
 
 def write_excursions_csv(records, dest) -> None:
     """Write ``length,jump_count,max_height`` rows for a batch of records."""
-    own = isinstance(dest, (str, bytes))
-    fh = open(dest, "w") if own else dest
-    try:
-        fh.write("length,jump_count,max_height\n")
-        for rec in records:
-            fh.write(f"{rec.length!r},{rec.jump_count},{rec.max_height!r}\n")
-    finally:
-        if own:
-            fh.close()
+    write_csv(
+        dest,
+        "length,jump_count,max_height",
+        (f"{rec.length!r},{rec.jump_count},{rec.max_height!r}\n" for rec in records),
+    )

@@ -12,6 +12,7 @@ functions of ``(a, b)``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -35,6 +36,8 @@ __all__ = [
 
 # Each velocity value carries probability 1/2 under both invariant laws.
 VELOCITY_WEIGHT = 0.5
+
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 class DegenerateRatesError(ValueError):
@@ -233,7 +236,8 @@ def tv_bound(t: float, x: float, x_other: float, process: str, params: ModelPara
 
     Returns C * exp(r * max(|x|, |x_other|)) * exp(-critical_rate * t) with
     the prefactor appropriate to the process.  May exceed 1; callers clip for
-    display.
+    display.  Far starts are handled in log space, and a bound past the float
+    range is ``math.inf``.
     """
     if process not in ("reflected", "unreflected"):
         raise ValueError(f"process must be 'reflected' or 'unreflected', got {process!r}")
@@ -242,5 +246,12 @@ def tv_bound(t: float, x: float, x_other: float, process: str, params: ModelPara
         raise ValueError(f"time must be nonnegative, got {t}")
     consts = bound_constants(params)
     pref = consts.reflected_prefactor if process == "reflected" else consts.prefactor
-    reach = max(abs(float(x)), abs(float(x_other)))
-    return pref * math.exp(consts.spatial_rate * reach) * math.exp(-critical_rate(params) * t)
+    growth = consts.spatial_rate * max(abs(float(x)), abs(float(x_other)))
+    decay = critical_rate(params) * t
+    log_head = math.log(pref) + growth
+    if log_head < _LOG_FLOAT_MAX - 1.0:
+        # C * exp(r * reach) is finite: the product form keeps written
+        # bounds stable to the last digit
+        return pref * math.exp(growth) * math.exp(-decay)
+    log_bound = log_head - decay
+    return math.exp(log_bound) if log_bound < _LOG_FLOAT_MAX else math.inf

@@ -9,7 +9,6 @@ unfolding are both exact float comparisons, not tolerance checks.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -194,21 +193,32 @@ def unreflect_path(path: PiecewisePath, y0: float) -> PiecewisePath:
     return PiecewisePath.from_lists(out_t, out_y, out_w, path.horizon)
 
 
+def write_csv(dest, header: str, lines) -> None:
+    """Write a header row, then ``lines`` (each ending in a newline).
+
+    ``dest`` is a filename or a text file object; a file opened here is
+    closed here, a file object passed in stays open.
+    """
+    if isinstance(dest, (str, bytes)):
+        with open(dest, "w") as fh:
+            write_csv(fh, header, lines)
+        return
+    dest.write(header + "\n")
+    dest.writelines(lines)
+
+
 def write_path_csv(path: PiecewisePath, dest) -> None:
     """Write ``t,position,velocity`` rows: t=0, every event, and the horizon.
 
     ``dest`` is a filename or a text file object.  Floats are written with
     repr so a re-read round-trips bit for bit.
     """
-    own = isinstance(dest, (str, bytes))
-    fh: io.TextIOBase = open(dest, "w") if own else dest
-    try:
-        fh.write("t,position,velocity\n")
+
+    def lines():
         for t, x, v in zip(path.knot_times, path.knot_positions, path.knot_velocities):
-            fh.write(f"{float(t)!r},{float(x)!r},{int(v)}\n")
+            yield f"{float(t)!r},{float(x)!r},{int(v)}\n"
         if float(path.knot_times[-1]) < path.horizon:
             pos, vel = path.eval(path.horizon)
-            fh.write(f"{float(path.horizon)!r},{pos!r},{vel}\n")
-    finally:
-        if own:
-            fh.close()
+            yield f"{float(path.horizon)!r},{pos!r},{vel}\n"
+
+    write_csv(dest, "t,position,velocity", lines())

@@ -6,6 +6,15 @@ and every output is reproducible bit for bit.  Between events the motion is
 deterministic at unit speed; event times are drawn from the appropriate
 exponential clock and origin hits are computed algebraically, never by
 time-stepping, so reflected positions are exactly nonnegative.
+
+One scalar event loop, :func:`walk_reflected`, runs the reflected particle
+for every path simulator in the package: whole paths, excursions and return
+times, and the merged tails of the couplings.  The whole-line process is its
+unfolding: the walk runs on (|Y|, sign(Y)*W) and a :class:`KnotRecorder`
+with a sign maps each knot back, flipping the sign at every origin visit.
+The reflected endpoint sampler is likewise the fold of the vectorised
+whole-line one.  Folding is exact in floating point, because s*(x + v*d)
+equals s*x + (s*v)*d bit for bit when s is a sign.
 """
 
 from __future__ import annotations
@@ -73,6 +82,113 @@ def _check_velocity(v: int) -> int:
     return int(v)
 
 
+def fold(y: float, w: int) -> tuple[float, int, int]:
+    """Folded state (|y|, sign(y) * w) of a whole-line state, and its sign.
+
+    The origin folds to (0, +1) and takes the sign of its velocity, which is
+    the side the particle leaves toward.
+    """
+    if y > 0.0:
+        return y, w, 1
+    if y < 0.0:
+        return -y, -w, -1
+    return 0.0, 1, w
+
+
+class KnotRecorder:
+    """Knots of one leg, fed folded knots by :func:`walk_reflected`.
+
+    An unsigned recorder (``sign`` 0) stores the folded knots as they come.
+    A signed recorder holds a whole-line leg: an origin knot flips its sign
+    and vanishes (the unfolded velocity is continuous there), and every other
+    knot is stored as (t, sign*x, sign*v).  :meth:`add_raw` stores a
+    whole-line knot as given, for phases that build whole-line states
+    directly.  With ``store=False`` only the sign is kept and :meth:`build`
+    returns None.
+    """
+
+    __slots__ = ("sign", "t", "x", "v")
+
+    def __init__(self, x0: float, v0: int, signed: bool = False, store: bool = True):
+        self.sign = fold(x0, v0)[2] if signed else 0
+        if store:
+            self.t, self.x, self.v = [0.0], [float(x0)], [int(v0)]
+        else:
+            self.t = self.x = self.v = None
+
+    def add(self, t: float, x: float, v: int) -> None:
+        s = self.sign
+        if s:
+            if x == 0.0:
+                self.sign = -s
+                return
+            x = s * x
+            v = s * v
+        if self.t is not None:
+            self.t.append(t)
+            self.x.append(x)
+            self.v.append(v)
+
+    def add_raw(self, t: float, y: float, w: int) -> None:
+        if self.t is not None:
+            self.t.append(t)
+            self.x.append(y)
+            self.v.append(w)
+
+    def build(self, horizon: float) -> PiecewisePath | None:
+        """The recorded path on [0, horizon].
+
+        A knot that shares its time with the next one is dropped (the later
+        state wins) and knots past the horizon are cut.
+        """
+        if self.t is None:
+            return None
+        t = np.asarray(self.t, dtype=np.float64)
+        keep = t <= horizon
+        keep[:-1] &= t[1:] != t[:-1]
+        if keep.all():
+            return PiecewisePath.from_lists(t, self.x, self.v, horizon)
+        return PiecewisePath.from_lists(
+            t[keep], np.asarray(self.x)[keep], np.asarray(self.v)[keep], horizon
+        )
+
+
+def walk_reflected(x, v, t, horizon, a, b, src, add, stop_at_zero=False):
+    """The reflected event loop: every path simulator in the package runs on it.
+
+    From (x, v) at time t, a down leg lasts Exp(a) and an up leg Exp(b); a
+    down leg that reaches the origin first is reflected there to velocity +1,
+    at a knot whose position is exactly 0.0.  Each knot up to the horizon is
+    passed to add(t, x, v).  With stop_at_zero the walk ends at the next
+    origin knot and returns its time; otherwise it returns None at the
+    horizon.
+    """
+    draw = src.draw
+    while True:
+        if v == -1:
+            d = draw() / a
+            if x <= d:
+                t_hit = t + x
+                if t_hit > horizon:
+                    return None
+                add(t_hit, 0.0, 1)
+                if stop_at_zero:
+                    return t_hit
+                t = t_hit
+                x = 0.0
+                v = 1
+                continue
+        else:
+            d = draw() / b
+        t_next = t + d
+        if t_next > horizon:
+            return None
+        t = t_next
+        x = x + v * d
+        v = -v
+        add(t, x, v)
+
+
 def simulate_unreflected(
     y0: float,
     w0: int,
@@ -83,43 +199,20 @@ def simulate_unreflected(
     """Whole-line trajectory on [0, horizon] started from (y0, w0).
 
     The flip rate is b while y*w > 0 and a while y*w < 0; at the origin the
-    outgoing segment always moves away, so rate b applies.  Returns the exact
-    path; memory is proportional to the number of flips.
+    outgoing segment always moves away, so rate b applies.  Runs the folded
+    walk from (|y0|, sign(y0)*w0) and unfolds it with a sign that flips at
+    every origin visit.  Returns the exact path; memory is proportional to
+    the number of flips.
     """
     w = _check_velocity(w0)
     y = float(y0)
     horizon = float(horizon)
     if horizon < 0.0:
         raise ValueError("horizon must be nonnegative")
-    a, b = params.a, params.b
-    src = ExpSource(rng)
-    times = [0.0]
-    positions = [y]
-    velocities = [w]
-    t = 0.0
-    while True:
-        if y * w < 0.0:
-            d = src.draw() / a
-            gap = abs(y)
-            if gap <= d:
-                # reaches the origin before flipping; rate switches to b there
-                t = t + gap
-                y = 0.0
-                if t >= horizon:
-                    break
-                continue
-        else:
-            d = src.draw() / b
-        t_next = t + d
-        if t_next > horizon:
-            break
-        t = t_next
-        y = y + w * d
-        w = -w
-        times.append(t)
-        positions.append(y)
-        velocities.append(w)
-    return PiecewisePath.from_lists(times, positions, velocities, horizon)
+    rec = KnotRecorder(y, w, signed=True)
+    x, v, _ = fold(y, w)
+    walk_reflected(x, v, 0.0, horizon, params.a, params.b, ExpSource(rng), rec.add)
+    return rec.build(horizon)
 
 
 def simulate_reflected(
@@ -144,38 +237,9 @@ def simulate_reflected(
         raise ValueError("start at the origin requires velocity +1")
     if horizon < 0.0:
         raise ValueError("horizon must be nonnegative")
-    a, b = params.a, params.b
-    src = ExpSource(rng)
-    times = [0.0]
-    positions = [x]
-    velocities = [v]
-    t = 0.0
-    while True:
-        if v == -1:
-            d = src.draw() / a
-            if x <= d:
-                t_hit = t + x
-                if t_hit > horizon:
-                    break
-                t = t_hit
-                x = 0.0
-                v = 1
-                times.append(t)
-                positions.append(0.0)
-                velocities.append(1)
-                continue
-        else:
-            d = src.draw() / b
-        t_next = t + d
-        if t_next > horizon:
-            break
-        t = t_next
-        x = x + v * d
-        v = -v
-        times.append(t)
-        positions.append(x)
-        velocities.append(v)
-    return PiecewisePath.from_lists(times, positions, velocities, horizon)
+    rec = KnotRecorder(x, v)
+    walk_reflected(x, v, 0.0, horizon, params.a, params.b, ExpSource(rng), rec.add)
+    return rec.build(horizon)
 
 
 def _velocity_array(v0, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -244,44 +308,14 @@ def sample_reflected_states(
     params: ModelParams,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """n independent reflected endpoint states at time t, vectorised."""
-    n = int(n)
-    t = float(t)
-    if n <= 0:
-        raise ValueError("n must be positive")
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
+    """n independent reflected endpoint states at time t, vectorised.
+
+    The fold of :func:`sample_unreflected_states` from (x0, v0): position
+    |Y| and velocity sign(Y)*W, or +1 where Y is 0.
+    """
     if float(x0) < 0.0:
         raise ValueError("reflected start must be nonnegative")
     if float(x0) == 0.0 and v0 is not None and int(v0) != 1:
         raise ValueError("start at the origin requires velocity +1")
-    a, b = params.a, params.b
-    x = np.full(n, float(x0), dtype=np.float64)
-    v = _velocity_array(v0, n, rng)
-    rem = np.full(n, t, dtype=np.float64)
-    idx = np.arange(n)
-    while idx.size:
-        xi = x[idx]
-        vi = v[idx]
-        ri = rem[idx]
-        down = vi < 0
-        rate = np.where(down, a, b)
-        d = rng.standard_exponential(idx.size) / rate
-        t_hit = np.where(down, xi, np.inf)
-        event = np.minimum(d, t_hit)
-        done = event > ri
-        fin = idx[done]
-        x[fin] = x[fin] + v[fin] * rem[fin]
-        live = ~done
-        reflecting = live & (t_hit <= d)
-        r = idx[reflecting]
-        x[r] = 0.0
-        v[r] = 1
-        rem[r] -= t_hit[reflecting]
-        flipping = live & ~reflecting
-        f = idx[flipping]
-        x[f] = x[f] + v[f] * d[flipping]
-        v[f] = -v[f]
-        rem[f] -= d[flipping]
-        idx = idx[live]
-    return x, v
+    y, w = sample_unreflected_states(x0, v0, t, n, params, rng)
+    return np.abs(y), np.where(y > 0.0, w, np.where(y < 0.0, -w, 1))

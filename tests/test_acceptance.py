@@ -246,6 +246,11 @@ def test_criterion_08_coupling_leg_marginals():
     report(8, ok, f"leg KS p-values at t=4: {info['p1']:.3f}, {info['p2']:.3f}")
 
 
+def _time_or_inf(coalescence_time):
+    # an uncoalesced run counts as never coalescing; a genuine 0.0 stays 0.0
+    return math.inf if coalescence_time is None else coalescence_time
+
+
 def _survival_vs_envelope(times: np.ndarray, envelope: float):
     rows = []
     ok = True
@@ -266,10 +271,11 @@ def test_criterion_09_reflected_coupling_tail():
         rng = make_stream(909, seed)
         times = np.array(
             [
-                coalescent_couple_reflected(
-                    1.0, 1, 0.0, 1, 21.0, P12, rng, record_paths=False
-                ).coalescence_time
-                or math.inf
+                _time_or_inf(
+                    coalescent_couple_reflected(
+                        1.0, 1, 0.0, 1, 21.0, P12, rng, record_paths=False
+                    ).coalescence_time
+                )
                 for _ in range(100000)
             ]
         )
@@ -288,10 +294,11 @@ def test_criterion_10_unreflected_coupling_tail():
         rng = make_stream(910, seed)
         times = np.array(
             [
-                coalescent_couple_unreflected(
-                    1.0, 1, -1.0, -1, 21.0, P12, rng, record_paths=False
-                ).coalescence_time
-                or math.inf
+                _time_or_inf(
+                    coalescent_couple_unreflected(
+                        1.0, 1, -1.0, -1, 21.0, P12, rng, record_paths=False
+                    ).coalescence_time
+                )
                 for _ in range(100000)
             ]
         )

@@ -130,7 +130,20 @@ def test_threads_resolution(monkeypatch):
     assert cfg.threads == 5
     monkeypatch.delenv(cli.THREADS_ENV)
     cfg = cli._resolve(["excursions"])
-    assert cfg.threads >= 1
+    assert cfg.threads == 1
+
+
+def test_far_start_bound_does_not_crash(tmp_path):
+    # the closed-form bound for a start at 1000 lies past the float range;
+    # the gate must clip it rather than abort with an overflow
+    code, text = run_to_file(
+        tmp_path,
+        "far.csv",
+        ["couple", "--start", "1000,1", "--n", "100", "--horizon", "5", "--check",
+         "--threads", "1"],
+    )
+    assert code in (EXIT_OK, EXIT_GATE)
+    assert text.startswith("run_id,")
 
 
 def test_config_errors_exit_one(tmp_path, capsys):

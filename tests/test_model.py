@@ -198,6 +198,12 @@ def test_tv_bound_values():
     # decreasing in t, increasing in reach
     assert tv_bound(5.0, 1.0, 0.0, "reflected", P12) > tv_bound(6.0, 1.0, 0.0, "reflected", P12)
     assert tv_bound(5.0, 2.0, 0.0, "reflected", P12) > tv_bound(5.0, 1.0, 0.0, "reflected", P12)
+    # a far start puts the bound past the float range: inf, not an
+    # OverflowError; a long time brings it back through log space
+    assert tv_bound(5.0, 1000.0, 1.0, "reflected", P12) == math.inf
+    assert tv_bound(1e4, 1000.0, 1.0, "reflected", P12) == pytest.approx(
+        math.exp(math.log(3.0) + 750.0 - LC_12 * 1e4), rel=1e-12
+    )
     with pytest.raises(ValueError):
         tv_bound(-1.0, 0.0, 0.0, "reflected", P12)
     with pytest.raises(ValueError):
