@@ -11,12 +11,13 @@ copy's height, at which point both sit at the same state and stay merged
 forever.  Every phase uses each copy's correct marginal clocks, so both legs
 remain exact copies of the reflected process.
 
-Whole-line pairs reuse the half-line machinery through the folding
-correspondence, with one sign per leg that flips at every origin visit.  If
-the signs disagree once the folded copies have merged, the pair waits at an
-origin visit for one Exp(2b) flip assigned by a fair coin and then runs
-mirror-symmetric blocks that either restore the symmetric configuration or
-merge the pair at a shared flip.
+Whole-line pairs run the same driver on their folded starts, with one sign
+per leg that flips at every origin visit.  If the signs disagree once the
+folded copies have merged, the pair waits at an origin visit for one Exp(2b)
+flip assigned by a fair coin.  The legs are then mirror images through the
+origin, which folds to copies meeting head-on, so the sign repair is the
+sticking stage again: the flipped leg descends, crosses the origin (its sign
+flips) and the pair merges with equal signs.
 
 The dominating time stacks the worst case of every phase: it is built from
 one Exp(a+b) clock, origin-visit functionals and descent times, is sampled
@@ -55,9 +56,11 @@ class CouplingResult:
 
     Times are None when the corresponding event did not happen before the
     horizon.  ``indep_clock`` is the length of the initial independent phase
-    of the crossing stage (zero when the start needs none); the displacement
-    at crossing is bounded by half the initial gap plus this clock, run by
-    run.  Paths are None when the run was sampled in time-only mode.
+    of the crossing stage whenever that phase ran, whether or not the run
+    crossed before the horizon, and zero when the start needs none; the
+    displacement at crossing is bounded by half the initial gap plus this
+    clock, run by run.  Paths are None when the run was sampled in time-only
+    mode, which also stops the run at its merge.
     """
 
     crossing_time: float | None
@@ -95,40 +98,35 @@ def _check_reflected_state(x: float, v: int) -> tuple[float, int]:
     return x, int(v)
 
 
-def _glue_until_origin(x, u, delta, t, horizon, a, b, src, rec_hi, rec_lo):
-    """Common-velocity phase: both legs share every clock, gap fixed at delta.
+def _check_horizon(horizon) -> float:
+    hz = float(horizon)
+    if not (hz > 0.0 and math.isfinite(hz)):
+        raise ValueError("horizon must be positive and finite")
+    return hz
 
-    Simulates the lower leg until its first origin hit; the upper leg rides
-    delta above it.  Returns (hit time, delta) or None on horizon abort.
+
+def _glued(rec_hi, rec_lo, delta):
+    """Knot sink for the common-velocity phase: the upper leg rides delta above.
+
+    Both legs take every knot of the lower leg's walk except its origin knot,
+    which the upper leg, still descending, does not see.
     """
-    while True:
-        if t > horizon:
-            return None
-        if u == 1:
-            d = src.draw() / b
-            t += d
-            x += d
-            rec_lo.add(t, x, -1)
-            rec_hi.add(t, x + delta, -1)
-            u = -1
-        else:
-            d = src.draw() / a
-            if x <= d:
-                t_hit = t + x
-                rec_lo.add(t_hit, 0.0, 1)
-                return t_hit, delta
-            t += d
-            x -= d
-            rec_lo.add(t, x, 1)
-            rec_hi.add(t, x + delta, 1)
-            u = 1
+    add_hi, add_lo = rec_hi.add, rec_lo.add
+
+    def add(t: float, x: float, v: int) -> None:
+        add_lo(t, x, v)
+        if x != 0.0:
+            add_hi(t, x + delta, v)
+
+    return add
 
 
 def _crossing_phase(x_hi, v_hi, x_lo, v_lo, horizon, a, b, src, rec_hi, rec_lo):
     """Drive the ordered pair to equal positions with opposite velocities.
 
     Returns (crossing time, crossing position, independent-phase clock,
-    upper-leg velocity at crossing) or None on horizon abort.  The caller
+    upper-leg velocity at crossing); the time and position are None on a
+    horizon abort, and the clock is reported either way.  The caller
     guarantees x_hi >= x_lo and that the states are not identical.
     """
     t = 0.0
@@ -161,10 +159,13 @@ def _crossing_phase(x_hi, v_hi, x_lo, v_lo, horizon, a, b, src, rec_hi, rec_lo):
         opp = (x_hi, x_lo)
     while True:
         if glue is not None:
-            res = _glue_until_origin(*glue, t, horizon, a, b, src, rec_hi, rec_lo)
-            if res is None:
-                return None
-            t, delta = res
+            # common velocity: the legs share every clock, so the lower leg's
+            # walk to its next origin hit carries both; the gap stays delta
+            x, u, delta = glue
+            add = _glued(rec_hi, rec_lo, delta)
+            t = walk_reflected(x, u, t, horizon, a, b, src, add, stop_at_zero=True)
+            if t is None:
+                return None, None, indep, None
             opp = (delta, 0.0)
             glue = None
         h, l = opp
@@ -175,10 +176,13 @@ def _crossing_phase(x_hi, v_hi, x_lo, v_lo, horizon, a, b, src, rec_hi, rec_lo):
         # meeting point, a Bernoulli(a/(a+b)) mark names the leg that flips
         tau = src.draw() / (a + b)
         if tau >= 0.5 * gap:
-            return t + 0.5 * gap, 0.5 * (h + l), indep, -1
+            t_meet = t + 0.5 * gap
+            if t_meet > horizon:
+                return None, None, indep, None
+            return t_meet, 0.5 * (h + l), indep, -1
         t += tau
         if t > horizon:
-            return None
+            return None, None, indep, None
         h -= tau
         l += tau
         if src.uniform() < a / (a + b):
@@ -195,8 +199,8 @@ def _stick_phase(t, x_cur, horizon, a, b, src, rec_up, rec_dn):
     Per block the up leg climbs for Exp(b)=Q and the down leg descends for
     Exp(a)=R; swapping which leg consumes which clock re-opposes them at
     height x+Q-R when R < x, and merges them at (Q, -1) when the descent
-    outlasts the height.  Returns (merge time, merged position) or None on
-    horizon abort.  A synchronisation knot is written to the up leg at the
+    outlasts the height.  Returns the merged state (time, Q, -1), or None on
+    a horizon abort.  A synchronisation knot is written to the up leg at the
     merge so both legs share interpolation bases bit for bit afterwards.
     """
     while True:
@@ -214,120 +218,82 @@ def _stick_phase(t, x_cur, horizon, a, b, src, rec_up, rec_dn):
             t = t_end
             x_cur = x_next
         else:
+            # the descent outlasts the height: the down leg reflects at the
+            # origin (at once from a met state at height 0) and climbs Q
+            t_hit = t + x_cur
             rec_up.add(t + q, x_cur + q, -1)
-            if x_cur > 0.0:
-                t_hit = t + x_cur
-                rec_dn.add(t_hit, 0.0, 1)
-            else:
-                t_hit = t
+            rec_dn.add(t_hit, 0.0, 1)
             t_end = t_hit + q
             rec_dn.add(t_end, q, -1)
             rec_up.add(t_end, q, -1)
-            return t_end, q
+            return (t_end, q, -1) if t_end <= horizon else None
 
 
-def _merged_tail(y, w, t, horizon, a, b, src, rec_1, rec_2):
-    """Continue merged whole-line legs from (y, w) to the horizon.
+def _sign_repair(t, x, v, horizon, a, b, src, rec_1, rec_2):
+    """Merge whole-line legs whose folded copies merged at (x, v) with unequal signs.
 
-    The shared walk runs folded from (|y|, sign(y)*w); both legs take the
-    sign of the merged state and unfold it at every origin visit.
+    The shared folded walk runs on to its next origin visit, where the legs
+    sit at the origin heading opposite ways.  The first of their two Exp(b)
+    flip clocks fires after Exp(2b), and a fair coin names the leg; the
+    losing clock restarts by memorylessness, so each leg's flip stream stays
+    rate correct.  The flipped leg turns back toward the origin, so the
+    folded copies meet head-on at the wait's length: the flipped leg is the
+    down leg of the sticking blocks, whose sign flips as it crosses the
+    origin.  Returns the merged state as :func:`_stick_phase` does.
     """
-    x, v, sign = fold(y, w)
-    rec_1.sign = rec_2.sign = sign
-    walk_reflected(x, v, t, horizon, a, b, src, _both(rec_1, rec_2))
-
-
-def _symmetric_blocks(t, u, sigma, horizon, a, b, src, rec_away, rec_toward):
-    """Mirror blocks for whole-line legs at +-u with common velocity sigma.
-
-    The away leg sits at sigma*u moving away from the origin; the toward leg
-    mirrors it.  Each block reuses the half-line clock swap through the
-    mirror: R < u restores the symmetric picture at u+Q-R, R >= u lets the
-    toward leg cross the origin and merges the pair at (sigma*Q, -sigma),
-    from where the merged tail runs to the horizon.  Returns the merge time,
-    or None on horizon abort.
-    """
-    while True:
-        if t > horizon:
+    if x > 0.0:
+        both = _both(rec_1, rec_2)
+        t = walk_reflected(x, v, t, horizon, a, b, src, both, stop_at_zero=True)
+        if t is None:
             return None
-        r = src.draw() / a
-        q = src.draw() / b
-        if r < u:
-            t_end = t + (r + q)
-            u_next = u + (q - r)
-            rec_away.add_raw(t + q, sigma * (u + q), -sigma)
-            rec_toward.add_raw(t + r, -sigma * (u - r), -sigma)
-            rec_away.add_raw(t_end, sigma * u_next, sigma)
-            rec_toward.add_raw(t_end, -sigma * u_next, sigma)
-            t = t_end
-            u = u_next
-        else:
-            t_end = t + (u + q)
-            rec_away.add_raw(t + q, sigma * (u + q), -sigma)
-            rec_toward.add_raw(t_end, sigma * q, -sigma)
-            rec_away.add_raw(t_end, sigma * q, -sigma)
-            if t_end > horizon:
-                return None
-            _merged_tail(sigma * q, -sigma, t_end, horizon, a, b, src, rec_away, rec_toward)
-            return t_end
-
-
-def _wait_and_blocks(t_zero, rec_1, rec_2, horizon, a, b, src):
-    """Sign-mismatch repair at a shared origin visit at t_zero (None: no visit).
-
-    Both legs sit at the origin heading opposite ways.  The first of their
-    two Exp(b) flip clocks fires after Exp(2b); a fair coin names the leg,
-    which leaves the mirror-symmetric picture handled by the blocks.  Each
-    leg's marginal flip stream stays rate correct because the losing clock
-    is restarted by memorylessness.  Returns the merge time or None.
-    """
-    if t_zero is None:
-        return None
     e_wait = src.draw() / (2.0 * b)
-    t_flip = t_zero + e_wait
-    if t_flip > horizon:
+    t += e_wait
+    if t > horizon:
         return None
     if src.uniform() < 0.5:
-        rec_f, rec_o = rec_1, rec_2
+        rec_dn, rec_up = rec_1, rec_2
     else:
-        rec_f, rec_o = rec_2, rec_1
-    s_f = rec_f.sign
-    rec_f.add_raw(t_flip, s_f * e_wait, -s_f)
-    sigma = rec_o.sign
-    return _symmetric_blocks(t_flip, e_wait, sigma, horizon, a, b, src, rec_o, rec_f)
+        rec_dn, rec_up = rec_2, rec_1
+    rec_dn.add(t, e_wait, -1)
+    return _stick_phase(t, e_wait, horizon, a, b, src, rec_up, rec_dn)
 
 
-def _run_halfline_engine(x1, v1, x2, v2, horizon, params, src, rec1, rec2):
-    """Crossing stage then sticking stage on ordered legs.
+def _coalesce(x1, v1, x2, v2, horizon, params, src, rec1, rec2) -> CouplingResult:
+    """The coalescent coupling of the folded starts (x1, v1) and (x2, v2).
 
-    Returns (crossing_time, crossing_position, indep_clock, merge_time,
-    merged_position); times are None past the horizon.  Caller excludes
-    identical starts.
+    Unsigned recorders make it the half-line coupling; signed recorders
+    unfold each leg into its whole-line path.  Identical folded starts are
+    merged at time 0; other pairs run the crossing and sticking stages on
+    the legs ordered by state.  Whole-line legs whose signs differ at the
+    merge go through :func:`_sign_repair`.  Once merged with equal signs the
+    legs share one walk to the horizon, skipped when no knots are stored.
     """
     a, b = params.a, params.b
-    if (x1, v1) >= (x2, v2):
-        hi_x, hi_v, rec_hi = x1, v1, rec1
-        lo_x, lo_v, rec_lo = x2, v2, rec2
+    t_c = pos_c = merged = None
+    indep = 0.0
+    if (x1, v1) == (x2, v2):
+        merged = (0.0, x1, v1)
     else:
-        hi_x, hi_v, rec_hi = x2, v2, rec2
-        lo_x, lo_v, rec_lo = x1, v1, rec1
-    cross = _crossing_phase(hi_x, hi_v, lo_x, lo_v, horizon, a, b, src, rec_hi, rec_lo)
-    if cross is None:
-        return None, None, 0.0, None, None
-    t_c, pos_c, indep, hi_vel = cross
-    if t_c > horizon:
-        return None, None, indep, None, None
-    if hi_vel == -1:
-        rec_up, rec_dn = rec_lo, rec_hi
-    else:
-        rec_up, rec_dn = rec_hi, rec_lo
-    stick = _stick_phase(t_c, pos_c, horizon, a, b, src, rec_up, rec_dn)
-    if stick is None:
-        return t_c, pos_c, indep, None, None
-    t_m, x_m = stick
-    if t_m > horizon:
-        return t_c, pos_c, indep, None, None
-    return t_c, pos_c, indep, t_m, x_m
+        if (x1, v1) >= (x2, v2):
+            hi_x, hi_v, rec_hi, lo_x, lo_v, rec_lo = x1, v1, rec1, x2, v2, rec2
+        else:
+            hi_x, hi_v, rec_hi, lo_x, lo_v, rec_lo = x2, v2, rec2, x1, v1, rec1
+        t_c, pos_c, indep, hi_vel = _crossing_phase(
+            hi_x, hi_v, lo_x, lo_v, horizon, a, b, src, rec_hi, rec_lo
+        )
+        if t_c is not None:
+            rec_up, rec_dn = (rec_lo, rec_hi) if hi_vel == -1 else (rec_hi, rec_lo)
+            merged = _stick_phase(t_c, pos_c, horizon, a, b, src, rec_up, rec_dn)
+    if merged is not None and rec1.sign != rec2.sign:
+        merged = _sign_repair(*merged, horizon, a, b, src, rec1, rec2)
+    t_m = None
+    if merged is not None:
+        t_m, x_m, v_m = merged
+        if rec1.stores:
+            walk_reflected(x_m, v_m, t_m, horizon, a, b, src, _both(rec1, rec2))
+    return CouplingResult(
+        t_c, pos_c, t_m, indep, rec1.build(horizon), rec2.build(horizon), horizon
+    )
 
 
 def crossing_couple(
@@ -357,14 +323,10 @@ def crossing_couple(
     src = ExpSource(rng)
     a, b = params.a, params.b
     if x == x_other and v == v_other:
-        hit = walk_reflected(x, v, 0.0, hz, a, b, src, _both(rec1, rec2), stop_at_zero=True)
-        t_c, pos_c, indep = (hit, 0.0, 0.0) if hit is not None else (None, None, 0.0)
+        t_c = walk_reflected(x, v, 0.0, hz, a, b, src, _both(rec1, rec2), stop_at_zero=True)
+        pos_c, indep = (None if t_c is None else 0.0), 0.0
     else:
-        cross = _crossing_phase(x, v, x_other, v_other, hz, a, b, src, rec1, rec2)
-        if cross is None or cross[0] > hz:
-            t_c, pos_c, indep = None, None, (0.0 if cross is None else cross[2])
-        else:
-            t_c, pos_c, indep = cross[0], cross[1], cross[2]
+        t_c, pos_c, indep, _ = _crossing_phase(x, v, x_other, v_other, hz, a, b, src, rec1, rec2)
     path_horizon = t_c if t_c is not None else (hz if horizon is not None else 0.0)
     return CouplingResult(
         crossing_time=t_c,
@@ -387,9 +349,9 @@ def stick_couple(
     """Merge legs started at (x, +1) and (x, -1) by swapping their clocks.
 
     With horizon=None the blocks run until the merge (a.s. finite) and the
-    paths stop there; with a horizon the merged leg is continued to it.  A
-    start at the origin collapses the first descent: the second leg reflects
-    instantly and the first block is the merging one.
+    paths stop there; with a horizon the merged leg is continued to it when
+    paths are recorded.  A start at the origin collapses the first descent:
+    the second leg reflects instantly and the first block is the merging one.
     """
     x = float(x)
     if x < 0.0:
@@ -400,17 +362,11 @@ def stick_couple(
     rec_dn = KnotRecorder(x, dn_v, store=record_paths)
     src = ExpSource(rng)
     a, b = params.a, params.b
-    stick = _stick_phase(0.0, x, hz, a, b, src, rec_up, rec_dn)
-    if stick is None or stick[0] > hz:
-        t_m = None
-        path_horizon = hz
-    else:
-        t_m, x_m = stick
-        if horizon is None:
-            path_horizon = t_m
-        else:
-            path_horizon = hz
-            walk_reflected(x_m, -1, t_m, hz, a, b, src, _both(rec_up, rec_dn))
+    merged = _stick_phase(0.0, x, hz, a, b, src, rec_up, rec_dn)
+    t_m = None if merged is None else merged[0]
+    path_horizon = t_m if horizon is None else hz
+    if merged is not None and horizon is not None and record_paths:
+        walk_reflected(merged[1], merged[2], t_m, hz, a, b, src, _both(rec_up, rec_dn))
     return CouplingResult(
         crossing_time=None,
         crossing_position=None,
@@ -440,22 +396,10 @@ def coalescent_couple_reflected(
     """
     x, v = _check_reflected_state(x, v)
     x_other, v_other = _check_reflected_state(x_other, v_other)
-    hz = float(horizon)
-    if not (hz > 0.0 and math.isfinite(hz)):
-        raise ValueError("horizon must be positive and finite")
+    hz = _check_horizon(horizon)
     rec1 = KnotRecorder(x, v, store=record_paths)
     rec2 = KnotRecorder(x_other, v_other, store=record_paths)
-    src = ExpSource(rng)
-    a, b = params.a, params.b
-    if x == x_other and v == v_other:
-        walk_reflected(x, v, 0.0, hz, a, b, src, _both(rec1, rec2))
-        return CouplingResult(None, None, 0.0, 0.0, rec1.build(hz), rec2.build(hz), hz)
-    t_c, pos_c, indep, t_m, x_m = _run_halfline_engine(
-        x, v, x_other, v_other, hz, params, src, rec1, rec2
-    )
-    if t_m is not None:
-        walk_reflected(x_m, -1, t_m, hz, a, b, src, _both(rec1, rec2))
-    return CouplingResult(t_c, pos_c, t_m, indep, rec1.build(hz), rec2.build(hz), hz)
+    return _coalesce(x, v, x_other, v_other, hz, params, ExpSource(rng), rec1, rec2)
 
 
 def coalescent_couple_unreflected(
@@ -474,7 +418,7 @@ def coalescent_couple_unreflected(
     sign that flips at its origin visits.  If the signs agree when the
     folded legs merge the pair is already equal; otherwise the run continues
     to the next origin visit and repairs the signs with an Exp(2b) wait and
-    mirror blocks.  crossing_* report the folded stage's crossing.
+    the sticking blocks.  crossing_* report the folded stage's crossing.
     """
     if w not in (-1, 1) or w_other not in (-1, 1):
         raise ValueError("velocities must be -1 or +1")
@@ -482,52 +426,17 @@ def coalescent_couple_unreflected(
     y_other = float(y_other)
     w = int(w)
     w_other = int(w_other)
-    hz = float(horizon)
-    if not (hz > 0.0 and math.isfinite(hz)):
-        raise ValueError("horizon must be positive and finite")
+    hz = _check_horizon(horizon)
     rec1 = KnotRecorder(y, w, signed=True, store=record_paths)
     rec2 = KnotRecorder(y_other, w_other, signed=True, store=record_paths)
-    src = ExpSource(rng)
-    a, b = params.a, params.b
-
-    def result(t_c, pos_c, indep, t_coal):
-        return CouplingResult(
-            t_c, pos_c, t_coal, indep, rec1.build(hz), rec2.build(hz), hz
-        )
-
-    if y == y_other and w == w_other:
-        _merged_tail(y, w, 0.0, hz, a, b, src, rec1, rec2)
-        return result(None, None, 0.0, 0.0)
-    if y_other == -y and w_other == w and y != 0.0:
-        # mirror-symmetric start: the folded copies are identical, so the
-        # run goes straight to the sign repair blocks
-        away, toward = (rec1, rec2) if y * w > 0.0 else (rec2, rec1)
-        t_coal = _symmetric_blocks(0.0, abs(y), w, hz, a, b, src, away, toward)
-        return result(None, None, 0.0, t_coal)
     x1, v1, _ = fold(y, w)
     x2, v2, _ = fold(y_other, w_other)
-    if x1 == x2 and v1 == v2:
-        # anti-symmetric pair: the folded copies coincide from the start but
-        # the signs differ, so run one shared folded path to its next origin
-        # visit and repair the signs there
-        if x1 == 0.0:
-            t_zero = 0.0
-        else:
-            both = _both(rec1, rec2)
-            t_zero = walk_reflected(x1, v1, 0.0, hz, a, b, src, both, stop_at_zero=True)
-        return result(None, None, 0.0, _wait_and_blocks(t_zero, rec1, rec2, hz, a, b, src))
-    t_c, pos_c, indep, t_m, x_m = _run_halfline_engine(
-        x1, v1, x2, v2, hz, params, src, rec1, rec2
-    )
-    if t_m is None:
-        return result(t_c, pos_c, indep, None)
-    both = _both(rec1, rec2)
-    if rec1.sign == rec2.sign:
-        # folded legs merged with matching signs: equal from the merge on
-        walk_reflected(x_m, -1, t_m, hz, a, b, src, both)
-        return result(t_c, pos_c, indep, t_m)
-    t_zero = walk_reflected(x_m, -1, t_m, hz, a, b, src, both, stop_at_zero=True)
-    return result(t_c, pos_c, indep, _wait_and_blocks(t_zero, rec1, rec2, hz, a, b, src))
+    res = _coalesce(x1, v1, x2, v2, hz, params, ExpSource(rng), rec1, rec2)
+    if y_other == -y and w_other == w and y != 0.0:
+        # mirror-symmetric start: the folded copies meet head-on at |y|, so
+        # the sticking blocks start at once and no crossing is reported
+        res.crossing_time = res.crossing_position = None
+    return res
 
 
 @dataclass(frozen=True)

@@ -96,15 +96,15 @@ def fold(y: float, w: int) -> tuple[float, int, int]:
 
 
 class KnotRecorder:
-    """Knots of one leg, fed folded knots by :func:`walk_reflected`.
+    """Knots of one leg, fed folded knots by every walk and coupling phase.
 
     An unsigned recorder (``sign`` 0) stores the folded knots as they come.
     A signed recorder holds a whole-line leg: an origin knot flips its sign
     and vanishes (the unfolded velocity is continuous there), and every other
-    knot is stored as (t, sign*x, sign*v).  :meth:`add_raw` stores a
-    whole-line knot as given, for phases that build whole-line states
-    directly.  With ``store=False`` only the sign is kept and :meth:`build`
-    returns None.
+    knot is stored as (t, sign*x, sign*v); the couplings' sign repair, too,
+    reaches the whole line only through these flips.  With ``store=False``
+    only the sign is kept, :attr:`stores` is False and :meth:`build` returns
+    None.
     """
 
     __slots__ = ("sign", "t", "x", "v")
@@ -129,11 +129,9 @@ class KnotRecorder:
             self.x.append(x)
             self.v.append(v)
 
-    def add_raw(self, t: float, y: float, w: int) -> None:
-        if self.t is not None:
-            self.t.append(t)
-            self.x.append(y)
-            self.v.append(w)
+    @property
+    def stores(self) -> bool:
+        return self.t is not None
 
     def build(self, horizon: float) -> PiecewisePath | None:
         """The recorded path on [0, horizon].

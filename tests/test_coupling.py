@@ -6,6 +6,7 @@ import pytest
 from scipy import stats
 
 from conftest import gate
+from telegraph_kit import coupling
 from telegraph_kit.analysis import domination_gap, ks_band, ks_two_sample
 from telegraph_kit.coupling import (
     CouplingResult,
@@ -19,7 +20,7 @@ from telegraph_kit.coupling import (
 )
 from telegraph_kit.excursions import sample_hitting
 from telegraph_kit.model import ModelParams, bound_constants, critical_rate
-from telegraph_kit.simulate import make_stream, simulate_reflected, simulate_unreflected
+from telegraph_kit.simulate import ExpSource, make_stream, simulate_reflected, simulate_unreflected
 
 P12 = ModelParams(1.0, 2.0)
 
@@ -64,6 +65,14 @@ def test_crossing_position_pathwise_bound():
         for seed in range(400):
             res = crossing_couple(x, v, xo, vo, P12, make_stream(21, seed))
             assert res.crossing_position <= cap + res.indep_clock + 1e-9
+
+
+def test_indep_clock_reported_on_abort():
+    # the independent phase runs whether or not the legs cross in time
+    for seed in range(20):
+        res = crossing_couple(3.0, 1, 1.0, -1, P12, make_stream(26, seed), horizon=1e-3)
+        assert res.crossing_time is None
+        assert res.indep_clock > 0.0
 
 
 def test_crossing_preserves_order():
@@ -265,15 +274,14 @@ def test_coalescence_dominated_by_decomposition_draw():
     def check(seed):
         n = 2000
         rng = make_stream(44, seed)
-        tc = np.array(
-            [
-                coalescent_couple_reflected(
-                    x, -1, xo, 1, 200.0, P12, rng, record_paths=False
-                ).coalescence_time
-                or 200.0
-                for _ in range(n)
-            ]
-        )
+        times = [
+            coalescent_couple_reflected(
+                x, -1, xo, 1, 200.0, P12, rng, record_paths=False
+            ).coalescence_time
+            for _ in range(n)
+        ]
+        # an uncoalesced run counts at the horizon; a genuine 0.0 stays 0.0
+        tc = np.array([200.0 if t is None else t for t in times])
         rng_bar = make_stream(45, seed)
         tbar = np.array(
             [sample_dominating_time(x, xo, P12, rng_bar).value for _ in range(n)]
@@ -352,6 +360,48 @@ def test_dominating_mgf_below_constants_envelope():
             assert val.is_finite
             cap = consts.reflected_prefactor * math.exp(consts.spatial_rate * x)
             assert float(val) <= cap * (1.0 + 1e-12)
+
+
+def test_time_only_runs_stop_at_the_merge(monkeypatch):
+    # a merged time-only run draws nothing after the merge, so a longer
+    # horizon changes neither its draws nor its times
+    draws = []
+
+    class CountingSource(ExpSource):
+        def __init__(self, rng):
+            super().__init__(rng)
+            draws.append(0)
+
+        def draw(self):
+            draws[-1] += 1
+            return super().draw()
+
+    monkeypatch.setattr(coupling, "ExpSource", CountingSource)
+    runs = [
+        lambda hz, rng: coalescent_couple_reflected(1.0, 1, 0.0, 1, hz, P12, rng, False),
+        lambda hz, rng: coalescent_couple_unreflected(1.0, 1, -0.5, 1, hz, P12, rng, False),
+        lambda hz, rng: stick_couple(1.0, P12, rng, horizon=hz, record_paths=False),
+    ]
+    for run in runs:
+        merged = 0
+        for seed in range(40):
+            short = run(40.0, make_stream(56, seed))
+            long = run(4000.0, make_stream(56, seed))
+            assert short.crossing_time == long.crossing_time
+            assert short.coalescence_time == long.coalescence_time
+            if short.coalesced:
+                merged += 1
+                assert draws[-2] == draws[-1]
+        assert merged >= 30
+
+
+def test_coalescent_legs_meeting_at_a_rounded_origin_stay_valid():
+    # a subnormal gap closes at once and rounds the meeting height to 0.0;
+    # the descending leg must still reflect there
+    res = coalescent_couple_reflected(0.0, 1, 5e-324, -1, 1.0, P12, make_stream(0, 0))
+    assert res.crossing_time == 0.0 and res.crossing_position == 0.0
+    res.path_1.validate(reflected=True)
+    res.path_2.validate(reflected=True)
 
 
 def test_unreflected_marginals():
