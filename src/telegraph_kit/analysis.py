@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import ks_2samp
 
 from .coupling import coalescent_couple_reflected, coalescent_couple_unreflected
 from .excursions import EstimateWithCI
@@ -44,6 +43,10 @@ def ks_two_sample(sample_1, sample_2) -> tuple[float, float]:
     s2 = np.asarray(sample_2, dtype=np.float64)
     if s1.size == 0 or s2.size == 0:
         raise ValueError("samples must be nonempty")
+    # scipy.stats is imported here, not with the module: it adds about 70 MB
+    # and a second to every CLI run, and only this test needs it
+    from scipy.stats import ks_2samp
+
     res = ks_2samp(s1, s2, method="asymp")
     return float(res.statistic), float(res.pvalue)
 

@@ -575,6 +575,9 @@ def main(argv=None) -> int:
     except _ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except excursions.RecursionBudgetError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
     except Exception:
         traceback.print_exc()
         return EXIT_RUNTIME

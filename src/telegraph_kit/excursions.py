@@ -4,10 +4,13 @@ A fresh excursion from the origin climbs an Exp(b) height E, and on the way
 back down a Poisson(a*E) number of sub-excursions sprout at heights E*U_i
 with independent uniform marks.  Iterating this branching picture samples
 the return time S (length 2E plus the children's lengths), the flip count
-and the maximal height without simulating individual events.  Hitting times
-from arbitrary starts and the additive origin-visit functionals build on the
-same kernel.  The regenerative estimator turns exact excursion paths into
-invariant-law expectations with a delta-method standard error.
+and the maximal height without simulating individual events.
+:func:`sample_excursions` grows a whole batch of such trees one generation
+at a time with array operations, and a single excursion is a batch of one.
+Hitting times from arbitrary starts and the additive origin-visit
+functionals walk the same tree one node at a time, keeping lengths only.
+The regenerative estimator turns exact excursion paths into invariant-law
+expectations with a delta-method standard error.
 """
 
 from __future__ import annotations
@@ -36,9 +39,10 @@ __all__ = [
     "write_excursions_csv",
 ]
 
-# Hard cap on branching nodes across one call; the subcritical offspring mean
-# a/b <= 1 makes single trees finite a.s., but b == a sits at criticality
-# where a runaway tree is possible and must abort rather than hang.
+# Hard cap on branching nodes across one call, over all the trees it grows;
+# the offspring mean a/b <= 1 makes single trees finite a.s., but b == a sits
+# at criticality where a runaway tree is possible and must abort rather than
+# hang.
 NODE_BUDGET = 100_000_000
 
 
@@ -72,41 +76,46 @@ def sample_excursion_recursive(
     rng: np.random.Generator,
     node_budget: int = NODE_BUDGET,
 ) -> ExcursionRecord:
-    """One excursion via the branching decomposition; no event simulation.
-
-    The jump count excludes the final flip back at the origin: the apex flip
-    of each node plus one flip ahead of each child.  Max height places each
-    child at its uniform mark height above the node's base.
-    """
-    a, b = params.a, params.b
-    length = 0.0
-    jumps = 0
-    max_height = 0.0
-    stack = [0.0]
-    nodes = 0
-    while stack:
-        nodes += 1
-        if nodes > node_budget:
-            raise RecursionBudgetError(f"excursion tree exceeded {node_budget} nodes")
-        base = stack.pop()
-        e = rng.standard_exponential() / b
-        n_children = int(rng.poisson(a * e))
-        length += 2.0 * e
-        jumps += 1 + n_children
-        apex = base + e
-        if apex > max_height:
-            max_height = apex
-        if n_children:
-            for u in rng.random(n_children).tolist():
-                stack.append(base + e * u)
-    return ExcursionRecord(length, jumps, max_height)
+    """One excursion via the branching decomposition: a batch of one."""
+    return sample_excursions(1, params, rng, node_budget)[0]
 
 
 def sample_excursions(
-    n: int, params: ModelParams, rng: np.random.Generator
+    n: int,
+    params: ModelParams,
+    rng: np.random.Generator,
+    node_budget: int = NODE_BUDGET,
 ) -> list[ExcursionRecord]:
-    """n independent draws from :func:`sample_excursion_recursive`."""
-    return [sample_excursion_recursive(params, rng) for _ in range(int(n))]
+    """n independent excursions via the branching decomposition; no event simulation.
+
+    The trees grow one generation at a time across the whole batch: every
+    live node draws its Exp(b) height E and Poisson(a*E) children, whose
+    base heights are the node's base plus E*U.  The jump count excludes the
+    final flip back at the origin: the apex flip of each node plus one flip
+    ahead of each child.  The max height is the largest apex, base + E.
+    Raises :class:`RecursionBudgetError` once the call has grown more than
+    ``node_budget`` nodes over all its trees.
+    """
+    n = int(n)
+    a, b = params.a, params.b
+    length = np.zeros(n)
+    jumps = np.zeros(n, dtype=np.int64)
+    max_height = np.zeros(n)
+    owner = np.arange(n)
+    base = np.zeros(n)
+    nodes = 0
+    while owner.size:
+        nodes += owner.size
+        if nodes > node_budget:
+            raise RecursionBudgetError(f"excursion trees exceeded {node_budget} nodes in one call")
+        e = rng.standard_exponential(owner.size) / b
+        kids = rng.poisson(a * e)
+        np.add.at(length, owner, 2.0 * e)
+        np.add.at(jumps, owner, 1 + kids)
+        np.maximum.at(max_height, owner, base + e)
+        base = np.repeat(base, kids) + np.repeat(e, kids) * rng.random(int(kids.sum()))
+        owner = np.repeat(owner, kids)
+    return list(map(ExcursionRecord, length.tolist(), jumps.tolist(), max_height.tolist()))
 
 
 def _excursion_length_only(a: float, b: float, src: ExpSource, poisson, budget: int) -> float:

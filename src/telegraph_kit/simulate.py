@@ -48,25 +48,37 @@ def split_streams(seed: int, n: int, base: int = 0) -> list[np.random.Generator]
     return [make_stream(seed, base + i) for i in range(n)]
 
 
+# first and largest refill of an ExpSource; refills double in between
+_FIRST_REFILL = 32
+_MAX_REFILL = 4096
+
+
 class ExpSource:
     """Buffered standard-exponential draws for scalar event loops.
 
     Pulling blocks through ``tolist`` roughly halves the per-draw cost
     compared to scalar generator calls, which dominates the event loops.
+    The first refill holds 32 draws and each later one twice the last, up to
+    4,096, so a short call (an excursion, a coupling) throws away a few
+    dozen read-ahead draws rather than thousands.  The draws it hands out
+    are the generator's own ``standard_exponential`` sequence whatever the
+    refill sizes.
     """
 
-    __slots__ = ("_rng", "_block", "_buf", "_i")
+    __slots__ = ("_rng", "_refill", "_buf", "_i")
 
-    def __init__(self, rng: np.random.Generator, block: int = 4096):
+    def __init__(self, rng: np.random.Generator):
         self._rng = rng
-        self._block = block
+        self._refill = _FIRST_REFILL
         self._buf: list[float] = []
         self._i = 0
 
     def draw(self) -> float:
         i = self._i
         if i >= len(self._buf):
-            self._buf = self._rng.standard_exponential(self._block).tolist()
+            size = self._refill
+            self._buf = self._rng.standard_exponential(size).tolist()
+            self._refill = min(2 * size, _MAX_REFILL)
             i = 0
         self._i = i + 1
         return self._buf[i]

@@ -1,3 +1,4 @@
+import functools
 import json
 import subprocess
 import sys
@@ -179,6 +180,19 @@ def test_runtime_failure_exits_two(monkeypatch, capsys):
     assert main(["excursions", "--n", "100"]) == EXIT_RUNTIME
     captured = capsys.readouterr()
     assert "lost a stream" in captured.err
+
+
+def test_critical_tree_budget_exits_two_with_one_line(monkeypatch, capsys):
+    # at a == b the excursion tree is critical; the node budget ends the
+    # run with a one-line error rather than a traceback
+    small = functools.partial(cli.excursions.sample_excursions, node_budget=4096)
+    monkeypatch.setattr(cli.excursions, "sample_excursions", small)
+    argv = ["excursions", "--a", "1", "--b", "1", "--n", "2000", "--seed", "5"]
+    assert main(argv) == EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "4096 nodes" in captured.err
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
 
 
 def test_failed_gate_exits_three_but_writes_output(tmp_path, monkeypatch):

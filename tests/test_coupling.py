@@ -364,7 +364,8 @@ def test_dominating_mgf_below_constants_envelope():
 
 def test_time_only_runs_stop_at_the_merge(monkeypatch):
     # a merged time-only run draws nothing after the merge, so a longer
-    # horizon changes neither its draws nor its times
+    # horizon changes neither its draws nor its times; a time the short run
+    # did not reach lies past its horizon in the long run
     draws = []
 
     class CountingSource(ExpSource):
@@ -387,8 +388,11 @@ def test_time_only_runs_stop_at_the_merge(monkeypatch):
         for seed in range(40):
             short = run(40.0, make_stream(56, seed))
             long = run(4000.0, make_stream(56, seed))
-            assert short.crossing_time == long.crossing_time
-            assert short.coalescence_time == long.coalescence_time
+            for got, full in (
+                (short.crossing_time, long.crossing_time),
+                (short.coalescence_time, long.coalescence_time),
+            ):
+                assert got == full or (got is None and (full is None or full > 40.0))
             if short.coalesced:
                 merged += 1
                 assert draws[-2] == draws[-1]

@@ -6,6 +6,7 @@ import pytest
 from scipy import stats
 
 from conftest import gate
+from telegraph_kit import excursions
 from telegraph_kit.excursions import (
     EstimateWithCI,
     ExcursionRecord,
@@ -26,7 +27,7 @@ from telegraph_kit.model import (
     hitting_mgf,
     invariant_mgf,
 )
-from telegraph_kit.simulate import make_stream
+from telegraph_kit.simulate import ExpSource, make_stream
 
 P12 = ModelParams(1.0, 2.0)
 
@@ -66,6 +67,48 @@ def test_branching_sampler_agrees_with_event_simulation():
     assert gate(check)
 
 
+def test_batched_trees_agree_with_event_simulation():
+    # length, flips before the final reflection, and the highest knot; at
+    # this n the test also sees children placed in the upper half of the climb
+    def check(seed):
+        n = 20000
+        recs = sample_excursions(n, P12, make_stream(62, 100 + 2 * seed))
+        rng = make_stream(62, 101 + 2 * seed)
+        paths = [simulate_excursion(P12, rng) for _ in range(n)]
+        pairs = [
+            ([r.length for r in recs], [p.horizon for p in paths]),
+            ([r.jump_count for r in recs], [p.knot_times.size - 2 for p in paths]),
+            ([r.max_height for r in recs], [p.knot_positions.max() for p in paths]),
+        ]
+        return all(stats.ks_2samp(x, y, method="asymp").pvalue > 0.01 for x, y in pairs)
+
+    assert gate(check)
+
+
+def test_first_return_time_reads_few_draws_ahead(monkeypatch):
+    # each call builds its own draw source and drops what it read ahead;
+    # refills that start small keep that waste below the draws used + 32
+    used = []
+
+    class CountingSource(ExpSource):
+        def __init__(self, rng):
+            super().__init__(rng)
+            used.append(0)
+
+        def draw(self):
+            used[-1] += 1
+            return super().draw()
+
+    monkeypatch.setattr(excursions, "ExpSource", CountingSource)
+    for seed in range(40):
+        rng = make_stream(82, seed)
+        first_return_time(P12, rng)
+        following = rng.standard_exponential()
+        twin = make_stream(82, seed).standard_exponential(8192)
+        read = int(np.flatnonzero(twin == following)[0])
+        assert used[-1] <= read < 2 * used[-1] + 32
+
+
 def test_length_transform_matches_closed_form():
     lc = critical_rate(P12)
 
@@ -82,8 +125,20 @@ def test_length_transform_matches_closed_form():
     assert gate(check)
 
 
+def _beyond_domain_contrast(lengths, lam):
+    """Mean of exp(lam * L) over the median of its 100 block means of 1,000.
+
+    Beyond the transform domain the mean is carried by rare huge terms that
+    few blocks hold, so the ratio sits well above 1; a law whose transform
+    has finite variance at lam keeps the block means together and the ratio
+    near 1.
+    """
+    vals = np.exp(lam * np.asarray(lengths))
+    return vals.mean() / np.median(vals.reshape(100, 1000).mean(axis=1))
+
+
 def test_transform_domain_boundary_is_visible_in_samples():
-    """Growing-n means settle inside the domain and blow up beyond it."""
+    """Means settle inside the domain; beyond it a few blocks carry the mean."""
     lc = critical_rate(P12)
 
     def check(seed):
@@ -92,12 +147,19 @@ def test_transform_domain_boundary_is_visible_in_samples():
         inside = np.exp(0.9 * lc * lengths)
         target = excursion_mgf(0.9 * lc, P12).value
         settled = abs(inside.mean() - target) <= 0.15 * target
-        beyond = np.exp(1.5 * lc * lengths)
-        m1 = beyond[:1000].mean()
-        m3 = beyond.mean()
-        return settled and m3 > 2.0 * m1
+        return settled and _beyond_domain_contrast(lengths, 2.0 * lc) > 1.3
 
     assert gate(check)
+
+
+def test_domain_contrast_rejects_light_tailed_lengths():
+    # Exp lengths with the right mean 2/(b-a) have a finite transform at
+    # 2*lc, so the contrast must not see a domain boundary there
+    lc = critical_rate(P12)
+    mean = 2.0 / (P12.b - P12.a)
+    for seed in range(3):
+        lengths = make_stream(64, 100 + seed).exponential(mean, 100000)
+        assert _beyond_domain_contrast(lengths, 2.0 * lc) <= 1.3
 
 
 def test_hitting_sampler_cases():

@@ -1,10 +1,12 @@
 """Property tests of the reflected event kernel and the folding built on it.
 
 Rates are drawn with log a in [-1, 1] and b/a in (1 + 1e-3, 10], starts
-anywhere on the line and horizons up to 30.  Every property is exact: the
-whole-line simulators, the excursion simulators, the reflected batch
-sampler and both coalescent couplings all run on the one reflected walk, so
-equal streams must give equal bits.
+anywhere on the line and horizons up to 30.  The walk properties are
+exact: the whole-line simulators, the excursion simulators, the reflected
+batch sampler and both coalescent couplings all run on the one reflected
+walk, so equal streams must give equal bits.  The excursion trees are
+checked for their structure, and a batch of one against a batch of 1,024
+with a two-sample test under the usual reseeded gate.
 """
 
 import math
@@ -12,9 +14,16 @@ import math
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
+from conftest import gate
 from telegraph_kit.coupling import coalescent_couple_reflected, coalescent_couple_unreflected
-from telegraph_kit.excursions import first_return_time, simulate_excursion
+from telegraph_kit.excursions import (
+    first_return_time,
+    sample_excursion_recursive,
+    sample_excursions,
+    simulate_excursion,
+)
 from telegraph_kit.model import ModelParams
 from telegraph_kit.paths import reflect_path, unreflect_path
 from telegraph_kit.simulate import (
@@ -80,6 +89,29 @@ def test_excursion_path_ends_at_the_first_return(params, seed):
     path.validate(reflected=True)
     assert path.knot_positions[-1] == 0.0
     assert np.all(path.knot_positions[1:-1] > 0.0)
+
+
+@SETTINGS
+@given(rates, seeds)
+def test_excursion_trees_are_well_formed(params, seed):
+    # 2k - 1 flips for k nodes, and the climb to the top and back down
+    # already takes twice the max height
+    for rec in sample_excursions(64, params, make_stream(seed, 0)):
+        assert rec.jump_count % 2 == 1
+        assert 2.0 * rec.max_height <= rec.length
+
+
+@SETTINGS
+@given(rates, seeds)
+def test_batch_of_one_has_the_batch_law(params, seed):
+    def check(k):
+        rng = make_stream(seed, 2 * k + 1)
+        single = [sample_excursion_recursive(params, rng).length for _ in range(1024)]
+        batch = sample_excursions(1024, params, make_stream(seed, 2 * k + 2))
+        _, p = stats.ks_2samp(single, [r.length for r in batch], method="asymp")
+        return p > 0.01
+
+    assert gate(check)
 
 
 @SETTINGS

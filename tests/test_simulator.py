@@ -8,6 +8,7 @@ from conftest import gate
 from telegraph_kit.model import ModelParams, hitting_exponent
 from telegraph_kit.paths import reflect_path
 from telegraph_kit.simulate import (
+    ExpSource,
     make_stream,
     sample_reflected_states,
     sample_unreflected_states,
@@ -32,6 +33,15 @@ def test_streams_are_deterministic_and_distinct():
     assert len(set(draws)) == 4
     again = [s.standard_exponential() for s in split_streams(5, 4)]
     assert draws == again
+
+
+def test_exp_source_hands_out_the_generator_sequence():
+    # refills grow from 32 draws by doubling; the draws must not depend on
+    # where the refills fall
+    for n in (1, 31, 32, 33, 96, 97, 4000, 20000):
+        src = ExpSource(make_stream(124, n))
+        got = [src.draw() for _ in range(n)]
+        assert got == make_stream(124, n).standard_exponential(n).tolist()
 
 
 def test_simulation_is_bit_reproducible():
