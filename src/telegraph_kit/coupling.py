@@ -467,21 +467,26 @@ def sample_dominating_time(
     x_other: float,
     params: ModelParams,
     rng: np.random.Generator,
+    size=None,
 ) -> DominatingTimeSample:
-    """Draw the dominating time for starts at heights x >= x_other >= 0."""
+    """Draw the dominating time for starts at heights x >= x_other >= 0.
+
+    ``size`` batches the draws as in ``sample_hitting``; the fields but
+    ``offset`` are then arrays.
+    """
     x = float(x)
     x_other = float(x_other)
     if not 0.0 <= x_other <= x:
         raise ValueError("need x >= x_other >= 0")
     a, b = params.a, params.b
-    f = float(rng.standard_exponential()) / (a + b)
+    f = rng.standard_exponential(size) / (a + b)
     indep_returns = sample_sigma(2.0 * f, params, rng)
     indep_descent = sample_hitting(f, -1, params, rng)
-    exc1 = sample_hitting(0.0, 1, params, rng)
-    exc2 = sample_hitting(0.0, 1, params, rng)
-    start_descent = sample_hitting(x, -1, params, rng)
+    exc1 = sample_hitting(0.0, 1, params, rng, size)
+    exc2 = sample_hitting(0.0, 1, params, rng, size)
+    start_descent = sample_hitting(x, -1, params, rng, size)
     offset = 0.5 * (x + x_other)
-    gap_returns = sample_sigma(x - x_other, params, rng)
+    gap_returns = sample_sigma(x - x_other, params, rng, size)
     value = (
         f
         + indep_returns

@@ -4,12 +4,13 @@ A fresh excursion from the origin climbs an Exp(b) height E, and on the way
 back down a Poisson(a*E) number of sub-excursions sprout at heights E*U_i
 with independent uniform marks.  Iterating this branching picture samples
 the return time S (length 2E plus the children's lengths), the flip count
-and the maximal height without simulating individual events.
-:func:`sample_excursions` grows a whole batch of such trees one generation
-at a time with array operations, and a single excursion is a batch of one.
-Hitting times from arbitrary starts and the additive origin-visit
-functionals walk the same tree one node at a time, keeping lengths only.
-The regenerative estimator turns exact excursion paths into invariant-law
+and the maximal height without simulating individual events.  One kernel
+grows a whole batch of such trees one generation at a time with array
+operations; :func:`sample_excursions` reads lengths, flip counts and
+heights off it, and hitting times from arbitrary starts and the additive
+origin-visit functional sum its lengths by owner.  All three are batch
+calls, and a single draw is a batch of one.  The regenerative estimator
+turns exact event-simulated excursion paths into invariant-law
 expectations with a delta-method standard error.
 """
 
@@ -80,6 +81,31 @@ def sample_excursion_recursive(
     return sample_excursions(1, params, rng, node_budget)[0]
 
 
+def _tree_generations(roots, params, rng, node_budget):
+    """Grow roots[i] excursion trees for each owner i together, a generation at a time.
+
+    Yields each live node's owner, base height and Exp(b) climb E; each node
+    then draws Poisson(a*E) children based at base + E*U.  The budget counts
+    every node of the call, the roots before their arrays are built.
+    """
+    a, b = params.a, params.b
+    nodes = int(roots.sum())
+    if nodes > node_budget:
+        raise RecursionBudgetError(f"excursion trees exceeded {node_budget} nodes in one call")
+    owner = np.repeat(np.arange(roots.size), roots)
+    base = np.zeros(nodes)
+    while owner.size:
+        e = rng.standard_exponential(owner.size) / b
+        yield owner, base, e
+        kids = rng.poisson(a * e)
+        born = int(kids.sum())
+        nodes += born
+        if nodes > node_budget:
+            raise RecursionBudgetError(f"excursion trees exceeded {node_budget} nodes in one call")
+        base = np.repeat(base, kids) + np.repeat(e, kids) * rng.random(born)
+        owner = np.repeat(owner, kids)
+
+
 def sample_excursions(
     n: int,
     params: ModelParams,
@@ -88,93 +114,61 @@ def sample_excursions(
 ) -> list[ExcursionRecord]:
     """n independent excursions via the branching decomposition; no event simulation.
 
-    The trees grow one generation at a time across the whole batch: every
-    live node draws its Exp(b) height E and Poisson(a*E) children, whose
-    base heights are the node's base plus E*U.  The jump count excludes the
-    final flip back at the origin: the apex flip of each node plus one flip
-    ahead of each child.  The max height is the largest apex, base + E.
-    Raises :class:`RecursionBudgetError` once the call has grown more than
+    The jump count excludes the final flip back at the origin: the apex flip
+    of each node plus one flip ahead of each child, 2k - 1 flips for a tree
+    of k nodes.  The max height is the largest apex, base + E.  Raises
+    :class:`RecursionBudgetError` once the call has grown more than
     ``node_budget`` nodes over all its trees.
     """
     n = int(n)
-    a, b = params.a, params.b
     length = np.zeros(n)
-    jumps = np.zeros(n, dtype=np.int64)
+    jumps = np.full(n, -1, dtype=np.int64)
     max_height = np.zeros(n)
-    owner = np.arange(n)
-    base = np.zeros(n)
-    nodes = 0
-    while owner.size:
-        nodes += owner.size
-        if nodes > node_budget:
-            raise RecursionBudgetError(f"excursion trees exceeded {node_budget} nodes in one call")
-        e = rng.standard_exponential(owner.size) / b
-        kids = rng.poisson(a * e)
+    for owner, base, e in _tree_generations(np.ones(n, dtype=np.int64), params, rng, node_budget):
         np.add.at(length, owner, 2.0 * e)
-        np.add.at(jumps, owner, 1 + kids)
+        np.add.at(jumps, owner, 2)
         np.maximum.at(max_height, owner, base + e)
-        base = np.repeat(base, kids) + np.repeat(e, kids) * rng.random(int(kids.sum()))
-        owner = np.repeat(owner, kids)
     return list(map(ExcursionRecord, length.tolist(), jumps.tolist(), max_height.tolist()))
 
 
-def _excursion_length_only(a: float, b: float, src: ExpSource, poisson, budget: int) -> float:
-    # same tree as the full sampler, heights skipped; used by the additive
-    # functionals where only lengths enter
-    length = 0.0
-    pending = 1
-    nodes = 0
-    while pending:
-        nodes += 1
-        if nodes > budget:
-            raise RecursionBudgetError(f"excursion tree exceeded {budget} nodes")
-        pending -= 1
-        e = src.draw() / b
-        length += 2.0 * e
-        pending += int(poisson(a * e))
-    return length
+def _summed_lengths(start, roots, params, rng):
+    """start plus the lengths of roots[...] excursions each, grown together; float if 0-d."""
+    roots = np.asarray(roots)
+    total = np.zeros(roots.size)
+    for owner, _, e in _tree_generations(roots.ravel(), params, rng, NODE_BUDGET):
+        np.add.at(total, owner, 2.0 * e)
+    total = start + total.reshape(roots.shape)
+    return float(total) if total.ndim == 0 else total
 
 
-def sample_hitting(
-    x: float, v: int, params: ModelParams, rng: np.random.Generator
-) -> float:
+def sample_hitting(x, v: int, params: ModelParams, rng: np.random.Generator, size=None):
     """Origin hitting time of the reflected particle from (x, v), by decomposition.
 
     Descending from x the clock runs x plus one excursion per Poisson(a*x)
-    flip on the way down; ascending prepends a whole excursion for the climb
-    in progress.
+    flip on the way down; ascending adds a whole excursion for the climb in
+    progress.  ``size`` draws that many independent times as one batch, in
+    numpy's manner (``x`` may be an array that broadcasts against it);
+    without it the call is a batch of one and returns a float.
     """
     if v not in (-1, 1):
         raise ValueError(f"velocity must be -1 or +1, got {v}")
-    x = float(x)
-    if x < 0.0:
+    x = np.asarray(x, dtype=np.float64)
+    if np.any(x < 0.0):
         raise ValueError("start position must be nonnegative")
-    a, b = params.a, params.b
-    src = ExpSource(rng)
-    total = x
-    n_flips = int(rng.poisson(a * x))
-    for _ in range(n_flips):
-        total += _excursion_length_only(a, b, src, rng.poisson, NODE_BUDGET)
-    if v == 1:
-        total += _excursion_length_only(a, b, src, rng.poisson, NODE_BUDGET)
-    return total
+    return _summed_lengths(x, rng.poisson(params.a * x, size) + (v == 1), params, rng)
 
 
-def sample_sigma(u: float, params: ModelParams, rng: np.random.Generator) -> float:
+def sample_sigma(u, params: ModelParams, rng: np.random.Generator, size=None):
     """Additive origin-visit functional: Poisson(a*u/2) excursion lengths summed.
 
     Additive in u by the superposition of independent Poisson counts, which
-    is what lets dominating-time components accumulate per leg.
+    is what lets dominating-time components accumulate per leg.  ``size``
+    and array ``u`` batch the draws as in :func:`sample_hitting`.
     """
-    u = float(u)
-    if u < 0.0:
+    u = np.asarray(u, dtype=np.float64)
+    if np.any(u < 0.0):
         raise ValueError("argument must be nonnegative")
-    a, b = params.a, params.b
-    src = ExpSource(rng)
-    total = 0.0
-    for _ in range(int(rng.poisson(0.5 * a * u))):
-        total += _excursion_length_only(a, b, src, rng.poisson, NODE_BUDGET)
-    return total
+    return _summed_lengths(0.0, rng.poisson(0.5 * params.a * u, size), params, rng)
 
 
 def simulate_excursion(params: ModelParams, rng: np.random.Generator) -> PiecewisePath:
@@ -268,6 +262,16 @@ def regenerative_estimate(
     ``breakpoints``; "adaptive" falls back to scipy's quad on every segment
     and accepts scalar callables.
     """
+    return _regenerative_estimates([(f, breakpoints)], n_excursions, params, rng, quadrature)[0]
+
+
+def _regenerative_estimates(integrands, n_excursions, params, rng, quadrature="gauss"):
+    """:func:`regenerative_estimate` for each (f, breakpoints) pair, over one excursion batch.
+
+    Every integrand is integrated along the same event-simulated segments,
+    split only at its own breakpoints, so the first estimate is bit for bit
+    the one :func:`regenerative_estimate` gives for it alone.
+    """
     n_excursions = int(n_excursions)
     if n_excursions < 2:
         raise ValueError("need at least two excursions for a standard error")
@@ -288,19 +292,20 @@ def regenerative_estimate(
         seg_v.append(path.knot_velocities[:-1].astype(np.float64))
         seg_dt.append(np.diff(t))
         seg_owner.append(np.full(x.size - 1, i, dtype=np.int64))
-    x0 = np.concatenate(seg_x0)
-    v = np.concatenate(seg_v)
-    dt = np.concatenate(seg_dt)
-    owner = np.concatenate(seg_owner)
-    if breakpoints:
-        x0, v, dt, owner = _split_at_breakpoints(x0, v, dt, owner, breakpoints)
-    integrals = _integrate_segments(f, x0, v, dt, owner, n_excursions, quadrature)
+    segments = tuple(map(np.concatenate, (seg_x0, seg_v, seg_dt, seg_owner)))
     total_len = lengths.sum()
-    ratio = integrals.sum() / total_len
-    resid = integrals - ratio * lengths
     mean_len = total_len / n_excursions
-    se = float(np.sqrt(np.sum(resid * resid) / (n_excursions * (n_excursions - 1))) / mean_len)
-    return EstimateWithCI(float(ratio), se, n_excursions)
+    estimates = []
+    for f, breakpoints in integrands:
+        x0, v, dt, owner = segments
+        if breakpoints:
+            x0, v, dt, owner = _split_at_breakpoints(x0, v, dt, owner, breakpoints)
+        integrals = _integrate_segments(f, x0, v, dt, owner, n_excursions, quadrature)
+        ratio = integrals.sum() / total_len
+        resid = integrals - ratio * lengths
+        se = float(np.sqrt(np.sum(resid * resid) / (n_excursions * (n_excursions - 1))) / mean_len)
+        estimates.append(EstimateWithCI(float(ratio), se, n_excursions))
+    return estimates
 
 
 def write_excursions_csv(records, dest) -> None:

@@ -19,6 +19,8 @@ equals s*x + (s*v)*d bit for bit when s is a sign.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .model import ModelParams
@@ -217,8 +219,8 @@ def simulate_unreflected(
     w = _check_velocity(w0)
     y = float(y0)
     horizon = float(horizon)
-    if horizon < 0.0:
-        raise ValueError("horizon must be nonnegative")
+    if not 0.0 <= horizon < math.inf:
+        raise ValueError("horizon must be finite and nonnegative")
     rec = KnotRecorder(y, w, signed=True)
     x, v, _ = fold(y, w)
     walk_reflected(x, v, 0.0, horizon, params.a, params.b, ExpSource(rng), rec.add)
@@ -245,8 +247,8 @@ def simulate_reflected(
         raise ValueError("reflected start must be nonnegative")
     if x == 0.0 and v != 1:
         raise ValueError("start at the origin requires velocity +1")
-    if horizon < 0.0:
-        raise ValueError("horizon must be nonnegative")
+    if not 0.0 <= horizon < math.inf:
+        raise ValueError("horizon must be finite and nonnegative")
     rec = KnotRecorder(x, v)
     walk_reflected(x, v, 0.0, horizon, params.a, params.b, ExpSource(rng), rec.add)
     return rec.build(horizon)

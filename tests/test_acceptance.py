@@ -169,7 +169,7 @@ def test_criterion_05_hitting_transform():
 
     def check(seed):
         rng = make_stream(904, seed)
-        times = np.array([sample_hitting(2.0, -1, P12, rng) for _ in range(100000)])
+        times = sample_hitting(2.0, -1, P12, rng, size=100000)
         vals = np.exp(lam * times)
         info["err"] = abs(float(vals.mean()) - target)
         info["se"] = float(vals.std(ddof=1)) / math.sqrt(vals.size)
@@ -319,7 +319,7 @@ def test_criterion_11_stochastic_dominations():
         merge = np.array(
             [stick_couple(3.0, P12, rng, record_paths=False).coalescence_time for _ in range(n)]
         )
-        descent = np.array([sample_hitting(3.0, 1, P12, rng) for _ in range(n)])
+        descent = sample_hitting(3.0, 1, P12, rng, size=n)
         info["gap_stick"] = domination_gap(merge, descent)
         rng2 = make_stream(912, seed)
         coal = np.array(
@@ -331,7 +331,7 @@ def test_criterion_11_stochastic_dominations():
                 for _ in range(n)
             ]
         )
-        tbar = np.array([sample_dominating_time(2.0, 0.0, P12, rng2).value for _ in range(n)])
+        tbar = sample_dominating_time(2.0, 0.0, P12, rng2, size=n).value
         info["gap_bar"] = domination_gap(coal, tbar)
         return info["gap_stick"] <= band and info["gap_bar"] <= band
 

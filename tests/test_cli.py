@@ -8,12 +8,39 @@ import pytest
 
 from telegraph_kit import cli
 from telegraph_kit.cli import EXIT_CONFIG, EXIT_GATE, EXIT_OK, EXIT_RUNTIME, main
+from telegraph_kit.model import ModelParams
 
 
 def run_to_file(tmp_path, name, argv):
     out = tmp_path / name
     code = main(argv + ["--out", str(out)])
     return code, out.read_text() if out.exists() else None
+
+
+# caps the child's own address space, then runs the CLI on the remaining arguments
+_CAPPED_CLI = (
+    "import resource, sys; cap = int(sys.argv[1]) << 20; "
+    "resource.setrlimit(resource.RLIMIT_AS, (cap, cap)); "
+    "from telegraph_kit.cli import main; sys.exit(main(sys.argv[2:]))"
+)
+
+
+def run_child(argv, limit_mb=1024, timeout=60):
+    """The CLI in a child process with its address space capped and a time limit.
+
+    An input that loops forever or builds a huge array then fails the test
+    instead of hanging the suite or exhausting memory.
+    """
+    return subprocess.run(
+        [sys.executable, "-c", _CAPPED_CLI, str(limit_mb), *argv],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
+
+
+def one_error_line(text: str) -> bool:
+    return text.startswith("error: ") and text.count("\n") == 1
 
 
 def test_formulas_output(tmp_path):
@@ -76,7 +103,7 @@ def test_pair_start_forms(tmp_path):
         tmp_path, "hit.csv", ["hitting", "--start=1,1", "--n", "256", "--lambda", "-0.5"]
     )
     assert code3 == EXIT_OK
-    from telegraph_kit.model import ModelParams, hitting_mgf
+    from telegraph_kit.model import hitting_mgf
 
     ref = hitting_mgf(1.0, 1, -0.5, ModelParams(1.0, 2.0)).value
     assert float(text3.splitlines()[1].split(",")[4]) == ref
@@ -195,12 +222,70 @@ def test_critical_tree_budget_exits_two_with_one_line(monkeypatch, capsys):
     assert captured.out == ""
 
 
+def test_critical_hitting_budget_exits_two_with_one_line(monkeypatch, capsys):
+    # hitting times grow their trees as one batch per chunk, so the per-call
+    # budget also ends a critical hitting run
+    monkeypatch.setattr(cli.excursions, "NODE_BUDGET", 4096)
+    argv = ["hitting", "--a", "1", "--b", "1", "--n", "2000", "--seed", "5"]
+    assert main(argv) == EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert one_error_line(captured.err) and "4096 nodes" in captured.err
+    assert captured.out == ""
+
+
+def test_hitting_roots_past_the_budget_exit_two_before_allocating():
+    # 1,024 draws of Poisson(1e7) roots per chunk are 1e10 trees: the budget
+    # must refuse them before the per-root arrays (80 GB each) are built
+    proc = run_child(["hitting", "--start", "1e7,-1", "--n", "2000"], timeout=30)
+    assert proc.returncode == EXIT_RUNTIME
+    assert one_error_line(proc.stderr) and "nodes in one call" in proc.stderr
+
+
+def test_non_finite_horizons_exit_one():
+    for process in ("reflected", "unreflected"):
+        for horizon in ("inf", "nan"):
+            proc = run_child(["simulate", "--process", process, "--horizon", horizon])
+            assert proc.returncode == EXIT_CONFIG, (process, horizon)
+            assert one_error_line(proc.stderr) and "finite" in proc.stderr
+
+
+def test_time_grids_are_capped_before_they_are_built():
+    cap = cli._GRID_CAP
+    for grid in ("0:1e12", "0:inf", f"0:{cap}", ",".join(["1"] * (cap + 1))):
+        proc = run_child(["tvcurve", "--t-grid", grid, "--n", "1000"])
+        assert proc.returncode == EXIT_CONFIG, grid[:20]
+        assert one_error_line(proc.stderr) and f"at most {cap} points" in proc.stderr
+    assert len(cli._parse_grid(f"1:{cap}")) == cap
+    helped = run_child(["tvcurve", "--help"])
+    assert f"at most {cap} points" in " ".join(helped.stdout.split())
+
+
+def test_invariant_gate_rejects_a_sampler_with_the_wrong_gap(monkeypatch, tmp_path):
+    # the default exponential integrand at a=1, b=2 has an infinite-variance
+    # excursion integral, so its gate reads the capped integrand; a sampler
+    # with b - a off by 10% fails each attempt at n = 20,000 on 99% of seeds
+    # (b = 2.1) and 100% (b = 1.9), and must fail all three at n = 30,000
+    code, text = run_to_file(tmp_path, "ok.csv", ["invariant", "--n", "10000", "--check"])
+    assert code == EXIT_OK
+    assert text.splitlines()[1].endswith(",2.0")
+    run = cli.excursions._regenerative_estimates
+    for b in (2.1, 1.9):
+
+        def wrong(integrands, n, params, rng, b=b):
+            return run(integrands, n, ModelParams(1.0, b), rng)
+
+        monkeypatch.setattr(cli.excursions, "_regenerative_estimates", wrong)
+        code, _ = run_to_file(tmp_path, f"b{b}.csv", ["invariant", "--n", "30000", "--check"])
+        assert code == EXIT_GATE, b
+
+
 def test_failed_gate_exits_three_but_writes_output(tmp_path, monkeypatch):
     # poison the reference so the gate cannot pass on any reseed; the run
     # must still write the first attempt's output and return the gate code
     monkeypatch.setattr(cli, "_invariant_reference", lambda kind, arg, params: 123.0)
     out = tmp_path / "inv.csv"
-    code = main(["invariant", "--n", "500", "--check", "--out", str(out)])
+    argv = ["invariant", "--integrand", "moment", "--arg", "1", "--n", "500", "--check"]
+    code = main(argv + ["--out", str(out)])
     assert code == EXIT_GATE
     text = out.read_text()
     assert text.startswith("estimate,std_error,n,reference\n")

@@ -98,7 +98,7 @@ def test_crossing_identical_starts_waits_for_origin():
 
     def check(seed):
         rng = make_stream(24, seed)
-        ref = np.array([sample_hitting(2.0, -1, P12, rng) for _ in range(2500)])
+        ref = sample_hitting(2.0, -1, P12, rng, size=2500)
         _, p = ks_two_sample(times, ref)
         return p > 0.01
 
@@ -174,7 +174,7 @@ def test_stick_merge_dominated_by_upper_descent():
         tm = np.array(
             [stick_couple(x, P12, rng).coalescence_time for _ in range(2500)]
         )
-        ref = np.array([sample_hitting(x, 1, P12, rng) for _ in range(2500)])
+        ref = sample_hitting(x, 1, P12, rng, size=2500)
         return domination_gap(tm, ref) <= ks_band(2500, 2500, 0.01)
 
     assert gate(check)
@@ -283,9 +283,7 @@ def test_coalescence_dominated_by_decomposition_draw():
         # an uncoalesced run counts at the horizon; a genuine 0.0 stays 0.0
         tc = np.array([200.0 if t is None else t for t in times])
         rng_bar = make_stream(45, seed)
-        tbar = np.array(
-            [sample_dominating_time(x, xo, P12, rng_bar).value for _ in range(n)]
-        )
+        tbar = sample_dominating_time(x, xo, P12, rng_bar, size=n).value
         return domination_gap(tc, tbar) <= ks_band(n, n, 0.01)
 
     assert gate(check)
@@ -293,8 +291,10 @@ def test_coalescence_dominated_by_decomposition_draw():
 
 def test_dominating_time_components():
     rng = make_stream(46, 0)
-    for _ in range(300):
-        s = sample_dominating_time(1.5, 0.5, P12, rng)
+    singles = [sample_dominating_time(1.5, 0.5, P12, rng) for _ in range(300)]
+    batch = sample_dominating_time(1.5, 0.5, P12, rng, size=300)
+    assert batch.value.shape == (300,)
+    for s in singles + [batch]:
         parts = (
             s.indep_clock,
             s.indep_returns,
@@ -305,8 +305,8 @@ def test_dominating_time_components():
             s.offset,
             s.gap_returns,
         )
-        assert all(p >= 0.0 for p in parts)
-        assert math.isclose(s.value, sum(parts), rel_tol=1e-12)
+        assert all(np.all(p >= 0.0) for p in parts)
+        assert np.allclose(s.value, sum(parts), rtol=1e-12, atol=0.0)
         assert s.offset == 1.0
     zero = sample_dominating_time(0.0, 0.0, P12, rng)
     assert zero.offset == 0.0
@@ -337,9 +337,7 @@ def test_dominating_time_mgf_matches_samples():
         rng = make_stream(47, seed)
         vals = np.exp(
             lam
-            * np.array(
-                [sample_dominating_time(1.0, 0.5, P12, rng).value for _ in range(20000)]
-            )
+            * sample_dominating_time(1.0, 0.5, P12, rng, size=20000).value
         )
         emp = float(np.mean(vals))
         se = float(np.std(vals, ddof=1) / math.sqrt(vals.size))

@@ -165,8 +165,17 @@ def test_domain_contrast_rejects_light_tailed_lengths():
 def test_hitting_sampler_cases():
     rng = make_stream(65, 0)
     assert sample_hitting(0.0, -1, P12, rng) == 0.0
+    assert type(sample_hitting(1.0, 1, P12, rng)) is float
+    assert np.all(sample_hitting(0.0, -1, P12, rng, size=5) == 0.0)
+    batch = sample_hitting(1.0, 1, P12, rng, size=(2, 3))
+    assert batch.shape == (2, 3) and np.all(batch > 1.0)
+    # a batch of starts, one draw each; a descent from x takes at least x
+    starts = np.array([0.0, 0.5, 3.0])
+    assert np.all(sample_hitting(starts, -1, P12, rng) >= starts)
     with pytest.raises(ValueError):
         sample_hitting(-1.0, -1, P12, rng)
+    with pytest.raises(ValueError):
+        sample_hitting(np.array([1.0, -1.0]), -1, P12, rng)
     with pytest.raises(ValueError):
         sample_hitting(1.0, 0, P12, rng)
 
@@ -177,7 +186,7 @@ def test_hitting_transform_matches_closed_form():
 
     def check(seed):
         rng = make_stream(66, seed)
-        draws = np.array([sample_hitting(2.0, -1, P12, rng) for _ in range(20000)])
+        draws = sample_hitting(2.0, -1, P12, rng, size=20000)
         vals = np.exp(lam * draws)
         se = vals.std(ddof=1) / math.sqrt(vals.size)
         return abs(vals.mean() - target) <= 3.0 * se
@@ -190,12 +199,9 @@ def test_hitting_additivity_in_start_position():
         n = 4000
         rng1 = make_stream(67, 2 * seed)
         rng2 = make_stream(67, 2 * seed + 1)
-        joint = np.array([sample_hitting(1.9, -1, P12, rng1) for _ in range(n)])
-        split = np.array(
-            [
-                sample_hitting(1.2, -1, P12, rng2) + sample_hitting(0.7, -1, P12, rng2)
-                for _ in range(n)
-            ]
+        joint = sample_hitting(1.9, -1, P12, rng1, size=n)
+        split = sample_hitting(1.2, -1, P12, rng2, size=n) + sample_hitting(
+            0.7, -1, P12, rng2, size=n
         )
         _, p = stats.ks_2samp(joint, split, method="asymp")
         return p > 0.01
@@ -208,13 +214,9 @@ def test_hitting_from_up_state_prepends_one_excursion():
         n = 4000
         rng1 = make_stream(68, 2 * seed)
         rng2 = make_stream(68, 2 * seed + 1)
-        direct = np.array([sample_hitting(1.5, 1, P12, rng1) for _ in range(n)])
-        composed = np.array(
-            [
-                sample_excursion_recursive(P12, rng2).length
-                + sample_hitting(1.5, -1, P12, rng2)
-                for _ in range(n)
-            ]
+        direct = sample_hitting(1.5, 1, P12, rng1, size=n)
+        composed = np.array([r.length for r in sample_excursions(n, P12, rng2)]) + sample_hitting(
+            1.5, -1, P12, rng2, size=n
         )
         _, p = stats.ks_2samp(direct, composed, method="asymp")
         return p > 0.01
@@ -225,12 +227,13 @@ def test_hitting_from_up_state_prepends_one_excursion():
 def test_sigma_zero_and_mean():
     rng = make_stream(69, 0)
     assert sample_sigma(0.0, P12, rng) == 0.0
+    assert np.all(sample_sigma(0.0, P12, rng, size=5) == 0.0)
     with pytest.raises(ValueError):
         sample_sigma(-1.0, P12, rng)
 
     def check(seed):
         rng = make_stream(69, seed + 1)
-        draws = np.array([sample_sigma(2.0, P12, rng) for _ in range(20000)])
+        draws = sample_sigma(2.0, P12, rng, size=20000)
         se = draws.std(ddof=1) / math.sqrt(draws.size)
         # Poisson(a*u/2) excursions of mean length 2/(b-a)
         return abs(draws.mean() - 2.0) <= 3.0 * se
@@ -243,10 +246,8 @@ def test_sigma_additivity():
         n = 4000
         rng1 = make_stream(70, 2 * seed)
         rng2 = make_stream(70, 2 * seed + 1)
-        joint = np.array([sample_sigma(3.0, P12, rng1) for _ in range(n)])
-        split = np.array(
-            [sample_sigma(1.0, P12, rng2) + sample_sigma(2.0, P12, rng2) for _ in range(n)]
-        )
+        joint = sample_sigma(3.0, P12, rng1, size=n)
+        split = sample_sigma(1.0, P12, rng2, size=n) + sample_sigma(2.0, P12, rng2, size=n)
         _, p = stats.ks_2samp(joint, split, method="asymp")
         return p > 0.01
 

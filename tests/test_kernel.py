@@ -5,7 +5,9 @@ anywhere on the line and horizons up to 30.  The walk properties are
 exact: the whole-line simulators, the excursion simulators, the reflected
 batch sampler and both coalescent couplings all run on the one reflected
 walk, so equal streams must give equal bits.  The excursion trees are
-checked for their structure, and a batch of one against a batch of 1,024
+checked for their structure; the batched hitting times against the event
+walk; and, for excursion lengths, hitting times and the origin-visit
+functional, a batch of one against a batch of 1,024.  The laws are compared
 with a two-sample test under the usual reseeded gate.
 """
 
@@ -22,17 +24,22 @@ from telegraph_kit.excursions import (
     first_return_time,
     sample_excursion_recursive,
     sample_excursions,
+    sample_hitting,
+    sample_sigma,
     simulate_excursion,
 )
 from telegraph_kit.model import ModelParams
 from telegraph_kit.paths import reflect_path, unreflect_path
 from telegraph_kit.simulate import (
+    ExpSource,
+    KnotRecorder,
     fold,
     make_stream,
     sample_reflected_states,
     sample_unreflected_states,
     simulate_reflected,
     simulate_unreflected,
+    walk_reflected,
 )
 
 SETTINGS = settings(max_examples=25, deadline=None, database=None)
@@ -102,16 +109,67 @@ def test_excursion_trees_are_well_formed(params, seed):
 
 
 @SETTINGS
-@given(rates, seeds)
-def test_batch_of_one_has_the_batch_law(params, seed):
+@given(rates, st.floats(0.0, 2.0), seeds)
+def test_batched_hitting_times_follow_the_event_walk(params, s, seed):
+    # starts at s/a take Poisson(s) excursions per descent; both sides are
+    # censored a few dozen flips past x, because near-critical excursions
+    # can run to millions of events
+    x = s / params.a
+    horizon = x + 40.0 / (params.a + params.b)
+    n = 1000
+
     def check(k):
-        rng = make_stream(seed, 2 * k + 1)
-        single = [sample_excursion_recursive(params, rng).length for _ in range(1024)]
-        batch = sample_excursions(1024, params, make_stream(seed, 2 * k + 2))
-        _, p = stats.ks_2samp(single, [r.length for r in batch], method="asymp")
-        return p > 0.01
+        for x0, v0 in ((0.0, 1), (x, 1), (x, -1)):
+            batch = sample_hitting(x0, v0, params, make_stream(seed, 2 * k + 1), size=n)
+            src = ExpSource(make_stream(seed, 2 * k + 2))
+            add = KnotRecorder(x0, v0, store=False).add
+            a, b = params.a, params.b
+            walks = [
+                walk_reflected(x0, v0, 0.0, horizon, a, b, src, add, stop_at_zero=True)
+                for _ in range(n)
+            ]
+            walked = [horizon if t is None else t for t in walks]
+            _, p = stats.ks_2samp(np.minimum(batch, horizon), walked, method="asymp")
+            if p <= 0.01:
+                return False
+        return True
 
     assert gate(check)
+
+
+@SETTINGS
+@given(rates, st.floats(0.0, 1.0), velocities, seeds)
+def test_batch_of_one_has_the_batch_law(params, s, v, seed):
+    # hitting times from (s/a, v) and the functional at 2s/a take
+    # Poisson(s) excursions per draw, which keeps near-critical trees cheap;
+    # so do 256 singles against the batch for those two
+    x = s / params.a
+    samplers = (
+        (
+            1024,
+            lambda rng: sample_excursion_recursive(params, rng).length,
+            lambda rng: [r.length for r in sample_excursions(1024, params, rng)],
+        ),
+        (
+            256,
+            lambda rng: sample_hitting(x, v, params, rng),
+            lambda rng: sample_hitting(x, v, params, rng, size=1024),
+        ),
+        (
+            256,
+            lambda rng: sample_sigma(2.0 * x, params, rng),
+            lambda rng: sample_sigma(2.0 * x, params, rng, size=1024),
+        ),
+    )
+    for singles, one, batch in samplers:
+
+        def check(k):
+            rng = make_stream(seed, 2 * k + 1)
+            single = [one(rng) for _ in range(singles)]
+            _, p = stats.ks_2samp(single, batch(make_stream(seed, 2 * k + 2)), method="asymp")
+            return p > 0.01
+
+        assert gate(check)
 
 
 @SETTINGS
