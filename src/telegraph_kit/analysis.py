@@ -18,7 +18,11 @@ from .coupling import coalescent_couple_reflected, coalescent_couple_unreflected
 from .excursions import EstimateWithCI
 from .model import ModelParams, tv_bound
 from .paths import write_csv
-from .simulate import sample_unreflected_states, simulate_reflected, simulate_unreflected
+from .simulate import sample_reflected_states, sample_unreflected_states
+
+# unused here, but perfbench/tracing.py wraps both names in this module's
+# namespace, so they stay importable from it
+from .simulate import simulate_reflected, simulate_unreflected  # noqa: F401
 
 __all__ = [
     "EstimateWithCI",
@@ -32,6 +36,7 @@ __all__ = [
     "empirical_decay_rate",
     "sde_oracle",
     "reflected_bm_oracle",
+    "default_oracle_dt",
     "scaling_limit_check",
     "write_tv_curve_csv",
 ]
@@ -158,8 +163,15 @@ def tv_curve(
 
     For each grid time: the fraction of n couplings still uncoalesced (an
     upper bound on the distance), a binned TV estimate from n independent
-    paths per start (a lower bound up to noise), and the closed-form bound.
-    Default bin width 0.05 / (b - a).
+    walkers per start (a lower bound up to noise), and the closed-form
+    bound.  Default bin width 0.05 / (b - a).
+
+    The couplings draw first.  The walkers of each start then advance from
+    grid time to grid time, one batch endpoint call per step started from
+    their states at the previous grid time; by the Markov property and the
+    memoryless clocks that is exact, and a reflected batch is folded after
+    every step.  The histograms are read at each grid time as the walkers
+    pass it, so no path and no (n, grid) array is built.
     """
     if process not in ("reflected", "unreflected"):
         raise ValueError(f"process must be 'reflected' or 'unreflected', got {process!r}")
@@ -184,27 +196,20 @@ def tv_curve(
     for i in range(n):
         res = couple(pos_a, vel_a, pos_b, vel_b, horizon, params, rng, record_paths=False)
         times[i] = math.inf if res.coalescence_time is None else res.coalescence_time
-    survival = (times[None, :] > grid[:, None]).mean(axis=1)
+    times.sort()
+    survival = (n - np.searchsorted(times, grid, side="right")) / n
 
-    simulate = simulate_reflected if process == "reflected" else simulate_unreflected
-    g = grid.size
-    states = []
-    for pos0, vel0 in ((pos_a, vel_a), (pos_b, vel_b)):
-        positions = np.empty((n, g), dtype=np.float64)
-        velocities = np.empty((n, g), dtype=np.int8)
-        for i in range(n):
-            path = simulate(pos0, vel0, horizon, params, rng)
-            positions[i], velocities[i] = path.eval_many(grid)
-        states.append((positions, velocities))
-    tv = np.empty(g, dtype=np.float64)
-    floor = np.empty(g, dtype=np.float64)
-    for j in range(g):
-        clouds = (
-            states[0][0][:, j], states[0][1][:, j],
-            states[1][0][:, j], states[1][1][:, j],
-        )
-        tv[j] = binned_tv_estimate(*clouds, bin_width)
-        floor[j] = binned_tv_noise_floor(*clouds, bin_width)
+    sample = sample_reflected_states if process == "reflected" else sample_unreflected_states
+    clouds = [start_1, start_2]
+    tv = np.empty(grid.size, dtype=np.float64)
+    floor = np.empty(grid.size, dtype=np.float64)
+    t_prev = 0.0
+    for j, t in enumerate(grid.tolist()):
+        clouds = [sample(pos, vel, t - t_prev, n, params, rng) for pos, vel in clouds]
+        t_prev = t
+        (pos_1, vel_1), (pos_2, vel_2) = clouds
+        tv[j] = binned_tv_estimate(pos_1, vel_1, pos_2, vel_2, bin_width)
+        floor[j] = binned_tv_noise_floor(pos_1, vel_1, pos_2, vel_2, bin_width)
     bound = np.array([tv_bound(t, pos_a, pos_b, process, params) for t in grid])
     return TvCurve(grid, survival, tv, bound, n, n, floor)
 
@@ -275,6 +280,15 @@ def reflected_bm_oracle(
     return x
 
 
+def default_oracle_dt(drift: float) -> float:
+    """Euler step of :func:`scaling_limit_check` when none is given.
+
+    It shrinks with the drift so the sign discontinuity stays well resolved
+    at large drift.
+    """
+    return 1e-3 * min(1.0, 1.0 / (drift * drift)) if drift > 0.0 else 1e-3
+
+
 def scaling_limit_check(
     scale: float,
     drift: float,
@@ -300,9 +314,7 @@ def scaling_limit_check(
     params = ModelParams(scale - drift, scale + drift)
     pos, _ = sample_unreflected_states(x0, None, float(t) * scale, n, params, rng)
     if dt is None:
-        # shrink the Euler step with the drift so the sign discontinuity
-        # stays well resolved at large drift
-        dt = 1e-3 * min(1.0, 1.0 / (drift * drift)) if drift > 0.0 else 1e-3
+        dt = default_oracle_dt(drift)
     oracle = sde_oracle(drift, x0, dt, t, n, rng)
     return ks_two_sample(pos, oracle)
 

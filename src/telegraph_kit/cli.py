@@ -39,6 +39,9 @@ RESEED_STRIDE = 1_000_003
 GATE_ATTEMPTS = 3
 GATE_Z = 3.0
 _GRID_CAP = 10_000
+# scaling refuses more than this many events per walker (t * scale**2) or
+# Euler steps of its oracle (t / dt); the defaults need 1e4 and 1e3
+_SCALING_CAP = 1_000_000
 # the invariant gate caps exp(theta*x) above x = _GATE_CAP_SCALE / (b - a)
 _GATE_CAP_SCALE = 3.0
 
@@ -162,7 +165,10 @@ _FLAG_SPECS = {
     "bin_width": dict(type=float, help="TV histogram bin width"),
     "scales": dict(type=str, help="comma list of rate scales"),
     "drift": dict(type=float, help="diffusive drift parameter"),
-    "t": dict(type=float, help="diffusive time"),
+    "t": dict(
+        type=float,
+        help=f"diffusive time; t*scale**2 events per walker and t/dt Euler steps are each capped at {_SCALING_CAP:,}",
+    ),
     "dt": dict(type=float, help="Euler step of the oracle"),
     "x0": dict(type=float, help="diffusive start position"),
 }
@@ -395,7 +401,10 @@ def _cmd_invariant(cfg: RunConfig, seed: int):
 def _cmd_hitting(cfg: RunConfig, seed: int):
     pos0, vel0 = _resolved_start(cfg)
     lam = float(cfg.options["lam"])
-    reference = model.hitting_mgf(pos0, vel0, lam, cfg.params)
+    try:
+        reference = model.hitting_mgf(pos0, vel0, lam, cfg.params)
+    except ValueError as exc:
+        raise _ConfigError(str(exc)) from exc
     if not reference.is_finite:
         raise _ConfigError(f"lam={lam} lies beyond the transform domain")
 
@@ -497,6 +506,21 @@ def _cmd_scaling(cfg: RunConfig, seed: int):
     dt = cfg.options["dt"]
     dt = None if dt is None else float(dt)
     x0 = float(cfg.options["x0"])
+    for name, value in (("t", t), ("dt", dt), ("drift", drift), ("x0", x0)):
+        if value is not None and not math.isfinite(value):
+            raise _ConfigError(f"--{name} must be finite, got {value}")
+    if dt is not None and dt <= 0.0:
+        raise _ConfigError("--dt must be positive")
+    # predicted cost, refused before any work; the negated tests refuse nan
+    step = analysis.default_oracle_dt(drift) if dt is None else dt
+    steps = t / step if step > 0.0 else math.inf
+    if not steps <= _SCALING_CAP:
+        raise _ConfigError(f"t/dt = {steps:.3g} Euler steps exceed the cap of {_SCALING_CAP:,}")
+    for scale in scales:
+        if not t * scale * scale <= _SCALING_CAP:
+            raise _ConfigError(
+                f"t*scale**2 = {t * scale * scale:.3g} events per walker exceed the cap of {_SCALING_CAP:,}"
+            )
     rows = []
     for i, scale in enumerate(scales):
         rng = simulate.make_stream(seed, 2 * i)

@@ -131,9 +131,18 @@ def sample_excursions(
     return list(map(ExcursionRecord, length.tolist(), jumps.tolist(), max_height.tolist()))
 
 
-def _summed_lengths(start, roots, params, rng):
-    """start plus the lengths of roots[...] excursions each, grown together; float if 0-d."""
-    roots = np.asarray(roots)
+def _summed_lengths(start, mean_roots, extra, size, params, rng):
+    """start plus Poisson(mean_roots) + extra excursion lengths each, grown together.
+
+    A mean above the node budget is refused before the Poisson draw, which
+    could not even represent it; returns a float for a 0-d result.
+    """
+    if np.any(mean_roots > NODE_BUDGET):
+        raise RecursionBudgetError(
+            f"excursion trees would exceed {NODE_BUDGET} nodes in one call: "
+            f"one draw alone takes about {float(np.max(mean_roots)):.3g} trees"
+        )
+    roots = np.asarray(rng.poisson(mean_roots, size) + extra)
     total = np.zeros(roots.size)
     for owner, _, e in _tree_generations(roots.ravel(), params, rng, NODE_BUDGET):
         np.add.at(total, owner, 2.0 * e)
@@ -155,7 +164,7 @@ def sample_hitting(x, v: int, params: ModelParams, rng: np.random.Generator, siz
     x = np.asarray(x, dtype=np.float64)
     if np.any(x < 0.0):
         raise ValueError("start position must be nonnegative")
-    return _summed_lengths(x, rng.poisson(params.a * x, size) + (v == 1), params, rng)
+    return _summed_lengths(x, params.a * x, int(v == 1), size, params, rng)
 
 
 def sample_sigma(u, params: ModelParams, rng: np.random.Generator, size=None):
@@ -168,7 +177,7 @@ def sample_sigma(u, params: ModelParams, rng: np.random.Generator, size=None):
     u = np.asarray(u, dtype=np.float64)
     if np.any(u < 0.0):
         raise ValueError("argument must be nonnegative")
-    return _summed_lengths(0.0, rng.poisson(0.5 * params.a * u, size), params, rng)
+    return _summed_lengths(0.0, 0.5 * params.a * u, 0, size, params, rng)
 
 
 def simulate_excursion(params: ModelParams, rng: np.random.Generator) -> PiecewisePath:

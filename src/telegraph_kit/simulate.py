@@ -257,12 +257,25 @@ def simulate_reflected(
 def _velocity_array(v0, n: int, rng: np.random.Generator) -> np.ndarray:
     if v0 is None:
         return rng.integers(0, 2, size=n) * 2 - 1
-    _check_velocity(v0)
-    return np.full(n, int(v0), dtype=np.int64)
+    v = np.asarray(v0)
+    if v.ndim == 0:
+        return np.full(n, _check_velocity(v0), dtype=np.int64)
+    if v.shape != (n,) or not np.all((v == 1) | (v == -1)):
+        raise ValueError(f"velocities must be -1 or +1, one per walker ({n})")
+    return v.astype(np.int64)
+
+
+def _start_array(y0, n: int) -> np.ndarray:
+    y = np.array(y0, dtype=np.float64)
+    if y.ndim == 0:
+        return np.full(n, float(y), dtype=np.float64)
+    if y.shape != (n,):
+        raise ValueError(f"start positions must be a scalar or one per walker ({n})")
+    return y
 
 
 def sample_unreflected_states(
-    y0: float,
+    y0,
     w0,
     t: float,
     n: int,
@@ -272,48 +285,58 @@ def sample_unreflected_states(
     """n independent endpoint states (positions, velocities) at time t.
 
     Same law as evaluating :func:`simulate_unreflected` paths at t, but the
-    event loop runs across all walkers at once.  ``w0=None`` draws the
-    initial velocity uniformly from {-1, +1}.
+    event loop runs across all walkers at once.  ``y0`` and ``w0`` are
+    scalars or arrays of shape (n,), one start per walker, so a batch can
+    be advanced from where an earlier call left it; ``w0=None`` draws the
+    initial velocities uniformly from {-1, +1}.
+
+    Live walkers are held as compacted arrays in index order and leave them
+    only in rounds where some finish.  Every round draws
+    ``standard_exponential(live count)``, and a walker takes the draw at its
+    rank among the live ones, so the draws, the output bits and the
+    generator state after the call do not depend on how the loop stores
+    them.
     """
     n = int(n)
     t = float(t)
     if n <= 0:
         raise ValueError("n must be positive")
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
+    if not 0.0 <= t < math.inf:
+        raise ValueError("t must be finite and nonnegative")
     a, b = params.a, params.b
-    y = np.full(n, float(y0), dtype=np.float64)
-    w = _velocity_array(w0, n, rng)
+    y_out = _start_array(y0, n)
+    w_out = _velocity_array(w0, n, rng)
+    # live walkers: position, velocity (as +-1.0, so products need no cast),
+    # time left and output index
+    y = y_out.copy()
+    w = w_out.astype(np.float64)
     rem = np.full(n, t, dtype=np.float64)
     idx = np.arange(n)
-    while idx.size:
-        yi = y[idx]
-        wi = w[idx]
-        ri = rem[idx]
-        toward = yi * wi < 0.0
-        rate = np.where(toward, a, b)
-        d = rng.standard_exponential(idx.size) / rate
-        t_cross = np.where(toward, np.abs(yi), np.inf)
-        event = np.minimum(d, t_cross)
-        done = event > ri
-        fin = idx[done]
-        y[fin] = y[fin] + w[fin] * rem[fin]
-        live = ~done
-        crossing = live & (t_cross <= d)
-        c = idx[crossing]
-        y[c] = 0.0
-        rem[c] -= t_cross[crossing]
-        flipping = live & ~crossing
-        f = idx[flipping]
-        y[f] = y[f] + w[f] * d[flipping]
-        w[f] = -w[f]
-        rem[f] -= d[flipping]
-        idx = idx[live]
-    return y, w
+    while y.size:
+        yw = y * w
+        toward = yw < 0.0
+        d = rng.standard_exponential(y.size) / np.where(toward, a, b)
+        # a walker moving toward the origin reaches it after |y| = -y*w
+        dist = -yw
+        crossing = toward & (dist <= d)
+        event = np.where(crossing, dist, d)
+        done = event > rem
+        if done.any():
+            y_out[idx[done]] = y[done] + w[done] * rem[done]
+            w_out[idx[done]] = w[done]
+            live = ~done
+            y, w, rem, idx = y[live], w[live], rem[live], idx[live]
+            crossing, event = crossing[live], event[live]
+        # a crossing walker lands on y + w*|y| = 0.0 exactly and keeps its
+        # velocity; the others move y + w*d and flip
+        y = y + w * event
+        w = np.where(crossing, w, -w)
+        rem = rem - event
+    return y_out, w_out
 
 
 def sample_reflected_states(
-    x0: float,
+    x0,
     v0,
     t: float,
     n: int,
@@ -323,11 +346,14 @@ def sample_reflected_states(
     """n independent reflected endpoint states at time t, vectorised.
 
     The fold of :func:`sample_unreflected_states` from (x0, v0): position
-    |Y| and velocity sign(Y)*W, or +1 where Y is 0.
+    |Y| and velocity sign(Y)*W, or +1 where Y is 0.  Starts may be scalars
+    or arrays of shape (n,), as there; the fold of a batch is a valid start
+    for the next call.
     """
-    if float(x0) < 0.0:
+    x = np.asarray(x0, dtype=np.float64)
+    if np.any(x < 0.0):
         raise ValueError("reflected start must be nonnegative")
-    if float(x0) == 0.0 and v0 is not None and int(v0) != 1:
+    if v0 is not None and np.any((x == 0.0) & (np.asarray(v0) != 1)):
         raise ValueError("start at the origin requires velocity +1")
     y, w = sample_unreflected_states(x0, v0, t, n, params, rng)
     return np.abs(y), np.where(y > 0.0, w, np.where(y < 0.0, -w, 1))

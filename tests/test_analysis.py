@@ -145,6 +145,16 @@ def test_tv_curve_sandwich_and_validation():
         tv_curve((1.0, 1), (0.0, 1), "reflected", grid, 200, P12, rng)
 
 
+def test_tv_curve_refuses_invalid_starts():
+    rng = make_stream(108, 0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        tv_curve((-1.0, 1), (0.0, 1), "reflected", [1.0], 1000, P12, rng)
+    with pytest.raises(ValueError, match="origin"):
+        tv_curve((1.0, 1), (0.0, -1), "reflected", [1.0], 1000, P12, rng)
+    with pytest.raises(ValueError, match="-1 or"):
+        tv_curve((1.0, 0), (0.0, 1), "unreflected", [1.0], 1000, P12, rng)
+
+
 def test_tv_curve_identical_starts():
     rng = make_stream(105, 0)
     curve = tv_curve(

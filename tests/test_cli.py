@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from telegraph_kit import cli
+from telegraph_kit import analysis, cli
 from telegraph_kit.cli import EXIT_CONFIG, EXIT_GATE, EXIT_OK, EXIT_RUNTIME, main
 from telegraph_kit.model import ModelParams
 
@@ -239,6 +239,48 @@ def test_hitting_roots_past_the_budget_exit_two_before_allocating():
     proc = run_child(["hitting", "--start", "1e7,-1", "--n", "2000"], timeout=30)
     assert proc.returncode == EXIT_RUNTIME
     assert one_error_line(proc.stderr) and "nodes in one call" in proc.stderr
+
+
+def test_bad_hitting_starts_end_with_one_error_line():
+    # a negative start is a configuration error; a start whose root count
+    # alone passes the node budget is refused before the Poisson draw
+    proc = run_child(["hitting", "--start=-1,-1", "--n", "2000"], timeout=30)
+    assert proc.returncode == EXIT_CONFIG
+    assert one_error_line(proc.stderr) and "nonnegative" in proc.stderr
+    proc = run_child(["hitting", "--start", "1e30,-1", "--n", "2000"], timeout=30)
+    assert proc.returncode == EXIT_RUNTIME
+    assert one_error_line(proc.stderr) and "nodes in one call" in proc.stderr
+
+
+def test_scaling_refuses_unbounded_work_before_starting():
+    cap = f"{cli._SCALING_CAP:,}"
+    cases = [
+        (["--t", "inf"], "finite"),
+        (["--t", "nan"], "finite"),
+        (["--dt", "inf"], "finite"),
+        (["--scales", "1e9"], f"events per walker exceed the cap of {cap}"),
+        (["--scales", "4,nan"], f"events per walker exceed the cap of {cap}"),
+        (["--dt", "1e-12"], f"Euler steps exceed the cap of {cap}"),
+        (["--drift", "1e200", "--scales", "1e201"], f"Euler steps exceed the cap of {cap}"),
+    ]
+    for extra, message in cases:
+        proc = run_child(["scaling", "--n", "100", *extra], timeout=30)
+        assert proc.returncode == EXIT_CONFIG, extra
+        assert one_error_line(proc.stderr) and message in proc.stderr, extra
+    # the defaults sit a factor 100 or more inside both caps
+    defaults = cli._COMMAND_DEFAULTS["scaling"]
+    t = defaults["t"]
+    assert 100 * t * max(cli._parse_floats(defaults["scales"])) ** 2 <= cli._SCALING_CAP
+    assert 100 * t / analysis.default_oracle_dt(defaults["drift"]) <= cli._SCALING_CAP
+    helped = run_child(["scaling", "--help"])
+    assert f"capped at {cap}" in " ".join(helped.stdout.split())
+
+
+def test_tvcurve_invalid_reflected_starts_exit_one(capsys):
+    for start in ("-1,1", "0,-1"):
+        argv = ["tvcurve", f"--start={start}", "--n", "1000", "--t-grid", "1"]
+        assert main(argv) == EXIT_CONFIG, start
+        assert one_error_line(capsys.readouterr().err)
 
 
 def test_non_finite_horizons_exit_one():

@@ -7,14 +7,17 @@ batch sampler and both coalescent couplings all run on the one reflected
 walk, so equal streams must give equal bits.  The excursion trees are
 checked for their structure; the batched hitting times against the event
 walk; and, for excursion lengths, hitting times and the origin-visit
-functional, a batch of one against a batch of 1,024.  The laws are compared
-with a two-sample test under the usual reseeded gate.
+functional, a batch of one against a batch of 1,024.  The batch endpoint
+sampler is pinned bit for bit to its earlier uncompacted loop, its array
+starts to its scalar ones, and two chained calls to one call in law.  The
+laws are compared with a two-sample test under the usual reseeded gate.
 """
 
 import math
 
 import numpy as np
-from hypothesis import assume, given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -55,6 +58,7 @@ horizons = st.floats(0.0, 30.0)
 coupling_horizons = st.floats(0.0, 30.0, exclude_min=True)
 processes = st.sampled_from(("reflected", "unreflected"))
 seeds = st.integers(0, 2**32 - 1)
+P12 = ModelParams(1.0, 2.0)
 
 
 def same_bits(p, q) -> bool:
@@ -170,6 +174,155 @@ def test_batch_of_one_has_the_batch_law(params, s, v, seed):
             return p > 0.01
 
         assert gate(check)
+
+
+def reference_unreflected_states(y0, w0, t, n, params, rng):
+    """The batch endpoint loop before its live walkers were compacted.
+
+    Every round gathers the live walkers by index and writes them back
+    through masks; kept verbatim to pin the draws of the compacted loop.
+    """
+    a, b = params.a, params.b
+    y = np.full(n, float(y0), dtype=np.float64)
+    if w0 is None:
+        w = rng.integers(0, 2, size=n) * 2 - 1
+    else:
+        w = np.full(n, int(w0), dtype=np.int64)
+    rem = np.full(n, t, dtype=np.float64)
+    idx = np.arange(n)
+    while idx.size:
+        yi = y[idx]
+        wi = w[idx]
+        ri = rem[idx]
+        toward = yi * wi < 0.0
+        rate = np.where(toward, a, b)
+        d = rng.standard_exponential(idx.size) / rate
+        t_cross = np.where(toward, np.abs(yi), np.inf)
+        event = np.minimum(d, t_cross)
+        done = event > ri
+        fin = idx[done]
+        y[fin] = y[fin] + w[fin] * rem[fin]
+        live = ~done
+        crossing = live & (t_cross <= d)
+        c = idx[crossing]
+        y[c] = 0.0
+        rem[c] -= t_cross[crossing]
+        flipping = live & ~crossing
+        f = idx[flipping]
+        y[f] = y[f] + w[f] * d[flipping]
+        w[f] = -w[f]
+        rem[f] -= d[flipping]
+        idx = idx[live]
+    return y, w
+
+
+starts = st.floats(-3.0, 3.0) | st.just(0.0)
+start_velocities = st.sampled_from((-1, 1, None))
+
+
+@SETTINGS
+@given(rates, starts, start_velocities, st.floats(0.0, 20.0), st.integers(1, 200), seeds)
+@example(ModelParams(99.0, 101.0), 0.0, None, 5.0 * 99.0, 200, 1)
+@example(ModelParams(99.0, 101.0), -1.5, -1, 5.0 * 99.0, 200, 2)
+@example(ModelParams(99.0, 101.0), 2.0, 1, 5.0 * 99.0, 200, 3)
+def test_compacted_batch_loop_keeps_every_draw(params, y0, w0, s, n, seed):
+    # t = s/a, so up to about 20 flips toward the origin per walker; the
+    # examples run 1,000 events per walker at rates (99, 101)
+    t = s / params.a
+    rng, twin = make_stream(seed, 0), make_stream(seed, 0)
+    y, w = sample_unreflected_states(y0, w0, t, n, params, rng)
+    y_ref, w_ref = reference_unreflected_states(y0, w0, t, n, params, twin)
+    assert np.array_equal(y, y_ref) and y.tobytes() == y_ref.tobytes()
+    assert np.array_equal(w, w_ref)
+    assert w.dtype == np.int64
+    assert rng.random() == twin.random()
+
+
+@SETTINGS
+@given(rates, starts, velocities, horizons, seeds)
+def test_array_starts_of_one_state_give_the_scalar_bits(params, y0, w0, t, seed):
+    n = 64
+    y, w = sample_unreflected_states(y0, w0, t, n, params, make_stream(seed, 0))
+    starts_y, starts_w = np.full(n, y0), np.full(n, w0)
+    y_arr, w_arr = sample_unreflected_states(starts_y, starts_w, t, n, params, make_stream(seed, 0))
+    assert y.tobytes() == y_arr.tobytes() and w.tobytes() == w_arr.tobytes()
+    assert starts_y.tobytes() == np.full(n, y0).tobytes()  # the caller's starts are left alone
+    x0, v0, _ = fold(y0, w0)
+    pos, vel = sample_reflected_states(x0, v0, t, n, params, make_stream(seed, 0))
+    pos_arr, vel_arr = sample_reflected_states(
+        np.full(n, x0), np.full(n, v0), t, n, params, make_stream(seed, 0)
+    )
+    assert pos.tobytes() == pos_arr.tobytes() and vel.tobytes() == vel_arr.tobytes()
+
+
+def test_array_starts_are_checked():
+    rng = make_stream(7, 0)
+    with pytest.raises(ValueError, match="one per walker"):
+        sample_unreflected_states(np.zeros(3), 1, 1.0, 4, P12, rng)
+    with pytest.raises(ValueError, match="-1 or \\+1"):
+        sample_unreflected_states(0.0, np.array([1, 0, -1, 1]), 1.0, 4, P12, rng)
+    with pytest.raises(ValueError, match="nonnegative"):
+        sample_reflected_states(np.array([1.0, -0.5]), 1, 1.0, 2, P12, rng)
+    with pytest.raises(ValueError, match="origin"):
+        sample_reflected_states(np.array([1.0, 0.0]), np.array([1, -1]), 1.0, 2, P12, rng)
+    for t in (math.inf, math.nan, -1.0):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            sample_unreflected_states(0.0, 1, t, 4, P12, rng)
+
+
+def chained_states(sample, x0, v0, t1, t, n, params, rng, restart=False):
+    """States at t from two calls, the second started where the first ended at t1.
+
+    ``restart`` is the mutant that forgets the velocities between the calls.
+    """
+    pos, vel = sample(x0, v0, t1, n, params, rng)
+    if restart:
+        vel = np.ones(n, dtype=np.int64)
+    return sample(pos, vel, t - t1, n, params, rng)
+
+
+def chaining_holds(process, params, x0, v0, t1, t, seed, restart=False):
+    """Gated two-sample KS of chained against one-call states, on pos and pos*vel.
+
+    Positions are rounded to 1e-9 first: a walker that has not flipped sits
+    on an atom, at x0 + v0*t after one call and at (x0 + v0*t1) + v0*(t - t1)
+    after two, and those differ in the last bits.
+    """
+    sample = sample_reflected_states if process == "reflected" else sample_unreflected_states
+    n = 2000
+
+    def keys(pos, vel):
+        pos = np.round(pos, 9)
+        return pos, pos * vel
+
+    def check(k):
+        chained = chained_states(
+            sample, x0, v0, t1, t, n, params, make_stream(seed, 2 * k), restart
+        )
+        one_call = sample(x0, v0, t, n, params, make_stream(seed, 2 * k + 1))
+        return all(
+            stats.ks_2samp(u, v, method="asymp").pvalue > 0.01
+            for u, v in zip(keys(*chained), keys(*one_call))
+        )
+
+    return gate(check)
+
+
+@SETTINGS
+@given(processes, rates, positions, velocities, st.floats(0.0, 1.0), st.floats(0.0, 3.0), seeds)
+@example("reflected", ModelParams(math.exp(0.25), 2.0 * math.exp(0.25)), 1.0, -1, 0.5, 1.0, 0)
+@example("unreflected", P12, 0.0, 1, 0.5, 1.0, 0)
+def test_chained_calls_have_the_one_call_law(process, params, y0, w0, frac, s, seed):
+    # t = s/a covers a few flips toward the origin; the first call ends at frac*t
+    x0, v0, _ = fold(y0, w0) if process == "reflected" else (y0, w0, 1)
+    t = s / params.a
+    assert chaining_holds(process, params, x0, v0, frac * t, t, seed)
+
+
+@pytest.mark.parametrize("process", ["reflected", "unreflected"])
+def test_chaining_check_rejects_a_velocity_restart(process):
+    assert chaining_holds(process, P12, 1.0, -1, 0.5, 1.5, 5)
+    assert not chaining_holds(process, P12, 1.0, -1, 0.5, 1.5, 5, restart=True)
 
 
 @SETTINGS
