@@ -1,8 +1,8 @@
-"""Timing record of the batch endpoint sampler, ``tv_curve`` and one benchmark workload.
+"""Timing record of the batch endpoint sampler, ``tv_curve`` and the benchmark workloads.
 
 Run from the root of a source checkout:
 
-    python3 bench/run.py --label change --out BENCH_8.json
+    python3 bench/run.py --label change --out BENCH_9.json
 
 The package is imported straight from this checkout's ``src/``.  The record
 holds the machine, the Python and numpy versions and the git commit, then:
@@ -11,12 +11,18 @@ holds the machine, the Python and numpy versions and the git commit, then:
   the ``scaling`` subcommand (n = 1000 walkers from 0 with random
   velocities, rates (scale - 1, scale + 1) to time ``t * scale``, t = 1,
   scales 4, 16 and 100);
+- µs per walker of ``tv_curve``'s independent half at the size of the
+  ``tvcurve`` benchmark job, for both processes: the 2n = 2000 walkers of
+  the starts (1, +1) and (0, +1) carried across the grid 1..20 at a = 1,
+  b = 2, in one grid call of the endpoint sampler where the checkout's
+  sampler takes a grid, else (``method`` "chained") as one one-time call
+  per start and grid step, the way ``tv_curve`` did before the grid call;
 - seconds per call and µs per run of ``analysis.tv_curve`` at the size of
-  the ``tvcurve`` benchmark job (n = 1000 runs per leg, starts (1, +1) and
-  (0, +1), grid 1..20, a = 1, b = 2), for both processes; a run is one
-  coupling and one walker per start;
-- the JSON that ``perfbench/run.py --workload tvcurve_scaling --trace 0``
-  prints, run unchanged.
+  the ``tvcurve`` benchmark job (n = 1000 runs per leg, same starts, grid
+  and rates), for both processes; a run is one coupling and one walker per
+  start;
+- the JSON that ``perfbench/run.py --workload W --trace 0`` prints, run
+  unchanged, for both workloads.
 
 Each timing is repeated ``--repeats`` times after one warm-up call and
 reported as the median with every sample.  The record is stored under
@@ -43,6 +49,7 @@ WALKERS = 1000
 TV_RUNS = 1000
 TV_GRID = tuple(float(t) for t in range(1, 21))
 TV_STARTS = ((1.0, 1), (0.0, 1))
+WORKLOADS = ("tvcurve_scaling", "excursions_couple")
 
 
 def git(*args: str) -> str | None:
@@ -89,6 +96,47 @@ def sampler_record(repeats: int) -> dict:
     return {"n": WALKERS, "t": 1.0, "scales": out}
 
 
+def walker_half_record(repeats: int) -> dict:
+    import numpy as np
+
+    from telegraph_kit import simulate
+    from telegraph_kit.model import ModelParams
+
+    params = ModelParams(1.0, 2.0)
+    grid = np.array(TV_GRID)
+    walkers = 2 * TV_RUNS
+    pos = np.repeat([p for p, _ in TV_STARTS], TV_RUNS).astype(np.float64)
+    vel = np.repeat([v for _, v in TV_STARTS], TV_RUNS)
+    try:
+        rng = simulate.make_stream(1, 0)
+        simulate.sample_unreflected_states(pos, vel, grid[:2], walkers, params, rng)
+        method = "grid"
+    except TypeError:  # a sampler that takes one time only
+        method = "chained"
+    out = {}
+    for process in ("reflected", "unreflected"):
+        sample = getattr(simulate, f"sample_{process}_states")
+
+        def grid_call():
+            sample(pos, vel, grid, walkers, params, simulate.make_stream(1, 0))
+
+        def chained():
+            rng = simulate.make_stream(1, 0)
+            clouds = [(p, v) for p, v in TV_STARTS]
+            t_prev = 0.0
+            for t in grid.tolist():
+                clouds = [sample(p, v, t - t_prev, TV_RUNS, params, rng) for p, v in clouds]
+                t_prev = t
+
+        runs = timed(grid_call if method == "grid" else chained, repeats)
+        out[process] = {
+            "median_us_per_walker": 1e6 * statistics.median(runs) / walkers,
+            "runs_s": runs,
+        }
+    return {"walkers": walkers, "grid": "1:20:1", "starts": TV_STARTS, "method": method,
+            "processes": out}
+
+
 def tv_curve_record(repeats: int) -> dict:
     import numpy as np
 
@@ -113,9 +161,9 @@ def tv_curve_record(repeats: int) -> dict:
     return {"n": TV_RUNS, "grid": "1:20:1", "starts": TV_STARTS, "processes": out}
 
 
-def perfbench_record(seed: int, seconds: float) -> dict:
+def perfbench_record(workload: str, seed: int, seconds: float) -> dict:
     argv = [
-        sys.executable, "perfbench/run.py", "--workload", "tvcurve_scaling",
+        sys.executable, "perfbench/run.py", "--workload", workload,
         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
     ]
     proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, check=False)
@@ -159,9 +207,11 @@ def main(argv=None) -> int:
         "repeats": args.repeats,
         "source_lines": source_lines(),
         "sample_unreflected_states": sampler_record(args.repeats),
+        "tv_curve_walkers": walker_half_record(args.repeats),
         "tv_curve": tv_curve_record(args.repeats),
-        "perfbench_tvcurve_scaling": perfbench_record(args.seed, args.seconds),
     }
+    for workload in WORKLOADS:
+        record[f"perfbench_{workload}"] = perfbench_record(workload, args.seed, args.seconds)
     out = Path(args.out)
     records = json.loads(out.read_text()) if out.exists() else {}
     records[args.label] = record

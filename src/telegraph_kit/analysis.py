@@ -83,8 +83,8 @@ def domination_gap(dominated, dominating) -> float:
 
 def _binned_masses(pos_1, vel_1, pos_2, vel_2, bin_width: float):
     """Per-bin mass fractions of both samples, stacked over the velocity strata."""
-    if bin_width <= 0.0:
-        raise ValueError("bin width must be positive")
+    if not 0.0 < bin_width < math.inf:
+        raise ValueError(f"bin width must be finite and positive, got {bin_width}")
     p1 = np.asarray(pos_1, dtype=np.float64)
     p2 = np.asarray(pos_2, dtype=np.float64)
     v1 = np.asarray(vel_1)
@@ -114,7 +114,7 @@ def binned_tv_estimate(pos_1, vel_1, pos_2, vel_2, bin_width: float) -> float:
     estimate lower-bounds the true distance up to sampling noise.
     """
     m1, m2, _, _ = _binned_masses(pos_1, vel_1, pos_2, vel_2, bin_width)
-    return float(0.5 * np.abs(m1 - m2).sum())
+    return _tv_of_masses(m1, m2)
 
 
 def binned_tv_noise_floor(pos_1, vel_1, pos_2, vel_2, bin_width: float) -> float:
@@ -126,9 +126,22 @@ def binned_tv_noise_floor(pos_1, vel_1, pos_2, vel_2, bin_width: float) -> float
     this far ABOVE zero when the laws agree, so sandwich gates must allow
     for it before declaring a violation.
     """
-    m1, m2, n1, n2 = _binned_masses(pos_1, vel_1, pos_2, vel_2, bin_width)
+    return _floor_of_masses(*_binned_masses(pos_1, vel_1, pos_2, vel_2, bin_width))
+
+
+def _tv_of_masses(m1, m2) -> float:
+    return float(0.5 * np.abs(m1 - m2).sum())
+
+
+def _floor_of_masses(m1, m2, n1: int, n2: int) -> float:
     pooled = (n1 * m1 + n2 * m2) / (n1 + n2)
     return float(0.5 * np.sqrt(pooled * (1.0 / n1 + 1.0 / n2)).sum())
+
+
+# tv_curve refuses a given bin width that would cut the walkers' reach into
+# more bins than this, and holds at most this many recorded walker states
+_BIN_CAP = 1_000_000
+_GRID_CELLS = 1 << 18
 
 
 @dataclass
@@ -164,14 +177,21 @@ def tv_curve(
     For each grid time: the fraction of n couplings still uncoalesced (an
     upper bound on the distance), a binned TV estimate from n independent
     walkers per start (a lower bound up to noise), and the closed-form
-    bound.  Default bin width 0.05 / (b - a).
+    bound.  Default bin width 0.05 / (b - a).  A given width must be finite
+    and positive, and is refused before any sampling when it would cut the
+    reach of the walkers into more than ``_BIN_CAP`` bins: walkers
+    move at unit speed, so at the last grid time T they lie within
+    max|start| + T of the origin (on one side of it for the reflected
+    process).
 
-    The couplings draw first.  The walkers of each start then advance from
-    grid time to grid time, one batch endpoint call per step started from
-    their states at the previous grid time; by the Markov property and the
-    memoryless clocks that is exact, and a reflected batch is folded after
-    every step.  The histograms are read at each grid time as the walkers
-    pass it, so no path and no (n, grid) array is built.
+    The couplings draw first.  The walkers of both starts then run as one
+    batch of 2n through the grid call of the batch endpoint sampler, which
+    records every walker as it passes each grid time and carries it on.
+    The grid is taken in chunks of at most ``_GRID_CELLS // (2n)`` times
+    (one time at least), each chunk started from the states at the last
+    time of the one before; by the Markov property that is exact, and the
+    recorded states take O(n) memory.  Each grid time's histograms are
+    built once, for both the estimate and its noise floor.
     """
     if process not in ("reflected", "unreflected"):
         raise ValueError(f"process must be 'reflected' or 'unreflected', got {process!r}")
@@ -181,12 +201,23 @@ def tv_curve(
     n = int(n)
     if n < 1000:
         raise ValueError("need at least 1000 runs per leg")
-    if bin_width is None:
-        params.require_contracting("the default bin width")
-        bin_width = 0.05 / params.rate_gap
     pos_a, vel_a = start_1
     pos_b, vel_b = start_2
     horizon = float(grid[-1])
+    if bin_width is None:
+        params.require_contracting("the default bin width")
+        bin_width = 0.05 / params.rate_gap
+    else:
+        bin_width = float(bin_width)
+        if not 0.0 < bin_width < math.inf:
+            raise ValueError(f"bin width must be finite and positive, got {bin_width}")
+        reach = max(abs(float(pos_a)), abs(float(pos_b))) + horizon
+        bins = (1.0 if process == "reflected" else 2.0) * reach / bin_width
+        if bins > _BIN_CAP:
+            raise ValueError(
+                f"bin width {bin_width!r} cuts the walkers' reach into about {bins:.3g} bins,"
+                f" past the cap of {_BIN_CAP:,}"
+            )
     couple = (
         coalescent_couple_reflected
         if process == "reflected"
@@ -200,16 +231,20 @@ def tv_curve(
     survival = (n - np.searchsorted(times, grid, side="right")) / n
 
     sample = sample_reflected_states if process == "reflected" else sample_unreflected_states
-    clouds = [start_1, start_2]
+    pos = np.repeat(np.array([pos_a, pos_b], dtype=np.float64), n)
+    vel = np.repeat(np.array([vel_a, vel_b]), n)
     tv = np.empty(grid.size, dtype=np.float64)
     floor = np.empty(grid.size, dtype=np.float64)
+    per_call = max(1, _GRID_CELLS // (2 * n))
     t_prev = 0.0
-    for j, t in enumerate(grid.tolist()):
-        clouds = [sample(pos, vel, t - t_prev, n, params, rng) for pos, vel in clouds]
-        t_prev = t
-        (pos_1, vel_1), (pos_2, vel_2) = clouds
-        tv[j] = binned_tv_estimate(pos_1, vel_1, pos_2, vel_2, bin_width)
-        floor[j] = binned_tv_noise_floor(pos_1, vel_1, pos_2, vel_2, bin_width)
+    for j0 in range(0, grid.size, per_call):
+        chunk = grid[j0 : j0 + per_call]
+        rows_pos, rows_vel = sample(pos, vel, chunk - t_prev, 2 * n, params, rng)
+        pos, vel, t_prev = rows_pos[-1], rows_vel[-1], chunk[-1]
+        for j, p, v in zip(range(j0, j0 + chunk.size), rows_pos, rows_vel):
+            masses = _binned_masses(p[:n], v[:n], p[n:], v[n:], bin_width)
+            tv[j] = _tv_of_masses(*masses[:2])
+            floor[j] = _floor_of_masses(*masses)
     bound = np.array([tv_bound(t, pos_a, pos_b, process, params) for t in grid])
     return TvCurve(grid, survival, tv, bound, n, n, floor)
 

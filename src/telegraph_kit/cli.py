@@ -162,7 +162,12 @@ _FLAG_SPECS = {
     "t_grid": dict(
         type=str, help=f"time grid: comma list or start:stop[:step], at most {_GRID_CAP} points"
     ),
-    "bin_width": dict(type=float, help="TV histogram bin width"),
+    "bin_width": dict(
+        type=float,
+        help="TV histogram bin width; finite, positive, and refused if it cuts the walkers'"
+        " reach (max|start| + last grid time, both sides for unreflected) into more than"
+        f" {analysis._BIN_CAP:,} bins",
+    ),
     "scales": dict(type=str, help="comma list of rate scales"),
     "drift": dict(type=float, help="diffusive drift parameter"),
     "t": dict(
@@ -467,12 +472,11 @@ def _cmd_tvcurve(cfg: RunConfig, seed: int):
     start_2 = _parse_state(cfg.options["start2"])
     process = str(cfg.options["process"])
     grid = _parse_grid(cfg.options["t_grid"])
-    bin_width = cfg.options["bin_width"]
-    bin_width = None if bin_width is None else float(bin_width)
     rng = simulate.make_stream(seed, 0)
     try:
         curve = analysis.tv_curve(
-            start_1, start_2, process, grid, cfg.n, cfg.params, rng, bin_width=bin_width
+            start_1, start_2, process, grid, cfg.n, cfg.params, rng,
+            bin_width=cfg.options["bin_width"],
         )
     except ValueError as exc:
         raise _ConfigError(str(exc)) from exc

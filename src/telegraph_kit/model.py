@@ -165,8 +165,8 @@ def hitting_mgf(x: float, v: int, lam: float, params: ModelParams) -> LaplaceVal
     if v not in (-1, 1):
         raise ValueError(f"velocity must be -1 or +1, got {v}")
     x = float(x)
-    if not x >= 0.0:
-        raise ValueError(f"start position must be nonnegative, got {x}")
+    if not 0.0 <= x < math.inf:
+        raise ValueError(f"start position must be finite and nonnegative, got {x}")
     c = hitting_exponent(lam, params)
     if not c.is_finite:
         return INFINITE

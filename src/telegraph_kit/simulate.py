@@ -15,6 +15,18 @@ with a sign maps each knot back, flipping the sign at every origin visit.
 The reflected endpoint sampler is likewise the fold of the vectorised
 whole-line one.  Folding is exact in floating point, because s*(x + v*d)
 equals s*x + (s*v)*d bit for bit when s is a sign.
+
+The vectorised whole-line sampler, :func:`sample_unreflected_states`, runs
+its walkers folded as well.  Each round is one leg of every live walker,
+and the legs alternate strictly: a leg toward the origin, whether it ends
+in a flip or on the origin, is followed by a leg away from it, and the
+reverse.  So a walker's rate is known from the round's parity, and a round
+is a handful of array operations on its height and fold sign.  The one
+break in the alternation, a draw of exactly 0.0 on an away leg at the
+origin, which leaves the walker on the origin with another away leg to
+come, is detected and followed.  The sampler takes one time or a sorted
+grid of times; on a grid the walkers run once and are recorded as they
+pass each time.
 """
 
 from __future__ import annotations
@@ -274,10 +286,106 @@ def _start_array(y0, n: int) -> np.ndarray:
     return y
 
 
+def _time_grid(t) -> np.ndarray:
+    grid = np.array(t, dtype=np.float64, ndmin=1)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError("t must be one time or a one-dimensional grid of times")
+    if not (np.all(grid >= 0.0) and np.all(grid < math.inf)):
+        raise ValueError("t must be finite and nonnegative")
+    if np.any(grid[1:] < grid[:-1]):
+        raise ValueError("a grid of times must be sorted")
+    return grid
+
+
+def _folded_walk(y0, w0, grid, a, b, rng):
+    """Whole-line states of n walkers at every time of a sorted grid: (G, n) arrays.
+
+    The folded round of :func:`sample_unreflected_states`.  A walker is held
+    as its height x = |y|, its fold sign (``neg``: y < 0) and one signed rate
+    per round parity, +a on a leg toward the origin and -b on a leg away
+    from it, so d = e/rate is negative exactly on away legs.  The leg's
+    event is |min(x, d)|: a toward leg that reaches the origin (x <= d)
+    crosses it, lands on x - x = 0.0 and flips the fold sign, and
+    x - min(x, d) is both the toward move x - d and the away move x + |d|.
+    ``rem`` is the time left to the walker's next grid time, decremented by
+    each event.  An event longer than ``rem`` records y + w*rem at the flat
+    output position ``slot`` of that grid time, and the walker carries on
+    towards the next grid time or, past the last, leaves the compacted live
+    arrays.  At the origin x keeps the sign of the whole-line zero, which a
+    zero output can show.
+    """
+    n, n_times = y0.size, grid.size
+    total = n * n_times
+    gaps = np.diff(grid)
+    y_out = np.empty(total, dtype=np.float64)
+    w_out = np.empty(total, dtype=np.int64)
+    at_origin = y0 == 0.0
+    x = np.where(at_origin, y0, np.abs(y0))
+    neg = np.where(at_origin, w0 < 0, y0 < 0.0)
+    toward = y0 * w0 < 0.0
+    rates = [np.where(toward, a, -b), np.where(toward, -b, a)]
+    rem = np.full(n, grid[0], dtype=np.float64)
+    slot = np.arange(n)
+    no_walkers = slot[:0]
+    parity = 0
+    while x.size:
+        rate = rates[parity]
+        e = rng.standard_exponential(x.size)
+        d = e / rate
+        crossing = x <= d
+        step = np.minimum(x, d)
+        event = np.abs(step)
+        passing = event > rem
+        stuck = no_walkers
+        if e[e.argmin()] == 0.0:
+            # the one break in the alternation: a zero draw on an away leg at
+            # the origin leaves the walker there, its velocity flipped, with
+            # another away leg to come (the rate sign makes it a "crossing")
+            stuck = (crossing & (rate < 0.0)).nonzero()[0]
+            origin = x[stuck] + np.where(neg[stuck], -0.0, 0.0)
+        some = passing.any()
+        if some:
+            hit = passing.nonzero()[0]
+            x_h, rem_h, at = x[hit], rem[hit], slot[hit]
+            sign = np.where(neg[hit], -1.0, 1.0)
+            w_h = np.where(rate[hit] < 0.0, sign, -sign)
+            y_h = np.where(x_h == 0.0, x_h, sign * x_h)
+            y_out[at] = y_h + w_h * rem_h
+            w_out[at] = w_h
+            if n_times == 1:
+                live = ~passing
+            else:
+                # an event longer than a grid gap passes several grid times
+                at += n
+                ev_h = event[hit]
+                more = (at < total).nonzero()[0]
+                while more.size:
+                    rem_h[more] += gaps[at[more] // n - 1]
+                    more = more[ev_h[more] > rem_h[more]]
+                    y_out[at[more]] = y_h[more] + w_h[more] * rem_h[more]
+                    w_out[at[more]] = w_h[more]
+                    at[more] += n
+                    more = more[at[more] < total]
+                slot[hit] = at
+                rem[hit] = rem_h
+                live = slot < total
+        x -= step
+        neg ^= crossing
+        rem -= event
+        if stuck.size:
+            x[stuck] = origin
+            rates[0][stuck], rates[1][stuck] = rates[1][stuck], rates[0][stuck]
+        if some and not live.all():
+            x, neg, rem, slot = x[live], neg[live], rem[live], slot[live]
+            rates = [rates[0][live], rates[1][live]]
+        parity ^= 1
+    return y_out.reshape(n_times, n), w_out.reshape(n_times, n)
+
+
 def sample_unreflected_states(
     y0,
     w0,
-    t: float,
+    t,
     n: int,
     params: ModelParams,
     rng: np.random.Generator,
@@ -290,55 +398,45 @@ def sample_unreflected_states(
     be advanced from where an earlier call left it; ``w0=None`` draws the
     initial velocities uniformly from {-1, +1}.
 
+    ``t`` is one time, giving arrays of shape (n,), or a sorted
+    one-dimensional grid of times, giving arrays of shape (len(t), n) whose
+    row j holds the states at t[j].  A grid runs the walkers once: a walker
+    whose event passes a grid time is recorded there, at y + w*(time left
+    to it), and carries on with the same event, so each row has the
+    one-time law.
+
+    Each round is one leg of every live walker, and legs alternate: a leg
+    toward the origin (rate a) is always followed by a leg away from it
+    (rate b), including a toward leg that ends on the origin, and an away
+    leg by a toward one.  So the loop holds each walker folded, as |y| and
+    a sign that flips at each origin crossing, with its rate known from the
+    round's parity.  The one exception, a draw of exactly 0.0 on an away
+    leg at the origin, leaves the walker on the origin, velocity flipped,
+    and is followed by a second away leg.
+
     Live walkers are held as compacted arrays in index order and leave them
-    only in rounds where some finish.  Every round draws
-    ``standard_exponential(live count)``, and a walker takes the draw at its
-    rank among the live ones, so the draws, the output bits and the
-    generator state after the call do not depend on how the loop stores
-    them.
+    only in rounds where some pass their last time.  Every round draws
+    ``standard_exponential(live count)``, and a walker takes the draw at
+    its rank among the live ones, so the draws, the output bits and the
+    generator state after a one-time call do not depend on how the loop
+    stores them.
     """
     n = int(n)
-    t = float(t)
     if n <= 0:
         raise ValueError("n must be positive")
-    if not 0.0 <= t < math.inf:
-        raise ValueError("t must be finite and nonnegative")
-    a, b = params.a, params.b
-    y_out = _start_array(y0, n)
-    w_out = _velocity_array(w0, n, rng)
-    # live walkers: position, velocity (as +-1.0, so products need no cast),
-    # time left and output index
-    y = y_out.copy()
-    w = w_out.astype(np.float64)
-    rem = np.full(n, t, dtype=np.float64)
-    idx = np.arange(n)
-    while y.size:
-        yw = y * w
-        toward = yw < 0.0
-        d = rng.standard_exponential(y.size) / np.where(toward, a, b)
-        # a walker moving toward the origin reaches it after |y| = -y*w
-        dist = -yw
-        crossing = toward & (dist <= d)
-        event = np.where(crossing, dist, d)
-        done = event > rem
-        if done.any():
-            y_out[idx[done]] = y[done] + w[done] * rem[done]
-            w_out[idx[done]] = w[done]
-            live = ~done
-            y, w, rem, idx = y[live], w[live], rem[live], idx[live]
-            crossing, event = crossing[live], event[live]
-        # a crossing walker lands on y + w*|y| = 0.0 exactly and keeps its
-        # velocity; the others move y + w*d and flip
-        y = y + w * event
-        w = np.where(crossing, w, -w)
-        rem = rem - event
-    return y_out, w_out
+    grid = _time_grid(t)
+    y0 = _start_array(y0, n)
+    w0 = _velocity_array(w0, n, rng)
+    y, w = _folded_walk(y0, w0, grid, params.a, params.b, rng)
+    if np.ndim(t) == 0:
+        return y[0], w[0]
+    return y, w
 
 
 def sample_reflected_states(
     x0,
     v0,
-    t: float,
+    t,
     n: int,
     params: ModelParams,
     rng: np.random.Generator,
@@ -347,8 +445,8 @@ def sample_reflected_states(
 
     The fold of :func:`sample_unreflected_states` from (x0, v0): position
     |Y| and velocity sign(Y)*W, or +1 where Y is 0.  Starts may be scalars
-    or arrays of shape (n,), as there; the fold of a batch is a valid start
-    for the next call.
+    or arrays of shape (n,) and ``t`` one time or a sorted grid, as there;
+    the fold of a batch is a valid start for the next call.
     """
     x = np.asarray(x0, dtype=np.float64)
     if np.any(x < 0.0):

@@ -6,6 +6,7 @@ import pytest
 from scipy import stats
 
 from conftest import gate
+from telegraph_kit import analysis
 from telegraph_kit.analysis import (
     TvCurve,
     binned_tv_estimate,
@@ -143,6 +144,30 @@ def test_tv_curve_sandwich_and_validation():
         tv_curve((1.0, 1), (0.0, 1), "reflected", [0.0, 1.0], 1000, P12, rng)
     with pytest.raises(ValueError, match="at least 1000"):
         tv_curve((1.0, 1), (0.0, 1), "reflected", grid, 200, P12, rng)
+
+
+@pytest.mark.parametrize("process", ["reflected", "unreflected"])
+def test_tv_curve_walks_the_grid_in_chunks_of_the_cell_budget(monkeypatch, process):
+    # 2n = 2000 walkers and a budget of 6,000 cells: three grid times a call,
+    # each call started from the last row of the one before, at times
+    # counted from there
+    name = f"sample_{process}_states"
+    real = getattr(analysis, name)
+    calls = []
+
+    def spy(pos, vel, t, n, params, rng):
+        calls.append((np.size(pos), np.asarray(t).tolist()))
+        return real(pos, vel, t, n, params, rng)
+
+    grid = np.arange(1.0, 8.0)
+    whole = tv_curve((1.0, 1), (0.0, 1), process, grid, 1000, P12, make_stream(109, 0), 0.25)
+    monkeypatch.setattr(analysis, name, spy)
+    monkeypatch.setattr(analysis, "_GRID_CELLS", 6000)
+    chunked = tv_curve((1.0, 1), (0.0, 1), process, grid, 1000, P12, make_stream(109, 0), 0.25)
+    assert calls == [(2000, [1.0, 2.0, 3.0]), (2000, [1.0, 2.0, 3.0]), (2000, [1.0])]
+    assert chunked.coupling_survival.tobytes() == whole.coupling_survival.tobytes()
+    assert np.all(chunked.binned_tv <= chunked.coupling_survival + chunked.noise_floor + 0.05)
+    assert np.all(np.abs(chunked.binned_tv - whole.binned_tv) <= 2.0 * whole.noise_floor + 0.05)
 
 
 def test_tv_curve_refuses_invalid_starts():

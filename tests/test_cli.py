@@ -242,7 +242,7 @@ def test_hitting_roots_past_the_budget_exit_two_before_allocating():
 
 
 def test_bad_hitting_starts_end_with_one_error_line():
-    # a negative start is a configuration error; a start whose root count
+    # a negative or non-finite start is a configuration error; a start whose root count
     # alone passes the node budget is refused before the Poisson draw
     proc = run_child(["hitting", "--start=-1,-1", "--n", "2000"], timeout=30)
     assert proc.returncode == EXIT_CONFIG
@@ -250,6 +250,10 @@ def test_bad_hitting_starts_end_with_one_error_line():
     proc = run_child(["hitting", "--start", "1e30,-1", "--n", "2000"], timeout=30)
     assert proc.returncode == EXIT_RUNTIME
     assert one_error_line(proc.stderr) and "nodes in one call" in proc.stderr
+    for start in ("inf,-1", "inf,1", "nan,-1"):
+        proc = run_child(["hitting", "--start", start, "--n", "2000"], timeout=30)
+        assert proc.returncode == EXIT_CONFIG, start
+        assert one_error_line(proc.stderr) and "finite and nonnegative" in proc.stderr, start
 
 
 def test_scaling_refuses_unbounded_work_before_starting():
@@ -281,6 +285,37 @@ def test_tvcurve_invalid_reflected_starts_exit_one(capsys):
         argv = ["tvcurve", f"--start={start}", "--n", "1000", "--t-grid", "1"]
         assert main(argv) == EXIT_CONFIG, start
         assert one_error_line(capsys.readouterr().err)
+
+
+def test_tvcurve_bin_widths_are_checked_before_any_work():
+    # 1e-9 would cut the reach 1 + 20 into 4.2e10 bins (a 300 GB histogram);
+    # the refusal must come before the couplings, so the 2e6 runs asked for
+    # here never start
+    cap = f"{analysis._BIN_CAP:,}"
+    base = ["tvcurve", "--n", "2000000", "--t-grid", "1:20"]
+    cases = [
+        (["--bin-width", "1e-9"], f"past the cap of {cap}"),
+        (["--bin-width", "1e-9", "--process", "unreflected"], f"past the cap of {cap}"),
+        (["--bin-width", "nan"], "finite and positive"),
+        (["--bin-width", "inf"], "finite and positive"),
+        (["--bin-width", "0"], "finite and positive"),
+        (["--bin-width=-0.1"], "finite and positive"),
+    ]
+    for extra, message in cases:
+        proc = run_child(base + extra, timeout=30)
+        assert proc.returncode == EXIT_CONFIG, extra
+        assert one_error_line(proc.stderr) and message in proc.stderr, extra
+    # the reach 1 + 1 is one-sided for the reflected process, so this width
+    # makes 0.75 of the cap's bins there and 1.5 times the cap unreflected
+    width = 4.0 / (1.5 * analysis._BIN_CAP)
+    args = ((1.0, 1), (0.0, 1))
+    with pytest.raises(ValueError, match="past the cap"):
+        analysis.tv_curve(*args, "unreflected", [1.0], 1000, ModelParams(1, 2), None, width)
+    rng = np.random.default_rng(0)
+    curve = analysis.tv_curve(*args, "reflected", [1.0], 1000, ModelParams(1, 2), rng, width)
+    assert curve.binned_tv.shape == (1,)
+    helped = run_child(["tvcurve", "--help"])
+    assert f"more than {cap} bins" in " ".join(helped.stdout.split())
 
 
 def test_non_finite_horizons_exit_one():

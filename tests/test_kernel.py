@@ -8,8 +8,9 @@ walk, so equal streams must give equal bits.  The excursion trees are
 checked for their structure; the batched hitting times against the event
 walk; and, for excursion lengths, hitting times and the origin-visit
 functional, a batch of one against a batch of 1,024.  The batch endpoint
-sampler is pinned bit for bit to its earlier uncompacted loop, its array
-starts to its scalar ones, and two chained calls to one call in law.  The
+sampler is pinned bit for bit to its earlier uncompacted loop, also on a
+generator stub that hands out zero draws, its array starts to its scalar
+ones, and two chained calls and its grid call to one call in law.  The
 laws are compared with a two-sample test under the usual reseeded gate.
 """
 
@@ -238,6 +239,50 @@ def test_compacted_batch_loop_keeps_every_draw(params, y0, w0, s, n, seed):
     assert rng.random() == twin.random()
 
 
+class ZeroDraws:
+    """A generator whose exponential draws are each replaced by 0.0 with probability q.
+
+    Two stubs with the same seed hand out the same sequence.  Draws of
+    exactly 0.0 have probability about 2**-53 from the real generator, so
+    only a stub reaches the loop's one break in the phase alternation: an
+    away leg at the origin that lasts no time is followed by another away
+    leg.
+    """
+
+    def __init__(self, seed: int, q: float):
+        self._rng = make_stream(seed, 0)
+        self._zeros = make_stream(seed, 1)
+        self._q = q
+
+    def standard_exponential(self, size):
+        e = self._rng.standard_exponential(size)
+        e[self._zeros.random(size) < self._q] = 0.0
+        return e
+
+    def integers(self, *args, **kwargs):
+        return self._rng.integers(*args, **kwargs)
+
+    def random(self):
+        return self._rng.random()
+
+
+@pytest.mark.parametrize("y0", [0.0, -0.0, 1.0, -0.5])
+@pytest.mark.parametrize("w0", [-1, 1, None])
+@pytest.mark.parametrize("t", [0.0, -0.0, 1.0, 3.0])
+@pytest.mark.parametrize("q", [0.1, 0.6])
+def test_zero_draws_at_the_origin_keep_the_old_loop_bits(y0, w0, t, q):
+    # starts at the origin, and walkers that return to it, meet zero draws
+    # on away legs there; t = +-0 and a start at -0.0 pin the sign of a zero
+    # output as well
+    seed = 1000 + int(100 * q)
+    stub, twin = ZeroDraws(seed, q), ZeroDraws(seed, q)
+    y, w = sample_unreflected_states(y0, w0, t, 200, P12, stub)
+    y_ref, w_ref = reference_unreflected_states(y0, w0, t, 200, P12, twin)
+    assert y.tobytes() == y_ref.tobytes()
+    assert np.array_equal(w, w_ref)
+    assert stub.random() == twin.random()
+
+
 @SETTINGS
 @given(rates, starts, velocities, horizons, seeds)
 def test_array_starts_of_one_state_give_the_scalar_bits(params, y0, w0, t, seed):
@@ -265,8 +310,13 @@ def test_array_starts_are_checked():
         sample_reflected_states(np.array([1.0, -0.5]), 1, 1.0, 2, P12, rng)
     with pytest.raises(ValueError, match="origin"):
         sample_reflected_states(np.array([1.0, 0.0]), np.array([1, -1]), 1.0, 2, P12, rng)
-    for t in (math.inf, math.nan, -1.0):
+    for t in (math.inf, math.nan, -1.0, [1.0, math.inf], [-1.0, 1.0]):
         with pytest.raises(ValueError, match="finite and nonnegative"):
+            sample_unreflected_states(0.0, 1, t, 4, P12, rng)
+    with pytest.raises(ValueError, match="sorted"):
+        sample_unreflected_states(0.0, 1, [2.0, 1.0], 4, P12, rng)
+    for t in ([], [[1.0, 2.0]]):
+        with pytest.raises(ValueError, match="one-dimensional"):
             sample_unreflected_states(0.0, 1, t, 4, P12, rng)
 
 
@@ -323,6 +373,92 @@ def test_chained_calls_have_the_one_call_law(process, params, y0, w0, frac, s, s
 def test_chaining_check_rejects_a_velocity_restart(process):
     assert chaining_holds(process, P12, 1.0, -1, 0.5, 1.5, 5)
     assert not chaining_holds(process, P12, 1.0, -1, 0.5, 1.5, 5, restart=True)
+
+
+def redrawn_grid_states(sample, x0, v0, grid, n, params, rng):
+    """The mutant grid call: walkers carried across the grid by one-time calls
+    that redraw every velocity after the first grid time."""
+    rows_pos, rows_vel = [], []
+    pos, vel, t_prev = x0, v0, 0.0
+    for t in grid:
+        pos, vel = sample(pos, vel if t_prev == 0.0 else None, t - t_prev, n, params, rng)
+        rows_pos.append(pos)
+        rows_vel.append(vel)
+        t_prev = t
+    return np.array(rows_pos), np.array(rows_vel)
+
+
+def grid_law_holds(process, params, x0, v0, grid, seed, mutant=False):
+    """Gated two-sample KS of each grid row against a one-time call at its time.
+
+    Keys and rounding as in :func:`chaining_holds`; each of the grid's
+    times is tested at level 0.01 / len(grid).
+    """
+    sample = sample_reflected_states if process == "reflected" else sample_unreflected_states
+    n = 2000
+    level = 0.01 / len(grid)
+
+    def keys(pos, vel):
+        pos = np.round(pos, 9)
+        return pos, pos * vel
+
+    def check(k):
+        rng = make_stream(seed, 2 * k)
+        if mutant:
+            rows = redrawn_grid_states(sample, x0, v0, grid, n, params, rng)
+        else:
+            rows = sample(x0, v0, np.array(grid), n, params, rng)
+        one_time = make_stream(seed, 2 * k + 1)
+        for j, t in enumerate(grid):
+            single = sample(x0, v0, t, n, params, one_time)
+            for u, v in zip(keys(rows[0][j], rows[1][j]), keys(*single)):
+                if stats.ks_2samp(u, v, method="asymp").pvalue <= level:
+                    return False
+        return True
+
+    return gate(check)
+
+
+fractions = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3)
+grid_times = st.lists(st.floats(0.0, 20.0), min_size=1, max_size=4)
+
+
+@SETTINGS
+@given(processes, rates, positions, velocities, fractions, st.floats(0.0, 3.0), seeds)
+@example("unreflected", P12, 0.0, 1, [0.2, 0.21, 0.9], 2.0, 0)
+def test_grid_call_rows_have_the_one_time_law(process, params, y0, w0, fracs, s, seed):
+    # grid times are fractions of t = s/a; close ones make an event pass
+    # several grid times at once
+    x0, v0, _ = fold(y0, w0) if process == "reflected" else (y0, w0, 1)
+    t = s / params.a
+    grid = sorted(f * t for f in fracs) + [t]
+    assert grid_law_holds(process, params, x0, v0, grid, seed)
+
+
+@SETTINGS
+@given(processes, rates, starts, start_velocities, grid_times, st.integers(1, 50), seeds)
+def test_grid_call_shapes_and_its_one_point_grid(process, params, y0, w0, times, n, seed):
+    if process == "reflected":
+        y0 = abs(y0)
+        w0 = 1 if y0 == 0.0 else w0
+        sample = sample_reflected_states
+    else:
+        sample = sample_unreflected_states
+    grid = sorted(times)
+    pos, vel = sample(y0, w0, grid, n, params, make_stream(seed, 0))
+    assert pos.shape == vel.shape == (len(grid), n) and vel.dtype == np.int64
+    assert np.all(np.abs(pos) <= abs(y0) + np.array(grid)[:, None] + 1e-9)
+    one, one_vel = sample(y0, w0, [grid[0]], n, params, make_stream(seed, 1))
+    single, single_vel = sample(y0, w0, grid[0], n, params, make_stream(seed, 1))
+    assert one.shape == (1, n) and single.shape == (n,)
+    assert one[0].tobytes() == single.tobytes() and one_vel[0].tobytes() == single_vel.tobytes()
+
+
+@pytest.mark.parametrize("process", ["reflected", "unreflected"])
+def test_grid_law_check_rejects_a_velocity_redraw(process):
+    grid = [0.5, 1.0, 1.5]
+    assert grid_law_holds(process, P12, 1.0, -1, grid, 5)
+    assert not grid_law_holds(process, P12, 1.0, -1, grid, 5, mutant=True)
 
 
 @SETTINGS
