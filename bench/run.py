@@ -3,6 +3,7 @@
 Run from the root of a source checkout:
 
     python3 bench/run.py --label change --out BENCH_9.json
+    python3 bench/run.py --label change --out BENCH_9.json --baseline ../parent
 
 The package is imported straight from this checkout's ``src/``.  The record
 holds the machine, the Python and numpy versions and the git commit, then:
@@ -25,14 +26,24 @@ holds the machine, the Python and numpy versions and the git commit, then:
   unchanged, for both workloads.
 
 Each timing is repeated ``--repeats`` times after one warm-up call and
-reported as the median with every sample.  The record is stored under
+reported as the median with every sample; a sample of a call shorter than
+50 ms is the mean of as many calls as fill about 50 ms.  The record is stored under
 ``--label`` in ``--out``; records under other labels are kept, so one file
 can hold a parent commit and a change measured on the same machine.
+
+``--baseline DIR`` names a second checkout, say of the parent commit, and
+records it too, under ``--baseline-label``.  Both packages are then loaded
+side by side and every timing alternates between them call by call, with
+the order swapped on every repeat, and the perfbench runs alternate the
+same way.  A shared machine whose speed drifts over minutes then slows
+both records alike, where two records taken one after the other can differ
+by more than the change being measured.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import platform
@@ -43,17 +54,17 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SRC = ROOT / "src"
 SCALES = (4.0, 16.0, 100.0)
 WALKERS = 1000
 TV_RUNS = 1000
 TV_GRID = tuple(float(t) for t in range(1, 21))
 TV_STARTS = ((1.0, 1), (0.0, 1))
 WORKLOADS = ("tvcurve_scaling", "excursions_couple")
+SAMPLE_S = 0.05
 
 
-def git(*args: str) -> str | None:
-    proc = subprocess.run(["git", "-C", str(ROOT), *args], capture_output=True, text=True)
+def git(root: Path, *args: str) -> str | None:
+    proc = subprocess.run(["git", "-C", str(root), *args], capture_output=True, text=True)
     return proc.stdout.strip() if proc.returncode == 0 else None
 
 
@@ -68,114 +79,152 @@ def cpu_model() -> str | None:
     return platform.processor() or None
 
 
-def timed(call, repeats: int) -> list[float]:
-    call()  # warm-up: imports, first allocations
-    runs = []
-    for _ in range(repeats):
+def load_package(root: Path, name: str):
+    """The ``telegraph_kit`` package of the checkout at root, imported as ``name``.
+
+    The package imports its modules relatively, so two checkouts load side
+    by side under different names.
+    """
+    package = root / "src" / "telegraph_kit"
+    spec = importlib.util.spec_from_file_location(
+        name, package / "__init__.py", submodule_search_locations=[str(package)]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def timed(calls: dict, repeats: int) -> dict:
+    """Seconds per call of each labelled call, alternating the labels' order.
+
+    Each sample averages enough calls to last about ``SAMPLE_S``, a count
+    set from the slowest warm-up call and shared by every label, so a call
+    of a millisecond or two is not read off a single timer interval.
+    """
+    warm_up = []
+    for call in calls.values():  # first allocations
         t0 = time.perf_counter()
         call()
-        runs.append(time.perf_counter() - t0)
+        warm_up.append(time.perf_counter() - t0)
+    number = max(1, int(SAMPLE_S / max(warm_up)))
+    runs = {label: [] for label in calls}
+    order = list(calls)
+    for _ in range(repeats):
+        for label in order:
+            t0 = time.perf_counter()
+            for _ in range(number):
+                calls[label]()
+            runs[label].append((time.perf_counter() - t0) / number)
+        order.reverse()
     return runs
 
 
-def sampler_record(repeats: int) -> dict:
-    from telegraph_kit.model import ModelParams
-    from telegraph_kit.simulate import make_stream, sample_unreflected_states
-
-    out = {}
+def sampler_record(pkgs: dict, repeats: int) -> dict:
+    out = {label: {} for label in pkgs}
     for scale in SCALES:
-        params = ModelParams(scale - 1.0, scale + 1.0)
-        runs = timed(
-            lambda: sample_unreflected_states(0.0, None, scale, WALKERS, params, make_stream(1, 0)),
-            repeats,
-        )
-        out[repr(scale)] = {
-            "median_us_per_walker": 1e6 * statistics.median(runs) / WALKERS,
-            "runs_s": runs,
-        }
-    return {"n": WALKERS, "t": 1.0, "scales": out}
+
+        def call(pkg, scale=scale):
+            params = pkg.model.ModelParams(scale - 1.0, scale + 1.0)
+            return lambda: pkg.simulate.sample_unreflected_states(
+                0.0, None, scale, WALKERS, params, pkg.simulate.make_stream(1, 0)
+            )
+
+        runs = timed({label: call(pkg) for label, pkg in pkgs.items()}, repeats)
+        for label, samples in runs.items():
+            out[label][repr(scale)] = {
+                "median_us_per_walker": 1e6 * statistics.median(samples) / WALKERS,
+                "runs_s": samples,
+            }
+    return {label: {"n": WALKERS, "t": 1.0, "scales": scales} for label, scales in out.items()}
 
 
-def walker_half_record(repeats: int) -> dict:
+def walker_half_calls(pkg, process: str):
+    """The walker half of one ``tv_curve`` call, and how the checkout runs it."""
     import numpy as np
 
-    from telegraph_kit import simulate
-    from telegraph_kit.model import ModelParams
-
-    params = ModelParams(1.0, 2.0)
+    simulate = pkg.simulate
+    params = pkg.model.ModelParams(1.0, 2.0)
     grid = np.array(TV_GRID)
     walkers = 2 * TV_RUNS
     pos = np.repeat([p for p, _ in TV_STARTS], TV_RUNS).astype(np.float64)
     vel = np.repeat([v for _, v in TV_STARTS], TV_RUNS)
+    sample = getattr(simulate, f"sample_{process}_states")
     try:
-        rng = simulate.make_stream(1, 0)
-        simulate.sample_unreflected_states(pos, vel, grid[:2], walkers, params, rng)
-        method = "grid"
+        sample(pos, vel, grid[:2], walkers, params, simulate.make_stream(1, 0))
     except TypeError:  # a sampler that takes one time only
-        method = "chained"
-    out = {}
-    for process in ("reflected", "unreflected"):
-        sample = getattr(simulate, f"sample_{process}_states")
-
-        def grid_call():
-            sample(pos, vel, grid, walkers, params, simulate.make_stream(1, 0))
 
         def chained():
             rng = simulate.make_stream(1, 0)
-            clouds = [(p, v) for p, v in TV_STARTS]
+            clouds = list(TV_STARTS)
             t_prev = 0.0
             for t in grid.tolist():
                 clouds = [sample(p, v, t - t_prev, TV_RUNS, params, rng) for p, v in clouds]
                 t_prev = t
 
-        runs = timed(grid_call if method == "grid" else chained, repeats)
-        out[process] = {
-            "median_us_per_walker": 1e6 * statistics.median(runs) / walkers,
-            "runs_s": runs,
-        }
-    return {"walkers": walkers, "grid": "1:20:1", "starts": TV_STARTS, "method": method,
-            "processes": out}
+        return chained, "chained"
+    return lambda: sample(pos, vel, grid, walkers, params, simulate.make_stream(1, 0)), "grid"
 
 
-def tv_curve_record(repeats: int) -> dict:
+def walker_half_record(pkgs: dict, repeats: int) -> dict:
+    out = {label: {"processes": {}} for label in pkgs}
+    for process in ("reflected", "unreflected"):
+        calls = {}
+        for label, pkg in pkgs.items():
+            calls[label], out[label]["method"] = walker_half_calls(pkg, process)
+        for label, samples in timed(calls, repeats).items():
+            out[label]["processes"][process] = {
+                "median_us_per_walker": 1e6 * statistics.median(samples) / (2 * TV_RUNS),
+                "runs_s": samples,
+            }
+    for record in out.values():
+        record.update(walkers=2 * TV_RUNS, grid="1:20:1", starts=TV_STARTS)
+    return out
+
+
+def tv_curve_record(pkgs: dict, repeats: int) -> dict:
     import numpy as np
 
-    from telegraph_kit.analysis import tv_curve
-    from telegraph_kit.model import ModelParams
-    from telegraph_kit.simulate import make_stream
-
-    params = ModelParams(1.0, 2.0)
     grid = np.array(TV_GRID)
-    out = {}
+    out = {label: {} for label in pkgs}
     for process in ("reflected", "unreflected"):
-        runs = timed(
-            lambda: tv_curve(*TV_STARTS, process, grid, TV_RUNS, params, make_stream(1, 0)),
-            repeats,
-        )
-        median = statistics.median(runs)
-        out[process] = {
-            "median_s_per_call": median,
-            "median_us_per_run": 1e6 * median / TV_RUNS,
-            "runs_s": runs,
-        }
-    return {"n": TV_RUNS, "grid": "1:20:1", "starts": TV_STARTS, "processes": out}
+
+        def call(pkg, process=process):
+            params = pkg.model.ModelParams(1.0, 2.0)
+            return lambda: pkg.analysis.tv_curve(
+                *TV_STARTS, process, grid, TV_RUNS, params, pkg.simulate.make_stream(1, 0)
+            )
+
+        runs = timed({label: call(pkg) for label, pkg in pkgs.items()}, repeats)
+        for label, samples in runs.items():
+            median = statistics.median(samples)
+            out[label][process] = {
+                "median_s_per_call": median,
+                "median_us_per_run": 1e6 * median / TV_RUNS,
+                "runs_s": samples,
+            }
+    return {
+        label: {"n": TV_RUNS, "grid": "1:20:1", "starts": TV_STARTS, "processes": processes}
+        for label, processes in out.items()
+    }
 
 
-def perfbench_record(workload: str, seed: int, seconds: float) -> dict:
+def perfbench_record(root: Path, workload: str, seed: int, seconds: float) -> dict:
     argv = [
         sys.executable, "perfbench/run.py", "--workload", workload,
         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
     ]
-    proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, check=False)
+    proc = subprocess.run(argv, cwd=root, capture_output=True, text=True, check=False)
     if proc.returncode != 0:
         return {"argv": argv[1:], "returncode": proc.returncode, "stderr": proc.stderr[-2000:]}
     lines = proc.stdout.strip().splitlines()
     return {"argv": argv[1:], "env": json.loads(lines[-2]), "result": json.loads(lines[-1])}
 
 
-def source_lines() -> int:
+def source_lines(root: Path) -> int:
     return sum(
-        len(path.read_text().splitlines()) for path in (SRC / "telegraph_kit").glob("*.py")
+        len(path.read_text().splitlines())
+        for path in (root / "src" / "telegraph_kit").glob("*.py")
     )
 
 
@@ -186,35 +235,54 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--seed", type=int, default=1, help="perfbench workload seed")
     parser.add_argument("--seconds", type=float, default=50.0, help="perfbench run length")
+    parser.add_argument("--baseline", type=Path, help="a second checkout, timed alternately")
+    parser.add_argument("--baseline-label", default="parent", help="its key in the output file")
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
-    sys.path.insert(0, str(SRC))
+    roots = {args.label: ROOT}
+    if args.baseline is not None:
+        if args.baseline_label == args.label:
+            parser.error("--baseline-label must differ from --label")
+        roots[args.baseline_label] = args.baseline.resolve()
     import numpy as np
 
-    record = {
-        "git_commit": git("rev-parse", "HEAD"),
-        "src_modified": git("status", "--porcelain", "--", "src") not in ("", None),
-        "machine": {
-            "platform": platform.platform(),
-            "machine": platform.machine(),
-            "cpu": cpu_model(),
-            "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
-            "cpu_count": os.cpu_count(),
-        },
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "repeats": args.repeats,
-        "source_lines": source_lines(),
-        "sample_unreflected_states": sampler_record(args.repeats),
-        "tv_curve_walkers": walker_half_record(args.repeats),
-        "tv_curve": tv_curve_record(args.repeats),
+    pkgs = {
+        label: load_package(root, f"telegraph_kit_{i}")
+        for i, (label, root) in enumerate(roots.items())
     }
+    measured = {
+        "sample_unreflected_states": sampler_record(pkgs, args.repeats),
+        "tv_curve_walkers": walker_half_record(pkgs, args.repeats),
+        "tv_curve": tv_curve_record(pkgs, args.repeats),
+    }
+    order = list(roots)
     for workload in WORKLOADS:
-        record[f"perfbench_{workload}"] = perfbench_record(workload, args.seed, args.seconds)
+        for label in order:
+            measured.setdefault(f"perfbench_{workload}", {})[label] = perfbench_record(
+                roots[label], workload, args.seed, args.seconds
+            )
+        order.reverse()
     out = Path(args.out)
     records = json.loads(out.read_text()) if out.exists() else {}
-    records[args.label] = record
+    for label, root in roots.items():
+        records[label] = {
+            "git_commit": git(root, "rev-parse", "HEAD"),
+            "src_modified": git(root, "status", "--porcelain", "--", "src") not in ("", None),
+            "machine": {
+                "platform": platform.platform(),
+                "machine": platform.machine(),
+                "cpu": cpu_model(),
+                "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
+                "cpu_count": os.cpu_count(),
+            },
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "repeats": args.repeats,
+            "alternated_with": [other for other in roots if other != label],
+            "source_lines": source_lines(root),
+            **{name: per_label[label] for name, per_label in measured.items()},
+        }
     out.write_text(json.dumps(records, indent=2, sort_keys=True) + "\n")
     return 0
 
