@@ -16,8 +16,9 @@ holds the machine, the Python and numpy versions and the git commit, then:
   ``tvcurve`` benchmark job, for both processes: the 2n = 2000 walkers of
   the starts (1, +1) and (0, +1) carried across the grid 1..20 at a = 1,
   b = 2, in one grid call of the endpoint sampler where the checkout's
-  sampler takes a grid, else (``method`` "chained") as one one-time call
-  per start and grid step, the way ``tv_curve`` did before the grid call;
+  sampler takes a grid (it has ``simulate._time_grid``), else (``method``
+  "chained") as one one-time call per start and grid step, the way
+  ``tv_curve`` did before the grid call;
 - seconds per call and µs per run of ``analysis.tv_curve`` at the size of
   the ``tvcurve`` benchmark job (n = 1000 runs per leg, same starts, grid
   and rates), for both processes; a run is one coupling and one walker per
@@ -32,7 +33,7 @@ reported as the median with every sample; a sample of a call shorter than
 can hold a parent commit and a change measured on the same machine.
 
 ``--baseline DIR`` names a second checkout, say of the parent commit, and
-records it too, under ``--baseline-label``.  Both packages are then loaded
+records it too, under the label "parent".  Both packages are then loaded
 side by side and every timing alternates between them call by call, with
 the order swapped on every repeat, and the perfbench runs alternate the
 same way.  A shared machine whose speed drifts over minutes then slows
@@ -61,6 +62,7 @@ TV_GRID = tuple(float(t) for t in range(1, 21))
 TV_STARTS = ((1.0, 1), (0.0, 1))
 WORKLOADS = ("tvcurve_scaling", "excursions_couple")
 SAMPLE_S = 0.05
+BASELINE_LABEL = "parent"
 
 
 def git(root: Path, *args: str) -> str | None:
@@ -150,20 +152,18 @@ def walker_half_calls(pkg, process: str):
     pos = np.repeat([p for p, _ in TV_STARTS], TV_RUNS).astype(np.float64)
     vel = np.repeat([v for _, v in TV_STARTS], TV_RUNS)
     sample = getattr(simulate, f"sample_{process}_states")
-    try:
-        sample(pos, vel, grid[:2], walkers, params, simulate.make_stream(1, 0))
-    except TypeError:  # a sampler that takes one time only
+    if hasattr(simulate, "_time_grid"):
+        return lambda: sample(pos, vel, grid, walkers, params, simulate.make_stream(1, 0)), "grid"
 
-        def chained():
-            rng = simulate.make_stream(1, 0)
-            clouds = list(TV_STARTS)
-            t_prev = 0.0
-            for t in grid.tolist():
-                clouds = [sample(p, v, t - t_prev, TV_RUNS, params, rng) for p, v in clouds]
-                t_prev = t
+    def chained():  # a sampler that takes one time only
+        rng = simulate.make_stream(1, 0)
+        clouds = list(TV_STARTS)
+        t_prev = 0.0
+        for t in grid.tolist():
+            clouds = [sample(p, v, t - t_prev, TV_RUNS, params, rng) for p, v in clouds]
+            t_prev = t
 
-        return chained, "chained"
-    return lambda: sample(pos, vel, grid, walkers, params, simulate.make_stream(1, 0)), "grid"
+    return chained, "chained"
 
 
 def walker_half_record(pkgs: dict, repeats: int) -> dict:
@@ -235,16 +235,17 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--seed", type=int, default=1, help="perfbench workload seed")
     parser.add_argument("--seconds", type=float, default=50.0, help="perfbench run length")
-    parser.add_argument("--baseline", type=Path, help="a second checkout, timed alternately")
-    parser.add_argument("--baseline-label", default="parent", help="its key in the output file")
+    parser.add_argument(
+        "--baseline", type=Path, help='a second checkout, timed alternately, stored as "parent"'
+    )
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
     roots = {args.label: ROOT}
     if args.baseline is not None:
-        if args.baseline_label == args.label:
-            parser.error("--baseline-label must differ from --label")
-        roots[args.baseline_label] = args.baseline.resolve()
+        if args.label == BASELINE_LABEL:
+            parser.error(f"--label must not be {BASELINE_LABEL!r} with --baseline")
+        roots[BASELINE_LABEL] = args.baseline.resolve()
     import numpy as np
 
     pkgs = {

@@ -139,7 +139,8 @@ def _floor_of_masses(m1, m2, n1: int, n2: int) -> float:
 
 
 # tv_curve refuses a given bin width that would cut the walkers' reach into
-# more bins than this, and holds at most this many recorded walker states
+# more bins than this, and records at most max(this, 2n) walker states a
+# grid call: at least one grid time a call, so O(n) memory
 _BIN_CAP = 1_000_000
 _GRID_CELLS = 1 << 18
 

@@ -353,6 +353,8 @@ def _folded_walk(y0, w0, grid, a, b, rng):
             y_out[at] = y_h + w_h * rem_h
             w_out[at] = w_h
             if n_times == 1:
+                # the grid path below gives the same, but in one-time calls
+                # it made the sampler 4-9% slower at scales 4 and 16
                 live = ~passing
             else:
                 # an event longer than a grid gap passes several grid times
