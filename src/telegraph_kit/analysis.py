@@ -17,7 +17,7 @@ import numpy as np
 from .coupling import coalescent_couple_reflected, coalescent_couple_unreflected
 from .excursions import EstimateWithCI
 from .model import ModelParams, tv_bound
-from .paths import write_csv
+from .paths import check_start, write_csv
 from .simulate import sample_reflected_states, sample_unreflected_states
 
 # unused here, but perfbench/tracing.py wraps both names in this module's
@@ -138,7 +138,7 @@ def _floor_of_masses(m1, m2, n1: int, n2: int) -> float:
     return float(0.5 * np.sqrt(pooled * (1.0 / n1 + 1.0 / n2)).sum())
 
 
-# tv_curve refuses a given bin width that would cut the walkers' reach into
+# tv_curve refuses a bin width that would cut the walkers' reach into
 # more bins than this, and records at most max(this, 2n) walker states a
 # grid call: at least one grid time a call, so O(n) memory
 _BIN_CAP = 1_000_000
@@ -179,8 +179,8 @@ def tv_curve(
     upper bound on the distance), a binned TV estimate from n independent
     walkers per start (a lower bound up to noise), and the closed-form
     bound.  Default bin width 0.05 / (b - a).  A given width must be finite
-    and positive, and is refused before any sampling when it would cut the
-    reach of the walkers into more than ``_BIN_CAP`` bins: walkers
+    and positive.  Either width is refused before any sampling when it would
+    cut the reach of the walkers into more than ``_BIN_CAP`` bins: walkers
     move at unit speed, so at the last grid time T they lie within
     max|start| + T of the origin (on one side of it for the reflected
     process).
@@ -202,8 +202,9 @@ def tv_curve(
     n = int(n)
     if n < 1000:
         raise ValueError("need at least 1000 runs per leg")
-    pos_a, vel_a = start_1
-    pos_b, vel_b = start_2
+    reflected = process == "reflected"
+    pos_a, vel_a = check_start(*start_1, reflected=reflected)
+    pos_b, vel_b = check_start(*start_2, reflected=reflected)
     horizon = float(grid[-1])
     if bin_width is None:
         params.require_contracting("the default bin width")
@@ -212,18 +213,14 @@ def tv_curve(
         bin_width = float(bin_width)
         if not 0.0 < bin_width < math.inf:
             raise ValueError(f"bin width must be finite and positive, got {bin_width}")
-        reach = max(abs(float(pos_a)), abs(float(pos_b))) + horizon
-        bins = (1.0 if process == "reflected" else 2.0) * reach / bin_width
-        if bins > _BIN_CAP:
-            raise ValueError(
-                f"bin width {bin_width!r} cuts the walkers' reach into about {bins:.3g} bins,"
-                f" past the cap of {_BIN_CAP:,}"
-            )
-    couple = (
-        coalescent_couple_reflected
-        if process == "reflected"
-        else coalescent_couple_unreflected
-    )
+    reach = max(abs(pos_a), abs(pos_b)) + horizon
+    bins = (1.0 if reflected else 2.0) * reach / bin_width
+    if bins > _BIN_CAP:
+        raise ValueError(
+            f"bin width {bin_width!r} cuts the walkers' reach into about {bins:.3g} bins,"
+            f" past the cap of {_BIN_CAP:,}"
+        )
+    couple = coalescent_couple_reflected if reflected else coalescent_couple_unreflected
     times = np.empty(n, dtype=np.float64)
     for i in range(n):
         res = couple(pos_a, vel_a, pos_b, vel_b, horizon, params, rng, record_paths=False)
@@ -231,7 +228,7 @@ def tv_curve(
     times.sort()
     survival = (n - np.searchsorted(times, grid, side="right")) / n
 
-    sample = sample_reflected_states if process == "reflected" else sample_unreflected_states
+    sample = sample_reflected_states if reflected else sample_unreflected_states
     pos = np.repeat(np.array([pos_a, pos_b], dtype=np.float64), n)
     vel = np.repeat(np.array([vel_a, vel_b]), n)
     tv = np.empty(grid.size, dtype=np.float64)

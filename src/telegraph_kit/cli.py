@@ -42,8 +42,12 @@ _GRID_CAP = 10_000
 # scaling refuses more than this many events per walker (t * scale**2) or
 # Euler steps of its oracle (t / dt); the defaults need 1e4 and 1e3
 _SCALING_CAP = 1_000_000
+# simulate refuses more expected events than this, horizon*(a+b)/2; the default needs 75
+_PATH_CAP = 1_000_000
 # the invariant gate caps exp(theta*x) above x = _GATE_CAP_SCALE / (b - a)
 _GATE_CAP_SCALE = 3.0
+# a quantity whose log reaches this is past the largest float
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 THREADS_ENV = "TELEGRAPH_THREADS"
 
@@ -154,7 +158,7 @@ _FLAG_SPECS = {
     ),
     "start2": dict(type=str, help="second start state 'position,velocity'"),
     "velocity": dict(type=int, help="initial velocity, -1 or 1"),
-    "horizon": dict(type=float, help="time horizon"),
+    "horizon": dict(type=float, help=f"time horizon; simulate caps horizon*(a+b)/2 events at {_PATH_CAP:,}"),
     "process": dict(type=str, help="'reflected' or 'unreflected'"),
     "integrand": dict(type=str, help="exponential | indicator | moment"),
     "arg": dict(type=float, help="integrand parameter (rate, threshold or order)"),
@@ -288,8 +292,6 @@ def _resolved_start(cfg: RunConfig) -> tuple[float, int]:
         except (TypeError, ValueError) as exc:
             raise _ConfigError(f"bad start position {raw!r}") from exc
         vel = int(cfg.options["velocity"])
-    if vel not in (-1, 1):
-        raise _ConfigError(f"velocity must be -1 or +1, got {vel}")
     return pos, vel
 
 
@@ -299,6 +301,11 @@ def _cmd_simulate(cfg: RunConfig, seed: int):
     process = str(cfg.options["process"])
     if process not in ("reflected", "unreflected"):
         raise _ConfigError(f"process must be 'reflected' or 'unreflected', got {process!r}")
+    # predicted cost: the stationary velocity is +1 half the time, so a path
+    # flips about (a + b)/2 times per unit time; the simulators refuse nan and inf
+    events = 0.5 * (cfg.params.a + cfg.params.b) * horizon
+    if math.isfinite(horizon) and events > _PATH_CAP:
+        raise _ConfigError(f"horizon*(a+b)/2 = {events:.3g} events exceed the cap of {_PATH_CAP:,}")
     rng = simulate.make_stream(seed, 0)
     try:
         if process == "reflected":
@@ -359,6 +366,11 @@ def _invariant_reference(kind: str, arg: float, params: model.ModelParams) -> fl
         k = int(round(arg))
         if k < 0:
             raise _ConfigError("moment order must be a nonnegative integer")
+        # checked in logs first, as math.factorial of a huge k does not return:
+        # k! (a float only up to k = 170), (b - a)**k and k!/(b - a)**k must be floats
+        log_power = k * math.log(gap)
+        if k > 170 or max(log_power, math.lgamma(k + 1.0) - log_power) >= _LOG_FLOAT_MAX:
+            raise _ConfigError(f"moment order {k}: the reference k!/(b-a)^k is not a finite float")
         return math.factorial(k) / gap**k
     raise _ConfigError(f"unknown integrand {kind!r}")
 
@@ -382,6 +394,8 @@ def _cmd_invariant(cfg: RunConfig, seed: int):
         raise _ConfigError("the invariant law requires b > a")
     kind = str(cfg.options["integrand"])
     arg = float(cfg.options["arg"])
+    if not math.isfinite(arg):
+        raise _ConfigError(f"--arg must be finite, got {arg}")
     reference = _invariant_reference(kind, arg, cfg.params)
     f = _INTEGRANDS[kind](arg)
     breakpoints = (arg,) if kind == "indicator" and arg > 0.0 else ()
@@ -391,7 +405,10 @@ def _cmd_invariant(cfg: RunConfig, seed: int):
         capped, level, gate_reference = _capped_exponential(arg, cfg.params)
         integrands.append((capped, (level,)))
     rng = simulate.make_stream(seed, 0)
-    estimates = excursions._regenerative_estimates(integrands, cfg.n, cfg.params, rng)
+    try:
+        estimates = excursions._regenerative_estimates(integrands, cfg.n, cfg.params, rng)
+    except ValueError as exc:
+        raise _ConfigError(str(exc)) from exc
     est = estimates[0]
     text = "estimate,std_error,n,reference\n" + (
         f"{est.value!r},{est.std_error!r},{est.n},{reference!r}\n"
@@ -548,6 +565,8 @@ def _cmd_scaling(cfg: RunConfig, seed: int):
 
 def _cmd_formulas(cfg: RunConfig, seed: int):
     lam = float(cfg.options["lam"])
+    if not math.isfinite(lam):
+        raise _ConfigError(f"--lam must be finite, got {lam}")
     p = cfg.params
     contracting = p.b > p.a
 

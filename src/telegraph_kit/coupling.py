@@ -34,8 +34,8 @@ import numpy as np
 
 from .excursions import sample_hitting, sample_sigma
 from .model import INFINITE, LaplaceValue, ModelParams, excursion_mgf, hitting_exponent
-from .paths import PiecewisePath, write_csv
-from .simulate import ExpSource, KnotRecorder, fold, walk_reflected
+from .paths import KnotRecorder, PiecewisePath, check_start, fold, write_csv
+from .simulate import ExpSource, walk_reflected
 
 __all__ = [
     "CouplingResult",
@@ -85,17 +85,6 @@ def _both(rec_1, rec_2):
         add_2(t, x, v)
 
     return add
-
-
-def _check_reflected_state(x: float, v: int) -> tuple[float, int]:
-    if v not in (-1, 1):
-        raise ValueError(f"velocity must be -1 or +1, got {v}")
-    x = float(x)
-    if x < 0.0:
-        raise ValueError("positions must be nonnegative")
-    if x == 0.0 and v != 1:
-        raise ValueError("a start at the origin requires velocity +1")
-    return x, int(v)
 
 
 def _check_horizon(horizon) -> float:
@@ -313,8 +302,8 @@ def crossing_couple(
     returned paths stop at the crossing.  Identical starts share every clock
     and the crossing is declared at their first origin visit.
     """
-    x, v = _check_reflected_state(x, v)
-    x_other, v_other = _check_reflected_state(x_other, v_other)
+    x, v = check_start(x, v, reflected=True)
+    x_other, v_other = check_start(x_other, v_other, reflected=True)
     if x < x_other:
         raise ValueError("crossing_couple expects the first start at or above the second")
     hz = math.inf if horizon is None else float(horizon)
@@ -353,9 +342,7 @@ def stick_couple(
     paths are recorded.  A start at the origin collapses the first descent:
     the second leg reflects instantly and the first block is the merging one.
     """
-    x = float(x)
-    if x < 0.0:
-        raise ValueError("positions must be nonnegative")
+    x = check_start(x, 1, reflected=True)[0]
     hz = math.inf if horizon is None else float(horizon)
     dn_v = 1 if x == 0.0 else -1
     rec_up = KnotRecorder(x, 1, store=record_paths)
@@ -394,8 +381,8 @@ def coalescent_couple_reflected(
     argument order.  After the merge both paths reference the same knots, so
     their evaluations agree bit for bit from the coalescence time on.
     """
-    x, v = _check_reflected_state(x, v)
-    x_other, v_other = _check_reflected_state(x_other, v_other)
+    x, v = check_start(x, v, reflected=True)
+    x_other, v_other = check_start(x_other, v_other, reflected=True)
     hz = _check_horizon(horizon)
     rec1 = KnotRecorder(x, v, store=record_paths)
     rec2 = KnotRecorder(x_other, v_other, store=record_paths)
@@ -420,12 +407,8 @@ def coalescent_couple_unreflected(
     to the next origin visit and repairs the signs with an Exp(2b) wait and
     the sticking blocks.  crossing_* report the folded stage's crossing.
     """
-    if w not in (-1, 1) or w_other not in (-1, 1):
-        raise ValueError("velocities must be -1 or +1")
-    y = float(y)
-    y_other = float(y_other)
-    w = int(w)
-    w_other = int(w_other)
+    y, w = check_start(y, w)
+    y_other, w_other = check_start(y_other, w_other)
     hz = _check_horizon(horizon)
     rec1 = KnotRecorder(y, w, signed=True, store=record_paths)
     rec2 = KnotRecorder(y_other, w_other, signed=True, store=record_paths)

@@ -23,8 +23,8 @@ from typing import Callable
 import numpy as np
 
 from .model import ModelParams
-from .paths import PiecewisePath, write_csv
-from .simulate import ExpSource, KnotRecorder, walk_reflected
+from .paths import KnotRecorder, PiecewisePath, write_csv
+from .simulate import ExpSource, walk_reflected
 
 __all__ = [
     "RecursionBudgetError",

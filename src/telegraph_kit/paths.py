@@ -5,10 +5,16 @@ at every event.  Between knots the position moves linearly at the knot's
 velocity.  Generators write origin-hit knots with position exactly 0.0, so
 the nonnegativity of reflected paths and the zero-detection used when
 unfolding are both exact float comparisons, not tolerance checks.
+
+This module owns what every simulator and coupling shares: the start rule
+(:func:`check_start`), the fold of a whole-line state (:func:`fold`) and the
+recorder of a leg from folded knots (:class:`KnotRecorder`), which unfolds
+it when signed; :func:`unreflect_path` feeds that recorder a path's knots.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +26,37 @@ __all__ = [
     "unreflect_path",
     "write_path_csv",
 ]
+
+
+def check_start(x: float, v: int, reflected: bool = False) -> tuple[float, int]:
+    """The start rule of every simulator and coupling: returns (float(x), int(v)).
+
+    The velocity must be -1 or +1 and the position finite; a reflected start
+    must also be nonnegative, with velocity +1 at the origin.
+    """
+    if v not in (-1, 1):
+        raise ValueError(f"velocity must be -1 or +1, got {v}")
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"start position must be finite, got {x}")
+    if reflected and (x < 0.0 or (x == 0.0 and v != 1)):
+        raise ValueError(
+            f"a reflected start must be nonnegative, with velocity +1 at the origin; got ({x}, {v})"
+        )
+    return x, int(v)
+
+
+def fold(y: float, w: int) -> tuple[float, int, int]:
+    """Folded state (|y|, sign(y) * w) of a whole-line state, and its sign.
+
+    The origin folds to (0, +1) and takes the sign of its velocity, which is
+    the side the particle leaves toward.
+    """
+    if y > 0.0:
+        return y, w, 1
+    if y < 0.0:
+        return -y, -w, -1
+    return 0.0, 1, w
 
 
 @dataclass
@@ -115,20 +152,72 @@ class PiecewisePath:
                 raise ValueError("origin knot must carry velocity +1")
 
 
+class KnotRecorder:
+    """Knots of one leg, fed folded knots by every walk and coupling phase.
+
+    An unsigned recorder (``sign`` 0) stores the folded knots as they come.
+    A signed recorder holds a whole-line leg: an origin knot flips its sign
+    and vanishes (the unfolded velocity is continuous there), and every other
+    knot is stored as (t, sign*x, sign*v); the couplings' sign repair, too,
+    reaches the whole line only through these flips.  With ``store=False``
+    only the sign is kept, :attr:`stores` is False and :meth:`build` returns
+    None.
+    """
+
+    __slots__ = ("sign", "t", "x", "v")
+
+    def __init__(self, x0: float, v0: int, signed: bool = False, store: bool = True):
+        self.sign = fold(x0, v0)[2] if signed else 0
+        if store:
+            self.t, self.x, self.v = [0.0], [float(x0)], [int(v0)]
+        else:
+            self.t = self.x = self.v = None
+
+    def add(self, t: float, x: float, v: int) -> None:
+        s = self.sign
+        if s:
+            if x == 0.0:
+                self.sign = -s
+                return
+            x = s * x
+            v = s * v
+        if self.t is not None:
+            self.t.append(t)
+            self.x.append(x)
+            self.v.append(v)
+
+    @property
+    def stores(self) -> bool:
+        return self.t is not None
+
+    def build(self, horizon: float) -> PiecewisePath | None:
+        """The recorded path on [0, horizon].
+
+        A knot that shares its time with the next one is dropped (the later
+        state wins) and knots past the horizon are cut.
+        """
+        if self.t is None:
+            return None
+        t = np.asarray(self.t, dtype=np.float64)
+        keep = t <= horizon
+        keep[:-1] &= t[1:] != t[:-1]
+        if keep.all():
+            return PiecewisePath.from_lists(t, self.x, self.v, horizon)
+        return PiecewisePath.from_lists(
+            t[keep], np.asarray(self.x)[keep], np.asarray(self.v)[keep], horizon
+        )
+
+
 def eval_path(path: PiecewisePath, t: float) -> tuple[float, int]:
     """State of ``path`` at time t; see :meth:`PiecewisePath.eval`."""
     return path.eval(t)
 
 
-def _signum(y: float) -> int:
-    return 1 if y > 0.0 else (-1 if y < 0.0 else 0)
-
-
 def reflect_path(path: PiecewisePath) -> PiecewisePath:
     """Fold a whole-line path to the half line: position |Y|, sign-fixed velocity.
 
-    Interior zero crossings of Y become origin knots with velocity +1; the
-    folded velocity elsewhere is sign(Y) * W.  Crossing times are found
+    Each knot is folded by :func:`fold`, and interior zero crossings of Y
+    become origin knots with velocity +1.  Crossing times are found
     algebraically from the unit speed, so a path produced by unfolding a
     generated reflected path folds back to it exactly.
     """
@@ -141,17 +230,16 @@ def reflect_path(path: PiecewisePath) -> PiecewisePath:
     n = len(t)
     for k in range(n):
         tk = float(t[k])
-        yk = float(y[k])
-        wk = int(w[k])
+        xk, vk, _ = fold(float(y[k]), int(w[k]))
         out_t.append(tk)
-        out_x.append(abs(yk))
-        out_v.append(1 if yk == 0.0 else _signum(yk) * wk)
+        out_x.append(xk)
+        out_v.append(vk)
         seg_end = float(t[k + 1]) if k + 1 < n else path.horizon
         # one crossing at most per segment: the segment heads toward 0 and
         # reaches it strictly inside (a zero exactly at the next knot is that
         # knot's own business)
-        if yk != 0.0 and _signum(yk) == -wk:
-            tz = tk + abs(yk)
+        if vk == -1:
+            tz = tk + xk
             if tz < seg_end or (k + 1 == n and tz <= seg_end):
                 out_t.append(tz)
                 out_x.append(0.0)
@@ -162,35 +250,23 @@ def reflect_path(path: PiecewisePath) -> PiecewisePath:
 def unreflect_path(path: PiecewisePath, y0: float) -> PiecewisePath:
     """Unfold a half-line path to the whole line with initial position y0.
 
-    |y0| must equal the path's start exactly.  The sign flips at every origin
-    knot and those knots disappear (the unfolded velocity is continuous
-    there); all other knots map to (t, sign * x, sign * v).  A start at the
-    origin must carry velocity +1 and unfolds with positive sign.
+    The path must start at a valid reflected start equal to |y0|, and every
+    origin knot must carry velocity +1.  Its knots are fed to a signed
+    :class:`KnotRecorder`; a start at the origin unfolds with positive sign.
     """
-    x0, v0 = path.initial_state
+    x0, v0 = check_start(*path.initial_state, reflected=True)
     y0 = float(y0)
     if abs(y0) != x0:
         raise ValueError(f"|y0|={abs(y0)} does not match the path start {x0}")
-    if x0 == 0.0 and v0 != 1:
-        raise ValueError("a reflected path starting at 0 must have velocity +1")
-    sign = _signum(y0) or 1
-    out_t = [0.0]
-    out_y = [sign * x0]
-    out_w = [sign * v0]
-    t = path.knot_times
     x = path.knot_positions
     v = path.knot_velocities
-    for k in range(1, len(t)):
-        xk = float(x[k])
-        if xk == 0.0:
-            if int(v[k]) != 1:
-                raise ValueError("origin knot must carry velocity +1")
-            sign = -sign
-            continue
-        out_t.append(float(t[k]))
-        out_y.append(sign * xk)
-        out_w.append(sign * int(v[k]))
-    return PiecewisePath.from_lists(out_t, out_y, out_w, path.horizon)
+    if np.any(v[x == 0.0] != 1):
+        raise ValueError("origin knot must carry velocity +1")
+    sign = -1 if y0 < 0.0 else 1
+    rec = KnotRecorder(sign * x0, sign * v0, signed=True)
+    for knot in zip(path.knot_times[1:].tolist(), x[1:].tolist(), v[1:].tolist()):
+        rec.add(*knot)
+    return rec.build(path.horizon)
 
 
 def write_csv(dest, header: str, lines) -> None:

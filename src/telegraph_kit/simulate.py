@@ -10,11 +10,14 @@ time-stepping, so reflected positions are exactly nonnegative.
 One scalar event loop, :func:`walk_reflected`, runs the reflected particle
 for every path simulator in the package: whole paths, excursions and return
 times, and the merged tails of the couplings.  The whole-line process is its
-unfolding: the walk runs on (|Y|, sign(Y)*W) and a :class:`KnotRecorder`
-with a sign maps each knot back, flipping the sign at every origin visit.
-The reflected endpoint sampler is likewise the fold of the vectorised
-whole-line one.  Folding is exact in floating point, because s*(x + v*d)
-equals s*x + (s*v)*d bit for bit when s is a sign.
+unfolding: the walk runs on (|Y|, sign(Y)*W) and a signed
+:class:`~telegraph_kit.paths.KnotRecorder` maps each knot back, flipping the
+sign at every origin visit.  The start rule, the fold and the recorder are
+owned by :mod:`telegraph_kit.paths` and imported here; the batch samplers
+apply that start rule to every walker.  The reflected endpoint sampler is
+likewise the fold of the vectorised whole-line one.  Folding is exact in
+floating point, because s*(x + v*d) equals s*x + (s*v)*d bit for bit when s
+is a sign.
 
 The vectorised whole-line sampler, :func:`sample_unreflected_states`, runs
 its walkers folded as well.  Each round is one leg of every live walker,
@@ -36,7 +39,7 @@ import math
 import numpy as np
 
 from .model import ModelParams
-from .paths import PiecewisePath
+from .paths import KnotRecorder, PiecewisePath, check_start, fold
 
 __all__ = [
     "make_stream",
@@ -102,81 +105,6 @@ class ExpSource:
         return float(self._rng.random())
 
 
-def _check_velocity(v: int) -> int:
-    if v not in (-1, 1):
-        raise ValueError(f"velocity must be -1 or +1, got {v}")
-    return int(v)
-
-
-def fold(y: float, w: int) -> tuple[float, int, int]:
-    """Folded state (|y|, sign(y) * w) of a whole-line state, and its sign.
-
-    The origin folds to (0, +1) and takes the sign of its velocity, which is
-    the side the particle leaves toward.
-    """
-    if y > 0.0:
-        return y, w, 1
-    if y < 0.0:
-        return -y, -w, -1
-    return 0.0, 1, w
-
-
-class KnotRecorder:
-    """Knots of one leg, fed folded knots by every walk and coupling phase.
-
-    An unsigned recorder (``sign`` 0) stores the folded knots as they come.
-    A signed recorder holds a whole-line leg: an origin knot flips its sign
-    and vanishes (the unfolded velocity is continuous there), and every other
-    knot is stored as (t, sign*x, sign*v); the couplings' sign repair, too,
-    reaches the whole line only through these flips.  With ``store=False``
-    only the sign is kept, :attr:`stores` is False and :meth:`build` returns
-    None.
-    """
-
-    __slots__ = ("sign", "t", "x", "v")
-
-    def __init__(self, x0: float, v0: int, signed: bool = False, store: bool = True):
-        self.sign = fold(x0, v0)[2] if signed else 0
-        if store:
-            self.t, self.x, self.v = [0.0], [float(x0)], [int(v0)]
-        else:
-            self.t = self.x = self.v = None
-
-    def add(self, t: float, x: float, v: int) -> None:
-        s = self.sign
-        if s:
-            if x == 0.0:
-                self.sign = -s
-                return
-            x = s * x
-            v = s * v
-        if self.t is not None:
-            self.t.append(t)
-            self.x.append(x)
-            self.v.append(v)
-
-    @property
-    def stores(self) -> bool:
-        return self.t is not None
-
-    def build(self, horizon: float) -> PiecewisePath | None:
-        """The recorded path on [0, horizon].
-
-        A knot that shares its time with the next one is dropped (the later
-        state wins) and knots past the horizon are cut.
-        """
-        if self.t is None:
-            return None
-        t = np.asarray(self.t, dtype=np.float64)
-        keep = t <= horizon
-        keep[:-1] &= t[1:] != t[:-1]
-        if keep.all():
-            return PiecewisePath.from_lists(t, self.x, self.v, horizon)
-        return PiecewisePath.from_lists(
-            t[keep], np.asarray(self.x)[keep], np.asarray(self.v)[keep], horizon
-        )
-
-
 def walk_reflected(x, v, t, horizon, a, b, src, add, stop_at_zero=False):
     """The reflected event loop: every path simulator in the package runs on it.
 
@@ -228,8 +156,7 @@ def simulate_unreflected(
     every origin visit.  Returns the exact path; memory is proportional to
     the number of flips.
     """
-    w = _check_velocity(w0)
-    y = float(y0)
+    y, w = check_start(y0, w0)
     horizon = float(horizon)
     if not 0.0 <= horizon < math.inf:
         raise ValueError("horizon must be finite and nonnegative")
@@ -252,13 +179,8 @@ def simulate_reflected(
     is reflected there to velocity +1 and that knot stores position 0.0
     exactly.  A start at the origin must carry velocity +1.
     """
-    v = _check_velocity(v0)
-    x = float(x0)
+    x, v = check_start(x0, v0, reflected=True)
     horizon = float(horizon)
-    if x < 0.0:
-        raise ValueError("reflected start must be nonnegative")
-    if x == 0.0 and v != 1:
-        raise ValueError("start at the origin requires velocity +1")
     if not 0.0 <= horizon < math.inf:
         raise ValueError("horizon must be finite and nonnegative")
     rec = KnotRecorder(x, v)
@@ -266,24 +188,28 @@ def simulate_reflected(
     return rec.build(horizon)
 
 
-def _velocity_array(v0, n: int, rng: np.random.Generator) -> np.ndarray:
-    if v0 is None:
-        return rng.integers(0, 2, size=n) * 2 - 1
-    v = np.asarray(v0)
-    if v.ndim == 0:
-        return np.full(n, _check_velocity(v0), dtype=np.int64)
-    if v.shape != (n,) or not np.all((v == 1) | (v == -1)):
-        raise ValueError(f"velocities must be -1 or +1, one per walker ({n})")
-    return v.astype(np.int64)
+def _start_arrays(y0, w0, n, rng: np.random.Generator, reflected: bool = False):
+    """Start positions and velocities of n walkers, each a scalar or one per walker.
 
-
-def _start_array(y0, n: int) -> np.ndarray:
+    Every walker's start must pass :func:`~telegraph_kit.paths.check_start`;
+    the first that fails raises its error.  ``w0=None`` draws velocities
+    uniformly from {-1, +1}, and a drawn velocity at the origin folds to +1.
+    """
+    n = int(n)
+    if n <= 0:
+        raise ValueError("n must be positive")
     y = np.array(y0, dtype=np.float64)
-    if y.ndim == 0:
-        return np.full(n, float(y), dtype=np.float64)
-    if y.shape != (n,):
-        raise ValueError(f"start positions must be a scalar or one per walker ({n})")
-    return y
+    w = rng.integers(0, 2, size=n) * 2 - 1 if w0 is None else np.asarray(w0)
+    if y.shape not in ((), (n,)) or w.shape not in ((), (n,)):
+        raise ValueError(f"starts must be scalars or one per walker ({n})")
+    y, w = np.broadcast_to(y, (n,)), np.broadcast_to(w, (n,))
+    ok = np.isfinite(y) & ((w == 1) | (w == -1))
+    if reflected:
+        ok &= (y > 0.0) | ((y == 0.0) & ((w == 1) | (w0 is None)))
+    if not ok.all():
+        k = int(ok.argmin())
+        check_start(y[k], w[k], reflected)
+    return y, w.astype(np.int64)
 
 
 def _time_grid(t) -> np.ndarray:
@@ -423,12 +349,8 @@ def sample_unreflected_states(
     generator state after a one-time call do not depend on how the loop
     stores them.
     """
-    n = int(n)
-    if n <= 0:
-        raise ValueError("n must be positive")
     grid = _time_grid(t)
-    y0 = _start_array(y0, n)
-    w0 = _velocity_array(w0, n, rng)
+    y0, w0 = _start_arrays(y0, w0, n, rng)
     y, w = _folded_walk(y0, w0, grid, params.a, params.b, rng)
     if np.ndim(t) == 0:
         return y[0], w[0]
@@ -450,10 +372,6 @@ def sample_reflected_states(
     or arrays of shape (n,) and ``t`` one time or a sorted grid, as there;
     the fold of a batch is a valid start for the next call.
     """
-    x = np.asarray(x0, dtype=np.float64)
-    if np.any(x < 0.0):
-        raise ValueError("reflected start must be nonnegative")
-    if v0 is not None and np.any((x == 0.0) & (np.asarray(v0) != 1)):
-        raise ValueError("start at the origin requires velocity +1")
+    x0, v0 = _start_arrays(x0, v0, n, rng, reflected=True)
     y, w = sample_unreflected_states(x0, v0, t, n, params, rng)
     return np.abs(y), np.where(y > 0.0, w, np.where(y < 0.0, -w, 1))

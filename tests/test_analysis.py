@@ -178,6 +178,15 @@ def test_tv_curve_refuses_invalid_starts():
         tv_curve((1.0, 1), (0.0, -1), "reflected", [1.0], 1000, P12, rng)
     with pytest.raises(ValueError, match="-1 or"):
         tv_curve((1.0, 0), (0.0, 1), "unreflected", [1.0], 1000, P12, rng)
+    for bad in (math.inf, -math.inf, math.nan):
+        for process in ("reflected", "unreflected"):
+            with pytest.raises(ValueError, match="finite"):
+                tv_curve((bad, 1), (0.0, 1), process, [1.0], 1000, P12, rng)
+            with pytest.raises(ValueError, match="finite"):
+                tv_curve((1.0, 1), (bad, -1), process, [1.0], 1000, P12, rng)
+    # a finite start far out cuts the default width's reach past the bin cap
+    with pytest.raises(ValueError, match="past the cap"):
+        tv_curve((1e308, 1), (0.0, 1), "reflected", [1.0], 1000, P12, rng)
 
 
 def test_tv_curve_identical_starts():

@@ -1,5 +1,6 @@
 import functools
 import json
+import math
 import subprocess
 import sys
 
@@ -324,6 +325,60 @@ def test_non_finite_horizons_exit_one():
             proc = run_child(["simulate", "--process", process, "--horizon", horizon])
             assert proc.returncode == EXIT_CONFIG, (process, horizon)
             assert one_error_line(proc.stderr) and "finite" in proc.stderr
+
+
+def test_non_finite_inputs_and_unrepresentable_references_exit_one():
+    # unchecked, these hang, end in a traceback, or run on a non-finite value
+    cases = [
+        (["tvcurve", "--start", "nan,1", "--n", "1000"], "finite"),
+        (["tvcurve", "--start", "inf,1", "--n", "1000"], "finite"),
+        (["simulate", "--start", "nan"], "finite"),
+        (["couple", "--process", "unreflected", "--start2=nan,1", "--check"], "finite"),
+        (["invariant", "--integrand", "moment", "--arg", "171"], "not a finite float"),
+        (["invariant", "--integrand", "moment", "--arg", "inf"], "finite"),
+        (["invariant", "--integrand", "moment", "--arg", "1e9"], "not a finite float"),
+        (["invariant", "--integrand", "moment", "--a", "1", "--b", "1.01", "--arg", "150"],
+         "not a finite float"),
+        (["invariant", "--integrand", "indicator", "--arg", "nan", "--check"], "finite"),
+        (["formulas", "--lam", "nan"], "finite"),
+        (["formulas", "--lam", "inf"], "finite"),
+        (["formulas", "--lam=-inf"], "finite"),
+    ]
+    for argv, message in cases:
+        proc = run_child(argv, timeout=30)
+        assert proc.returncode == EXIT_CONFIG, argv
+        assert one_error_line(proc.stderr) and message in proc.stderr, argv
+
+
+def test_moment_orders_up_to_a_float_reference_run(tmp_path):
+    # 170! is the last factorial that is a float; with b - a = 1 it is the reference
+    code, text = run_to_file(
+        tmp_path, "m.csv", ["invariant", "--integrand", "moment", "--arg", "170", "--n", "200"]
+    )
+    assert code == EXIT_OK
+    assert float(text.splitlines()[1].split(",")[3]) == float(math.factorial(170))
+
+
+def test_invariant_integrand_failures_exit_one(monkeypatch, capsys):
+    def non_finite(*args, **kwargs):
+        raise ValueError("integrand returned a non-finite value")
+
+    monkeypatch.setattr(cli.excursions, "_regenerative_estimates", non_finite)
+    assert main(["invariant", "--n", "100"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert one_error_line(err) and "non-finite" in err
+
+
+def test_simulate_horizons_are_capped_by_their_expected_events():
+    cap = f"{cli._PATH_CAP:,}"
+    # (a + b)/2 = 1.5 events per unit time at the default rates; uncapped, 1e308 would not end
+    for horizon in ("7e5", "1e308"):
+        proc = run_child(["simulate", "--horizon", horizon])
+        assert proc.returncode == EXIT_CONFIG, horizon
+        assert one_error_line(proc.stderr) and f"exceed the cap of {cap}" in proc.stderr
+    assert 100 * 0.5 * 3.0 * cli._COMMAND_DEFAULTS["simulate"]["horizon"] <= cli._PATH_CAP
+    helped = run_child(["simulate", "--help"])
+    assert f"at {cap}" in " ".join(helped.stdout.split())
 
 
 def test_time_grids_are_capped_before_they_are_built():

@@ -35,6 +35,24 @@ def test_crossing_input_validation():
         crossing_couple(3.0, 1, -1.0, 1, P12, rng)
     with pytest.raises(ValueError, match="origin"):
         crossing_couple(3.0, 1, 0.0, -1, P12, rng)
+    for bad in (-math.inf, math.inf, math.nan):
+        for args in ((bad, 1, 1.0, 1), (3.0, 1, bad, -1)):
+            with pytest.raises(ValueError, match="finite"):
+                crossing_couple(*args, P12, rng)
+
+
+def test_every_coupling_refuses_non_finite_starts():
+    # fold maps nan to the origin, so an unchecked nan leg would merge with (0, 1) at t = 0
+    rng = make_stream(0, 1)
+    for bad in (-math.inf, math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            stick_couple(bad, P12, rng)
+        with pytest.raises(ValueError, match="finite"):
+            coalescent_couple_reflected(1.0, 1, bad, 1, 5.0, P12, rng)
+        with pytest.raises(ValueError, match="finite"):
+            coalescent_couple_unreflected(bad, 1, 0.0, 1, 5.0, P12, rng)
+        with pytest.raises(ValueError, match="finite"):
+            coalescent_couple_unreflected(0.0, 1, bad, -1, 5.0, P12, rng, record_paths=False)
 
 
 def test_crossing_meets_with_opposite_velocities():

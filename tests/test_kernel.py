@@ -310,6 +310,14 @@ def test_array_starts_are_checked():
         sample_reflected_states(np.array([1.0, -0.5]), 1, 1.0, 2, P12, rng)
     with pytest.raises(ValueError, match="origin"):
         sample_reflected_states(np.array([1.0, 0.0]), np.array([1, -1]), 1.0, 2, P12, rng)
+    # a nan walker never passes its time, so these must be refused before the loop
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            sample_reflected_states(np.array([1.0, bad]), 1, 1.0, 2, P12, rng)
+        with pytest.raises(ValueError, match="finite"):
+            sample_unreflected_states(np.array([bad, 1.0]), None, [1.0, 2.0], 2, P12, rng)
+        with pytest.raises(ValueError, match="finite"):
+            sample_unreflected_states(bad, 1, 1.0, 4, P12, rng)
     for t in (math.inf, math.nan, -1.0, [1.0, math.inf], [-1.0, 1.0]):
         with pytest.raises(ValueError, match="finite and nonnegative"):
             sample_unreflected_states(0.0, 1, t, 4, P12, rng)

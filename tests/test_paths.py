@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -123,6 +124,19 @@ def test_unreflect_sign_conventions():
     assert neg.initial_state == (-1.0, 1)
     with pytest.raises(ValueError, match="match"):
         unreflect_path(folded, 0.5)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="match"):
+            unreflect_path(folded, bad)
+        start_only = PiecewisePath.from_lists([0.0], [abs(bad)], [1], 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            unreflect_path(start_only, bad)
+
+
+def test_unreflect_refuses_origin_knots_that_do_not_leave():
+    for x, v in (([0.0], [-1]), ([1.0, 0.0], [-1, -1])):
+        path = PiecewisePath.from_lists([0.0, 1.0][: len(x)], x, v, 2.0)
+        with pytest.raises(ValueError, match="velocity \\+1"):
+            unreflect_path(path, x[0])
 
 
 def test_unreflect_path_that_never_hits_zero_is_identity():

@@ -66,6 +66,11 @@ def test_input_validation():
         simulate_reflected(1.0, 2, 1.0, P12, rng)
     with pytest.raises(ValueError):
         simulate_unreflected(0.0, 1, -1.0, P12, rng)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            simulate_reflected(bad, 1, 1.0, P12, rng)
+        with pytest.raises(ValueError, match="finite"):
+            simulate_unreflected(bad, -1, 1.0, P12, rng)
 
 
 def test_generated_paths_satisfy_structure():
