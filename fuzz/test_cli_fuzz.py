@@ -1,25 +1,34 @@
-"""CLI fuzz over the start, horizon, transform and integrand options.
+"""CLI fuzz over flags and --config files.
 
 Each case runs one subcommand in a child process with its address space
-capped and a wall-time limit, with one of ``--start``, ``--start2``,
-``--horizon``, ``--lam`` or ``--arg`` set to nan, an infinity, a signed
-zero, 1e308 or an ordinary float.  A case passes when the child exits with
-one of the CLI's codes 0-3 inside the limit and prints no traceback.  The
-example count and the generation are fixed, so every run tries the same
-cases.  Kept out of the tier-1 suite; run from the repository root:
+capped and a wall-time limit.  The flag cases set one of ``--start``,
+``--start2``, ``--horizon``, ``--lam`` or ``--arg`` to nan, an infinity, a
+signed zero, 1e308 or an ordinary float.  The config cases set any option
+of any subcommand, in a --config file, to a JSON string, null, a list, a
+bool, 1e308 or "nan"; ``--n`` is also tried at 1, at 2 and past its cap.
+A case passes when the child exits with one of the CLI's codes 0-3 inside
+the limit and prints no traceback.  The example counts and the generation
+are fixed, so every run tries the same cases.  Kept out of the tier-1
+suite; run from the repository root:
 
     python3 -m pytest -q fuzz/test_cli_fuzz.py
 """
 
+import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+from telegraph_kit import cli  # noqa: E402
+
 LIMIT_MB = 1024
 WALL_S = 60
 
@@ -54,13 +63,47 @@ values = st.one_of(
 )
 
 
-def run_child(argv):
+# small runs of every subcommand, as config values the fuzzed option overrides
+CONFIG_BASE = {
+    "simulate": {"horizon": 20},
+    "excursions": {"n": 200},
+    "invariant": {"n": 500},
+    "hitting": {"n": 200},
+    "couple": {"n": 200, "horizon": 10},
+    "tvcurve": {"n": 1000, "t_grid": "1:3"},
+    "scaling": {"n": 200, "scales": "4,16"},
+    "formulas": {},
+}
+CONFIG_CASES = [
+    (command, key)
+    for command in CONFIG_BASE
+    for key, option in cli._OPTIONS.items()
+    if command in option.defaults
+]
+config_values = st.sampled_from(["x", None, [1, 2], True, False, 1e308, "nan"])
+
+
+def run_child(argv, cwd=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-c", _CAPPED_CLI, str(LIMIT_MB), *argv],
-        capture_output=True, text=True, timeout=WALL_S, env=env,
+        capture_output=True, text=True, timeout=WALL_S, env=env, cwd=cwd,
     )
+
+
+def assert_clean(argv, proc):
+    assert proc.returncode in (0, 1, 2, 3), (argv, proc.returncode, proc.stderr[-2000:])
+    assert "Traceback" not in proc.stderr, (argv, proc.stderr[-2000:])
+
+
+def run_config(command, conf, argv=()):
+    """The subcommand on a config file, in a temporary directory that any --out lands in."""
+    with tempfile.TemporaryDirectory() as workdir:
+        path = Path(workdir) / "run.json"
+        path.write_text(json.dumps(conf))
+        full = [command, "--config", str(path), *argv]
+        assert_clean([*full, conf], run_child(full, cwd=workdir))
 
 
 @settings(
@@ -86,6 +129,26 @@ def test_fuzzed_option_runs_or_exits_cleanly(case, value, velocity, process, int
         argv.append(f"--integrand={integrand}")
     if check:
         argv.append("--check")
-    proc = run_child(argv)
-    assert proc.returncode in (0, 1, 2, 3), (argv, proc.returncode, proc.stderr[-2000:])
-    assert "Traceback" not in proc.stderr, (argv, proc.stderr[-2000:])
+    assert_clean(argv, run_child(argv))
+
+
+@settings(
+    max_examples=200, derandomize=True, deadline=None, database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(case=st.sampled_from(CONFIG_CASES), value=config_values, check=st.booleans())
+def test_fuzzed_config_value_runs_or_exits_cleanly(case, value, check):
+    command, key = case
+    argv = ["--check"] if check and key != "check" else []
+    if key != "out":
+        argv += ["--out", os.devnull]
+    run_config(command, {**CONFIG_BASE[command], key: value}, argv)
+
+
+@pytest.mark.parametrize("command", list(CONFIG_BASE))
+@pytest.mark.parametrize("n", ["1", "2", "past the cap"])
+def test_small_and_capped_sample_counts_run_or_exit_cleanly(command, n):
+    if n == "past the cap":
+        n = str(cli._OPTIONS["n"].caps[command] + 1)
+    conf = {key: value for key, value in CONFIG_BASE[command].items() if key != "n"}
+    run_config(command, conf, ["--n", n, "--out", os.devnull])

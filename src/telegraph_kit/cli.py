@@ -24,6 +24,7 @@ import sys
 import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -42,7 +43,8 @@ _GRID_CAP = 10_000
 # scaling refuses more than this many events per walker (t * scale**2) or
 # Euler steps of its oracle (t / dt); the defaults need 1e4 and 1e3
 _SCALING_CAP = 1_000_000
-# simulate refuses more expected events than this, horizon*(a+b)/2; the default needs 75
+# simulate refuses more expected events than this, horizon*(a+b)/2 (the default needs 75);
+# so do couple per run and tvcurve per walker (the defaults need 1.5 and 30)
 _PATH_CAP = 1_000_000
 # the invariant gate caps exp(theta*x) above x = _GATE_CAP_SCALE / (b - a)
 _GATE_CAP_SCALE = 3.0
@@ -70,116 +72,207 @@ class RunConfig:
     options: dict = field(default_factory=dict)
 
 
-def _parse_state(text: str) -> tuple[float, int]:
-    parts = str(text).split(",")
-    if len(parts) != 2:
-        raise _ConfigError(f"state must look like 'position,velocity', got {text!r}")
+def _number(raw) -> float:
+    """A float from flag text or a JSON number; booleans, null and lists are refused."""
+    if isinstance(raw, (str, int, float)) and not isinstance(raw, bool):
+        try:
+            return float(raw)
+        except (ValueError, OverflowError):
+            pass
+    raise ValueError(f"must be a number, got {raw!r}")
+
+
+def _integer(raw) -> int:
+    """An int from flag text, a JSON integer or an integral JSON float."""
+    if isinstance(raw, float) and raw.is_integer():
+        return int(raw)
+    if isinstance(raw, (str, int)) and not isinstance(raw, bool):
+        try:
+            return int(raw)
+        except ValueError:
+            pass
+    raise ValueError(f"must be an integer, got {raw!r}")
+
+
+def _text(raw) -> str:
+    if not isinstance(raw, str):
+        raise ValueError(f"must be a string, got {raw!r}")
+    return raw
+
+
+def _switch(raw) -> bool:
+    if not isinstance(raw, bool):
+        raise ValueError(f"must be true or false, got {raw!r}")
+    return raw
+
+
+def _threads(raw) -> int:
+    # None reads the environment, then 1; a count below 1 means 1
+    return max(1, _integer((os.environ.get(THREADS_ENV) or 1) if raw is None else raw))
+
+
+def _parse_state(raw) -> tuple[float, int | None]:
+    """A 'position,velocity' pair, or a bare position whose velocity is None."""
     try:
-        return float(parts[0]), int(parts[1])
-    except ValueError as exc:
-        raise _ConfigError(f"bad state {text!r}: {exc}") from exc
+        if isinstance(raw, str) and "," in raw:
+            pos, _, vel = raw.partition(",")
+            return _number(pos), _integer(vel)
+        return _number(raw), None
+    except ValueError:
+        raise ValueError(f"must be 'position,velocity' or a bare position, got {raw!r}") from None
 
 
-def _parse_grid(text: str) -> list[float]:
-    text = str(text)
-    try:
-        if ":" in text:
-            bits = [float(p) for p in text.split(":")]
-            if len(bits) == 2:
-                start, stop, step = bits[0], bits[1], 1.0
-            elif len(bits) == 3:
-                start, stop, step = bits
-            else:
-                raise ValueError("use start:stop[:step]")
-            if step <= 0.0 or stop < start:
-                raise ValueError("need stop >= start and step > 0")
-            # counted before the list is built; the negated test also refuses nan and inf
-            span = (stop - start) / step + 1e-9
-            if not span < _GRID_CAP:
-                raise ValueError(f"a grid holds at most {_GRID_CAP} points")
-            return [start + k * step for k in range(int(span) + 1)]
-        grid = [float(p) for p in text.split(",") if p != ""]
-        if len(grid) > _GRID_CAP:
-            raise ValueError(f"a grid holds at most {_GRID_CAP} points")
-        return grid
-    except ValueError as exc:
-        raise _ConfigError(f"bad grid {text!r}: {exc}") from exc
+def _parse_grid(text) -> list[float]:
+    if ":" in _text(text):
+        bits = [_number(p) for p in text.split(":")]
+        if len(bits) not in (2, 3):
+            raise ValueError("must be start:stop[:step]")
+        start, stop, step = (*bits, 1.0)[:3]
+        if step <= 0.0 or stop < start:
+            raise ValueError("needs stop >= start and step > 0")
+        # counted before the list is built; the negated test also refuses nan and inf
+        span = (stop - start) / step + 1e-9
+        if not span < _GRID_CAP:
+            raise ValueError(f"holds at most {_GRID_CAP} points")
+        return [start + k * step for k in range(int(span) + 1)]
+    grid = [_number(p) for p in text.split(",") if p != ""]
+    if len(grid) > _GRID_CAP:
+        raise ValueError(f"holds at most {_GRID_CAP} points")
+    if not all(map(math.isfinite, grid)):
+        raise ValueError(f"holds a non-finite time: {text!r}")
+    return grid
 
 
-def _parse_floats(text: str) -> list[float]:
-    try:
-        return [float(p) for p in str(text).split(",") if p != ""]
-    except ValueError as exc:
-        raise _ConfigError(f"bad list {text!r}: {exc}") from exc
+def _parse_floats(text) -> list[float]:
+    return [_number(p) for p in _text(text).split(",") if p != ""]
 
 
-_COMMON_DEFAULTS = {
-    "a": 1.0,
-    "b": 2.0,
-    "seed": 0,
-    "out": "-",
-    "check": False,
+@dataclass(frozen=True)
+class _Option:
+    """How one option is read and checked, its help, and its default per subcommand.
+
+    parse reads flag text, a JSON value or the default, or raises ValueError;
+    a value that fails test or passes the subcommand's cap is refused as not
+    ``rule``.  The keys of defaults are the subcommands that take the option.
+    """
+
+    parse: Callable
+    rule: str
+    help: str
+    defaults: dict
+    test: Callable = lambda value: True
+    shown: str = ""  # what a None default stands for; it is computed later
+    caps: dict = field(default_factory=dict)
+
+    def rule_for(self, command: str) -> str:
+        return self.rule.format(cap=f"{self.caps.get(command, 0):,}")
+
+    def convert(self, raw, command: str):
+        value = self.parse(raw)
+        cap = self.caps.get(command)
+        if value is not None and not (self.test(value) and (cap is None or value <= cap)):
+            raise ValueError(f"must be {self.rule_for(command)}, got {raw!r}")
+        return value
+
+    def help_for(self, command: str) -> str:
+        default = self.defaults[command]
+        return f"{self.help}; {self.rule_for(command)}; default {self.shown or default}"
+
+
+_REAL_RULES = {
+    "finite": math.isfinite,
+    "finite and nonnegative": lambda x: math.isfinite(x) and x >= 0.0,
+    "finite and positive": lambda x: math.isfinite(x) and x > 0.0,
 }
 
-_COMMAND_DEFAULTS = {
-    "simulate": {"n": 1, "start": 0.0, "velocity": 1, "horizon": 50.0, "process": "reflected"},
-    "excursions": {"n": 10000},
-    "invariant": {"n": 10000, "integrand": "exponential", "arg": 0.5},
-    "hitting": {"n": 10000, "start": 2.0, "velocity": -1, "lam": -1.0},
-    "couple": {
-        "n": 10000,
-        "start": "1,1",
-        "start2": "0,1",
-        "horizon": 40.0,
-        "process": "reflected",
-    },
-    "tvcurve": {
-        "n": 2000,
-        "start": "1,1",
-        "start2": "0,1",
-        "t_grid": "1:20:1",
-        "bin_width": None,
-        "process": "reflected",
-    },
-    "scaling": {"n": 10000, "scales": "4,16,100", "drift": 1.0, "t": 1.0, "dt": None, "x0": 0.0},
-    "formulas": {"n": 1, "lam": 0.0},
-}
 
-_FLAG_SPECS = {
-    "a": dict(type=float, help="switching rate toward the origin"),
-    "b": dict(type=float, help="switching rate away from the origin"),
-    "seed": dict(type=int, help="root seed; all streams derive from it"),
-    "n": dict(type=int, help="sample count"),
-    "out": dict(type=str, help="output file, '-' for stdout"),
-    "threads": dict(type=int, help=f"worker threads (default ${THREADS_ENV} or 1)"),
-    "start": dict(
-        type=str,
-        help="start state 'position,velocity'; simulate and hitting also take a bare position combined with --velocity",
+def _real(rule: str, help: str, defaults: dict, shown: str = "") -> _Option:
+    """A float option held to one of _REAL_RULES; with shown, null means the computed default."""
+    parse = (lambda raw: None if raw is None else _number(raw)) if shown else _number
+    return _Option(parse, rule, help, defaults, _REAL_RULES[rule], shown)
+
+
+def _choice(choices: tuple, help: str, defaults: dict) -> _Option:
+    return _Option(_text, " or ".join(choices), help, defaults, lambda x: x in choices)
+
+
+# subcommand: (default --n, bytes per item).  A larger --n than _MEMORY_BUDGET
+# over the bytes per item is refused before any work.  Bytes per item are the
+# slope of a run's peak RSS between --n 20,000 and 100,000 at the other
+# defaults, output text included (x86-64 Linux, Python 3.11, numpy 2.4),
+# rounded up.  simulate and formulas draw no batch; their 1 byte only bounds n.
+_SIZES = {
+    "simulate": (1, 1),
+    "excursions": (10000, 350),
+    "invariant": (10000, 2400),
+    "hitting": (10000, 40),
+    "couple": (10000, 450),
+    "tvcurve": (2000, 330),
+    "scaling": (10000, 220),
+    "formulas": (1, 1),
+}
+_MEMORY_BUDGET = 2 << 30
+_EVERY = tuple(_SIZES)
+_PAIR = "'position,velocity' with velocity -1 or 1"
+
+_OPTIONS = {
+    "a": _real("finite and positive", "switching rate toward the origin",
+               dict.fromkeys(_EVERY, 1.0)),
+    "b": _real("finite and positive", "switching rate away from the origin, at least a",
+               dict.fromkeys(_EVERY, 2.0)),
+    "seed": _Option(_integer, "an integer", "root seed; all streams derive from it",
+                    dict.fromkeys(_EVERY, 0)),
+    "n": _Option(
+        _integer, "an integer from 1 to {cap}", "sample count",
+        {command: n for command, (n, _) in _SIZES.items()}, lambda n: n >= 1,
+        caps={command: _MEMORY_BUDGET // size for command, (_, size) in _SIZES.items()},
     ),
-    "start2": dict(type=str, help="second start state 'position,velocity'"),
-    "velocity": dict(type=int, help="initial velocity, -1 or 1"),
-    "horizon": dict(type=float, help=f"time horizon; simulate caps horizon*(a+b)/2 events at {_PATH_CAP:,}"),
-    "process": dict(type=str, help="'reflected' or 'unreflected'"),
-    "integrand": dict(type=str, help="exponential | indicator | moment"),
-    "arg": dict(type=float, help="integrand parameter (rate, threshold or order)"),
-    "lam": dict(type=float, help="transform argument"),
-    "t_grid": dict(
-        type=str, help=f"time grid: comma list or start:stop[:step], at most {_GRID_CAP} points"
+    "out": _Option(_text, "a file name, '-' for stdout", "output file",
+                   dict.fromkeys(_EVERY, "-"), bool),
+    "threads": _Option(_threads, "an integer, below 1 meaning 1", "worker threads",
+                       dict.fromkeys(_EVERY), shown=f"${THREADS_ENV} or 1"),
+    "check": _Option(_switch, "true or false in --config", "verify the subcommand's gate",
+                     dict.fromkeys(_EVERY, False)),
+    "start": _Option(
+        _parse_state, f"{_PAIR}, or for simulate and hitting a bare position", "start state",
+        {"simulate": 0.0, "hitting": 2.0, "couple": "1,1", "tvcurve": "1,1"},
+        lambda state: state[1] in (None, -1, 1),
     ),
-    "bin_width": dict(
-        type=float,
-        help="TV histogram bin width; finite, positive, and refused if it cuts the walkers'"
-        " reach (max|start| + last grid time, both sides for unreflected) into more than"
-        f" {analysis._BIN_CAP:,} bins",
+    "start2": _Option(_parse_state, _PAIR, "second start state",
+                      {"couple": "0,1", "tvcurve": "0,1"}, lambda state: state[1] in (-1, 1)),
+    "velocity": _Option(_integer, "-1 or 1", "velocity of a bare --start",
+                        {"simulate": 1, "hitting": -1}, lambda v: v in (-1, 1)),
+    "horizon": _real(
+        "finite and nonnegative",
+        f"time horizon; simulate caps horizon*(a+b)/2 events at {_PATH_CAP:,}",
+        {"simulate": 50.0, "couple": 40.0},
     ),
-    "scales": dict(type=str, help="comma list of rate scales"),
-    "drift": dict(type=float, help="diffusive drift parameter"),
-    "t": dict(
-        type=float,
-        help=f"diffusive time; t*scale**2 events per walker and t/dt Euler steps are each capped at {_SCALING_CAP:,}",
+    "process": _choice(("reflected", "unreflected"), "process",
+                       dict.fromkeys(("simulate", "couple", "tvcurve"), "reflected")),
+    "integrand": _choice(("exponential", "indicator", "moment"), "invariant-law integrand",
+                         {"invariant": "exponential"}),
+    "arg": _real("finite", "integrand parameter (rate, threshold or order)", {"invariant": 0.5}),
+    "lam": _real("finite", "transform argument", {"hitting": -1.0, "formulas": 0.0}),
+    "t_grid": _Option(_parse_grid, f"a comma list or start:stop[:step] of at most {_GRID_CAP}"
+                      " points", "time grid", {"tvcurve": "1:20:1"}),
+    "bin_width": _real(
+        "finite and positive",
+        "TV histogram bin width, refused if it cuts the walkers' reach (max|start| + last grid"
+        f" time, both sides for unreflected) into more than {analysis._BIN_CAP:,} bins",
+        {"tvcurve": None}, "0.05/(b-a)",
     ),
-    "dt": dict(type=float, help="Euler step of the oracle"),
-    "x0": dict(type=float, help="diffusive start position"),
+    "scales": _Option(_parse_floats, "a comma list of one or more numbers", "rate scales",
+                      {"scaling": "4,16,100"}, bool),
+    "drift": _real("finite and nonnegative", "diffusive drift parameter", {"scaling": 1.0}),
+    "t": _real(
+        "finite and nonnegative",
+        "diffusive time; t*scale**2 events per walker and t/dt Euler steps are each capped at"
+        f" {_SCALING_CAP:,}",
+        {"scaling": 1.0},
+    ),
+    "dt": _real("finite and positive", "Euler step of the oracle", {"scaling": None},
+                "1e-3*min(1, 1/drift**2)"),
+    "x0": _real("finite", "diffusive start position", {"scaling": 0.0}),
 }
 
 
@@ -192,20 +285,14 @@ def _build_parser():
 
     parser = _Parser(prog="telegraph-kit", description=__doc__)
     sub = parser.add_subparsers(dest="command")
-    for command, defaults in _COMMAND_DEFAULTS.items():
+    for command in _EVERY:
         p = sub.add_parser(command)
-        keys = ["a", "b", "seed", "n", "out", "threads"] + [
-            k for k in defaults if k != "n"
-        ]
-        for key in keys:
-            spec = dict(_FLAG_SPECS[key])
-            flag = "--" + key.replace("_", "-")
-            if key == "lam":
-                p.add_argument(flag, "--lambda", dest="lam", default=None, **spec)
-            else:
-                p.add_argument(flag, default=None, **spec)
-        p.add_argument("--check", action="store_const", const=True, default=None)
-        p.add_argument("--config", type=str, default=None)
+        for key, opt in _OPTIONS.items():
+            if command in opt.defaults:
+                flags = ["--" + key.replace("_", "-")] + (["--lambda"] if key == "lam" else [])
+                action = dict(action="store_const", const=True) if key == "check" else {}
+                p.add_argument(*flags, dest=key, help=opt.help_for(command), **action)
+        p.add_argument("--config", help="JSON object of option values; flags win")
     return parser
 
 
@@ -223,42 +310,25 @@ def _resolve(argv) -> RunConfig:
             raise _ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
         if not isinstance(file_conf, dict):
             raise _ConfigError("config file must hold a JSON object")
-
-    def pick(key, fallback):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            return flag
-        if key in file_conf:
-            return file_conf[key]
-        return fallback
-
-    defaults = dict(_COMMON_DEFAULTS)
-    defaults.update(_COMMAND_DEFAULTS[args.command])
-    threads = pick("threads", None)
-    if threads is None:
-        threads = os.environ.get(THREADS_ENV) or 1
-    try:
-        threads = max(1, int(threads))
-        a = float(pick("a", defaults["a"]))
-        b = float(pick("b", defaults["b"]))
-        seed = int(pick("seed", defaults["seed"]))
-        n = int(pick("n", defaults["n"]))
-        check = bool(pick("check", defaults["check"]))
-        out = str(pick("out", defaults["out"]))
-    except (TypeError, ValueError) as exc:
-        raise _ConfigError(str(exc)) from exc
-    if n <= 0:
-        raise _ConfigError("n must be positive")
-    try:
-        params = model.ModelParams(a, b)
-    except ValueError as exc:
-        raise _ConfigError(str(exc)) from exc
-    options = {}
-    for key, fallback in defaults.items():
-        if key in ("a", "b", "seed", "check", "out"):
-            continue
-        options[key] = pick(key, fallback)
-    return RunConfig(args.command, params, seed, n, out, threads, check, options)
+    # every value, from a flag, the config file or the default, goes through its option
+    values = {}
+    for key, opt in _OPTIONS.items():
+        if args.command in opt.defaults:
+            raw = getattr(args, key)
+            if raw is None:
+                raw = file_conf.get(key, opt.defaults[args.command])
+            try:
+                values[key] = opt.convert(raw, args.command)
+            except ValueError as exc:
+                raise _ConfigError(f"--{key.replace('_', '-')} {exc}") from None
+    # a bare start position takes --velocity, where the subcommand has one
+    if "start" in values and values["start"][1] is None:
+        if "velocity" not in values:
+            raise _ConfigError(f"--start must be {_PAIR}, got a bare position")
+        values["start"] = (values["start"][0], values["velocity"])
+    params = model.ModelParams(values.pop("a"), values.pop("b"))  # its ValueError exits 1 too
+    common = [values.pop(key) for key in ("seed", "n", "out", "threads", "check")]
+    return RunConfig(args.command, params, *common, values)
 
 
 def _chunk_ranges(total: int):
@@ -281,39 +351,19 @@ def _binom_se(p: float, n: int) -> float:
     return math.sqrt(max(p * (1.0 - p), 0.0) / n)
 
 
-def _resolved_start(cfg: RunConfig) -> tuple[float, int]:
-    # bare position combined with --velocity, or a full pair which wins
-    raw = cfg.options["start"]
-    if isinstance(raw, str) and "," in raw:
-        pos, vel = _parse_state(raw)
-    else:
-        try:
-            pos = float(raw)
-        except (TypeError, ValueError) as exc:
-            raise _ConfigError(f"bad start position {raw!r}") from exc
-        vel = int(cfg.options["velocity"])
-    return pos, vel
+def _check_cost(formula: str, count: float, unit: str, cap: int) -> None:
+    """Refuse a predicted cost past its cap before any work; the negated test refuses nan."""
+    if not count <= cap:
+        raise _ConfigError(f"{formula} = {count:.3g} {unit} exceed the cap of {cap:,}")
 
 
 def _cmd_simulate(cfg: RunConfig, seed: int):
-    pos0, vel0 = _resolved_start(cfg)
-    horizon = float(cfg.options["horizon"])
-    process = str(cfg.options["process"])
-    if process not in ("reflected", "unreflected"):
-        raise _ConfigError(f"process must be 'reflected' or 'unreflected', got {process!r}")
-    # predicted cost: the stationary velocity is +1 half the time, so a path
-    # flips about (a + b)/2 times per unit time; the simulators refuse nan and inf
+    (pos0, vel0), horizon, process = (cfg.options[k] for k in ("start", "horizon", "process"))
+    # the stationary velocity is +1 half the time, so a path flips (a + b)/2 times per unit time
     events = 0.5 * (cfg.params.a + cfg.params.b) * horizon
-    if math.isfinite(horizon) and events > _PATH_CAP:
-        raise _ConfigError(f"horizon*(a+b)/2 = {events:.3g} events exceed the cap of {_PATH_CAP:,}")
-    rng = simulate.make_stream(seed, 0)
-    try:
-        if process == "reflected":
-            path = simulate.simulate_reflected(pos0, vel0, horizon, cfg.params, rng)
-        else:
-            path = simulate.simulate_unreflected(pos0, vel0, horizon, cfg.params, rng)
-    except ValueError as exc:
-        raise _ConfigError(str(exc)) from exc
+    _check_cost("horizon*(a+b)/2", events, "events", _PATH_CAP)
+    run = simulate.simulate_reflected if process == "reflected" else simulate.simulate_unreflected
+    path = run(pos0, vel0, horizon, cfg.params, simulate.make_stream(seed, 0))
     buf = io.StringIO()
     paths.write_path_csv(path, buf)
     ok = True
@@ -359,10 +409,8 @@ def _invariant_reference(kind: str, arg: float, params: model.ModelParams) -> fl
             raise _ConfigError(f"exponential rate {arg} is outside the invariant domain")
         return ref.value
     if kind == "indicator":
-        if arg < 0.0:
-            return 1.0
-        return math.exp(-gap * arg)
-    if kind == "moment":
+        return 1.0 if arg < 0.0 else math.exp(-gap * arg)
+    if kind == "moment":  # the table admits no other integrand
         k = int(round(arg))
         if k < 0:
             raise _ConfigError("moment order must be a nonnegative integer")
@@ -372,7 +420,6 @@ def _invariant_reference(kind: str, arg: float, params: model.ModelParams) -> fl
         if k > 170 or max(log_power, math.lgamma(k + 1.0) - log_power) >= _LOG_FLOAT_MAX:
             raise _ConfigError(f"moment order {k}: the reference k!/(b-a)^k is not a finite float")
         return math.factorial(k) / gap**k
-    raise _ConfigError(f"unknown integrand {kind!r}")
 
 
 def _capped_exponential(theta: float, params: model.ModelParams):
@@ -392,10 +439,7 @@ def _capped_exponential(theta: float, params: model.ModelParams):
 def _cmd_invariant(cfg: RunConfig, seed: int):
     if cfg.params.b == cfg.params.a:
         raise _ConfigError("the invariant law requires b > a")
-    kind = str(cfg.options["integrand"])
-    arg = float(cfg.options["arg"])
-    if not math.isfinite(arg):
-        raise _ConfigError(f"--arg must be finite, got {arg}")
+    kind, arg = cfg.options["integrand"], cfg.options["arg"]
     reference = _invariant_reference(kind, arg, cfg.params)
     f = _INTEGRANDS[kind](arg)
     breakpoints = (arg,) if kind == "indicator" and arg > 0.0 else ()
@@ -405,10 +449,7 @@ def _cmd_invariant(cfg: RunConfig, seed: int):
         capped, level, gate_reference = _capped_exponential(arg, cfg.params)
         integrands.append((capped, (level,)))
     rng = simulate.make_stream(seed, 0)
-    try:
-        estimates = excursions._regenerative_estimates(integrands, cfg.n, cfg.params, rng)
-    except ValueError as exc:
-        raise _ConfigError(str(exc)) from exc
+    estimates = excursions._regenerative_estimates(integrands, cfg.n, cfg.params, rng)
     est = estimates[0]
     text = "estimate,std_error,n,reference\n" + (
         f"{est.value!r},{est.std_error!r},{est.n},{reference!r}\n"
@@ -421,12 +462,8 @@ def _cmd_invariant(cfg: RunConfig, seed: int):
 
 
 def _cmd_hitting(cfg: RunConfig, seed: int):
-    pos0, vel0 = _resolved_start(cfg)
-    lam = float(cfg.options["lam"])
-    try:
-        reference = model.hitting_mgf(pos0, vel0, lam, cfg.params)
-    except ValueError as exc:
-        raise _ConfigError(str(exc)) from exc
+    (pos0, vel0), lam = cfg.options["start"], cfg.options["lam"]
+    reference = model.hitting_mgf(pos0, vel0, lam, cfg.params)
     if not reference.is_finite:
         raise _ConfigError(f"lam={lam} lies beyond the transform domain")
 
@@ -447,16 +484,17 @@ def _cmd_hitting(cfg: RunConfig, seed: int):
 
 
 def _cmd_couple(cfg: RunConfig, seed: int):
-    start_1 = _parse_state(cfg.options["start"])
-    start_2 = _parse_state(cfg.options["start2"])
-    horizon = float(cfg.options["horizon"])
-    process = str(cfg.options["process"])
-    if process == "reflected":
-        run = coupling.coalescent_couple_reflected
-    elif process == "unreflected":
+    start_1, start_2, horizon, process = (
+        cfg.options[k] for k in ("start", "start2", "horizon", "process")
+    )
+    # the folded gap closes at speed 2 at best, one Exp(a+b) round at a time when b >> a;
+    # min keeps the horizon for a nan gap, and the coupling refuses a non-finite start itself
+    reach = min(horizon, 0.5 * abs(abs(start_1[0]) - abs(start_2[0])))
+    rate = cfg.params.a + cfg.params.b
+    _check_cost("(a+b)*min(gap/2, horizon)", rate * reach, "events per run", _PATH_CAP)
+    run = coupling.coalescent_couple_reflected
+    if process == "unreflected":
         run = coupling.coalescent_couple_unreflected
-    else:
-        raise _ConfigError(f"process must be 'reflected' or 'unreflected', got {process!r}")
 
     def worker(rng, count):
         return [
@@ -464,10 +502,7 @@ def _cmd_couple(cfg: RunConfig, seed: int):
             for _ in range(count)
         ]
 
-    try:
-        results = [r for part in _run_chunks(cfg, seed, worker) for r in part]
-    except ValueError as exc:
-        raise _ConfigError(str(exc)) from exc
+    results = [r for part in _run_chunks(cfg, seed, worker) for r in part]
     buf = io.StringIO()
     coupling.write_coupling_batch_csv(results, buf)
     ok = True
@@ -485,18 +520,13 @@ def _cmd_couple(cfg: RunConfig, seed: int):
 
 
 def _cmd_tvcurve(cfg: RunConfig, seed: int):
-    start_1 = _parse_state(cfg.options["start"])
-    start_2 = _parse_state(cfg.options["start2"])
-    process = str(cfg.options["process"])
-    grid = _parse_grid(cfg.options["t_grid"])
-    rng = simulate.make_stream(seed, 0)
-    try:
-        curve = analysis.tv_curve(
-            start_1, start_2, process, grid, cfg.n, cfg.params, rng,
-            bin_width=cfg.options["bin_width"],
-        )
-    except ValueError as exc:
-        raise _ConfigError(str(exc)) from exc
+    opts = cfg.options
+    walk = 0.5 * (cfg.params.a + cfg.params.b) * max(opts["t_grid"], default=0.0)
+    _check_cost("(last grid time)*(a+b)/2", walk, "events per walker", _PATH_CAP)
+    curve = analysis.tv_curve(
+        opts["start"], opts["start2"], opts["process"], opts["t_grid"], cfg.n, cfg.params,
+        simulate.make_stream(seed, 0), bin_width=opts["bin_width"],
+    )
     buf = io.StringIO()
     analysis.write_tv_curve_csv(curve, buf)
     ok = True
@@ -504,53 +534,29 @@ def _cmd_tvcurve(cfg: RunConfig, seed: int):
         for s, tv, bd, floor in zip(
             curve.coupling_survival, curve.binned_tv, curve.theoretical_bound, curve.noise_floor
         ):
+            s, tv = float(s), float(tv)
+            se_s = _binom_se(s, curve.n_couplings)
             # the histogram reads this high on identical laws, so the
             # sandwich slack must carry the floor on top of the 3-sigma part
-            slack = float(floor) + GATE_Z * (
-                _binom_se(float(s), curve.n_couplings) + _binom_se(float(tv), curve.n_paths)
-            )
-            if float(tv) > float(s) + slack:
+            if tv > s + float(floor) + GATE_Z * (se_s + _binom_se(tv, curve.n_paths)):
                 ok = False
-            if cfg.params.b > cfg.params.a and float(s) > min(1.0, float(bd)) + GATE_Z * _binom_se(
-                float(s), curve.n_couplings
-            ):
+            if cfg.params.b > cfg.params.a and s > min(1.0, float(bd)) + GATE_Z * se_s:
                 ok = False
     return buf.getvalue(), ok
 
 
 def _cmd_scaling(cfg: RunConfig, seed: int):
-    scales = _parse_floats(cfg.options["scales"])
-    if not scales:
-        raise _ConfigError("need at least one scale")
-    drift = float(cfg.options["drift"])
-    t = float(cfg.options["t"])
-    dt = cfg.options["dt"]
-    dt = None if dt is None else float(dt)
-    x0 = float(cfg.options["x0"])
-    for name, value in (("t", t), ("dt", dt), ("drift", drift), ("x0", x0)):
-        if value is not None and not math.isfinite(value):
-            raise _ConfigError(f"--{name} must be finite, got {value}")
-    if dt is not None and dt <= 0.0:
-        raise _ConfigError("--dt must be positive")
+    scales, drift, t, dt, x0 = (cfg.options[k] for k in ("scales", "drift", "t", "dt", "x0"))
     # predicted cost, refused before any work; the negated tests refuse nan
     step = analysis.default_oracle_dt(drift) if dt is None else dt
     steps = t / step if step > 0.0 else math.inf
-    if not steps <= _SCALING_CAP:
-        raise _ConfigError(f"t/dt = {steps:.3g} Euler steps exceed the cap of {_SCALING_CAP:,}")
+    _check_cost("t/dt", steps, "Euler steps", _SCALING_CAP)
     for scale in scales:
-        if not t * scale * scale <= _SCALING_CAP:
-            raise _ConfigError(
-                f"t*scale**2 = {t * scale * scale:.3g} events per walker exceed the cap of {_SCALING_CAP:,}"
-            )
+        _check_cost("t*scale**2", t * scale * scale, "events per walker", _SCALING_CAP)
     rows = []
     for i, scale in enumerate(scales):
         rng = simulate.make_stream(seed, 2 * i)
-        try:
-            stat, pval = analysis.scaling_limit_check(
-                scale, drift, t, cfg.n, rng, dt=dt, x0=x0
-            )
-        except ValueError as exc:
-            raise _ConfigError(str(exc)) from exc
+        stat, pval = analysis.scaling_limit_check(scale, drift, t, cfg.n, rng, dt=dt, x0=x0)
         rows.append((scale, drift, t, stat, pval))
     text = "N,c,t,ks_stat,p_value\n" + "".join(
         f"{s!r},{c!r},{tt!r},{st!r},{pv!r}\n" for s, c, tt, st, pv in rows
@@ -564,9 +570,7 @@ def _cmd_scaling(cfg: RunConfig, seed: int):
 
 
 def _cmd_formulas(cfg: RunConfig, seed: int):
-    lam = float(cfg.options["lam"])
-    if not math.isfinite(lam):
-        raise _ConfigError(f"--lam must be finite, got {lam}")
+    lam = cfg.options["lam"]
     p = cfg.params
     contracting = p.b > p.a
 
@@ -636,20 +640,14 @@ def _write_output(out: str, text: str) -> None:
 def main(argv=None) -> int:
     try:
         cfg = _resolve(argv)
-    except _ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    command = _COMMANDS[cfg.command]
-    try:
+        command = _COMMANDS[cfg.command]
         text, ok = command(cfg, cfg.seed)
         _write_output(cfg.out, text)
-        if not cfg.check:
-            return EXIT_OK
         attempt = 1
-        while not ok and attempt < GATE_ATTEMPTS:
+        while cfg.check and not ok and attempt < GATE_ATTEMPTS:
             _, ok = command(cfg, cfg.seed + attempt * RESEED_STRIDE)
             attempt += 1
-    except _ConfigError as exc:
+    except ValueError as exc:  # an option, or a combination the library refused
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except excursions.RecursionBudgetError as exc:
@@ -658,7 +656,7 @@ def main(argv=None) -> int:
     except Exception:
         traceback.print_exc()
         return EXIT_RUNTIME
-    return EXIT_OK if ok else EXIT_GATE
+    return EXIT_GATE if cfg.check and not ok else EXIT_OK
 
 
 if __name__ == "__main__":

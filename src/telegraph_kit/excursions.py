@@ -225,19 +225,9 @@ def _split_at_breakpoints(x0, v, dt, owner, breakpoints):
     return x0, v, dt, owner
 
 
-def _integrate_segments(f, x0, v, dt, owner, n_exc, quadrature):
+def _integrate_segments(f, x0, v, dt, owner, n_exc):
     """Per-excursion integrals of f along unit-speed segments."""
     totals = np.zeros(n_exc, dtype=np.float64)
-    if quadrature == "adaptive":
-        from scipy.integrate import quad
-
-        for j in range(x0.size):
-            vj = int(v[j])
-            val, _ = quad(lambda s, x=x0[j], w=vj: f(x + w * s, w), 0.0, float(dt[j]))
-            if not math.isfinite(val):
-                raise ValueError("integrand returned a non-finite value")
-            totals[owner[j]] += val
-        return totals
     for sign in (1, -1):
         sel = v == sign
         if not np.any(sel):
@@ -259,22 +249,19 @@ def regenerative_estimate(
     params: ModelParams,
     rng: np.random.Generator,
     breakpoints=(),
-    quadrature: str = "gauss",
 ) -> EstimateWithCI:
     """Invariant-law expectation of f(position, velocity) via excursion averages.
 
     Simulates exact excursion paths, integrates f along each and divides the
     summed integrals by the summed lengths.  The standard error comes from
-    the delta method for the ratio.  With quadrature="gauss" the integrand is
-    evaluated on arrays (positions, velocity sign) per 16-node panel, exact
-    for piecewise-polynomial f provided its kinks are listed in
-    ``breakpoints``; "adaptive" falls back to scipy's quad on every segment
-    and accepts scalar callables.
+    the delta method for the ratio.  The integrand is evaluated on arrays
+    (positions, velocity sign) per 16-node Gauss-Legendre panel, exact for
+    piecewise-polynomial f provided its kinks are listed in ``breakpoints``.
     """
-    return _regenerative_estimates([(f, breakpoints)], n_excursions, params, rng, quadrature)[0]
+    return _regenerative_estimates([(f, breakpoints)], n_excursions, params, rng)[0]
 
 
-def _regenerative_estimates(integrands, n_excursions, params, rng, quadrature="gauss"):
+def _regenerative_estimates(integrands, n_excursions, params, rng):
     """:func:`regenerative_estimate` for each (f, breakpoints) pair, over one excursion batch.
 
     Every integrand is integrated along the same event-simulated segments,
@@ -284,8 +271,6 @@ def _regenerative_estimates(integrands, n_excursions, params, rng, quadrature="g
     n_excursions = int(n_excursions)
     if n_excursions < 2:
         raise ValueError("need at least two excursions for a standard error")
-    if quadrature not in ("gauss", "adaptive"):
-        raise ValueError(f"unknown quadrature {quadrature!r}")
     params.require_contracting("the regenerative estimator")
     seg_x0: list[np.ndarray] = []
     seg_v: list[np.ndarray] = []
@@ -309,7 +294,7 @@ def _regenerative_estimates(integrands, n_excursions, params, rng, quadrature="g
         x0, v, dt, owner = segments
         if breakpoints:
             x0, v, dt, owner = _split_at_breakpoints(x0, v, dt, owner, breakpoints)
-        integrals = _integrate_segments(f, x0, v, dt, owner, n_excursions, quadrature)
+        integrals = _integrate_segments(f, x0, v, dt, owner, n_excursions)
         ratio = integrals.sum() / total_len
         resid = integrals - ratio * lengths
         se = float(np.sqrt(np.sum(resid * resid) / (n_excursions * (n_excursions - 1))) / mean_len)

@@ -116,7 +116,7 @@ def _sqrt_discriminant(lam: float, params: ModelParams) -> float | None:
     disc = (m - two_root) * (m + two_root)
     if disc < 0.0:
         # lam is inside the domain, so any negative value is boundary roundoff
-        if disc < -1e-12 * (a + b) ** 2:
+        if disc < -1e-12 * (a + b) * (a + b):  # a float ** past the float range would raise
             return None
         return 0.0
     return math.sqrt(disc)
@@ -225,9 +225,14 @@ def bound_constants(params: ModelParams) -> BoundConstants:
     params.require_contracting("the convergence bound")
     a, b = params.a, params.b
     root_ab = math.sqrt(a * b)
-    prefactor = (b / a) ** 2.5 * (a + b) / (root_ab + b)
+    # past the float range a float power raises and a * a underflows to 0; both bounds are inf
+    try:
+        prefactor = (b / a) ** 2.5 * (a + b) / (root_ab + b)
+    except OverflowError:
+        prefactor = math.inf
     spatial_rate = max(0.75 * (b - a), b - root_ab)
-    reflected_prefactor = (a + b) * b / (2.0 * a * a)
+    square = 2.0 * a * a
+    reflected_prefactor = (a + b) * b / square if square > 0.0 else math.inf
     return BoundConstants(prefactor, spatial_rate, reflected_prefactor)
 
 

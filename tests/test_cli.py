@@ -1,8 +1,10 @@
 import functools
 import json
 import math
+import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -273,10 +275,9 @@ def test_scaling_refuses_unbounded_work_before_starting():
         assert proc.returncode == EXIT_CONFIG, extra
         assert one_error_line(proc.stderr) and message in proc.stderr, extra
     # the defaults sit a factor 100 or more inside both caps
-    defaults = cli._COMMAND_DEFAULTS["scaling"]
-    t = defaults["t"]
-    assert 100 * t * max(cli._parse_floats(defaults["scales"])) ** 2 <= cli._SCALING_CAP
-    assert 100 * t / analysis.default_oracle_dt(defaults["drift"]) <= cli._SCALING_CAP
+    t, scales, drift = (cli._OPTIONS[key].defaults["scaling"] for key in ("t", "scales", "drift"))
+    assert 100 * t * max(cli._parse_floats(scales)) ** 2 <= cli._SCALING_CAP
+    assert 100 * t / analysis.default_oracle_dt(drift) <= cli._SCALING_CAP
     helped = run_child(["scaling", "--help"])
     assert f"capped at {cap}" in " ".join(helped.stdout.split())
 
@@ -376,9 +377,27 @@ def test_simulate_horizons_are_capped_by_their_expected_events():
         proc = run_child(["simulate", "--horizon", horizon])
         assert proc.returncode == EXIT_CONFIG, horizon
         assert one_error_line(proc.stderr) and f"exceed the cap of {cap}" in proc.stderr
-    assert 100 * 0.5 * 3.0 * cli._COMMAND_DEFAULTS["simulate"]["horizon"] <= cli._PATH_CAP
+    assert 100 * 0.5 * 3.0 * cli._OPTIONS["horizon"].defaults["simulate"] <= cli._PATH_CAP
     helped = run_child(["simulate", "--help"])
     assert f"at {cap}" in " ".join(helped.stdout.split())
+
+
+def test_couplings_and_walkers_are_capped_by_their_expected_events():
+    # at b = 1e8 the folded gap of 1 closes one Exp(a+b) round at a time, 5e7 rounds a run;
+    # uncapped, these do not end within the limit
+    cap = f"{cli._PATH_CAP:,}"
+    cases = [
+        (["couple", "--b", "1e8", "--n", "1", "--horizon", "10"], "events per run"),
+        (["couple", "--b", "1e308", "--n", "1", "--process", "unreflected"], "events per run"),
+        (["tvcurve", "--b", "1e8", "--n", "1000", "--t-grid", "1:3", "--bin-width", "0.1"],
+         "events per walker"),
+    ]
+    for argv, unit in cases:
+        proc = run_child(argv, timeout=30)
+        assert proc.returncode == EXIT_CONFIG, argv
+        assert one_error_line(proc.stderr) and f"{unit} exceed the cap of {cap}" in proc.stderr
+    # a coupling stops at its merge, so a long horizon alone is no cost
+    assert main(["couple", "--n", "100", "--horizon", "1e6", "--out", os.devnull]) == EXIT_OK
 
 
 def test_time_grids_are_capped_before_they_are_built():
@@ -454,3 +473,63 @@ def test_installed_entry_point(tmp_path):
     )
     assert proc.returncode == EXIT_OK
     assert json.loads(out.read_text())["mean_return_time"] == 2.0
+
+
+# one wrong-typed --config value per case: a non-numeric string, null or a list;
+# 'out' takes any string, and null means the computed default where that is None
+_WRONG = {"string": "abc", "null": None, "list": [1]}
+_CONFIG_CASES = [
+    (command, key, kind)
+    for command in cli._COMMANDS
+    for key, opt in cli._OPTIONS.items()
+    if command in opt.defaults
+    for kind in _WRONG
+    if not (key == "out" and kind == "string")
+    and not (kind == "null" and opt.defaults[command] is None)
+]
+
+
+@pytest.mark.parametrize(("command", "key", "kind"), _CONFIG_CASES)
+def test_wrong_typed_config_values_exit_one(command, key, kind, tmp_path, capsys):
+    conf = tmp_path / "run.json"
+    conf.write_text(json.dumps({key: _WRONG[kind]}))
+    out = [] if key == "out" else ["--out", str(tmp_path / "x")]
+    assert main([command, "--config", str(conf), *out]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert one_error_line(err) and f"--{key.replace('_', '-')} " in err, err
+    assert not (tmp_path / "x").exists()
+
+
+def test_config_check_takes_only_json_booleans(tmp_path, capsys):
+    conf = tmp_path / "run.json"
+    conf.write_text(json.dumps({"check": "false", "n": 100}))
+    assert main(["excursions", "--config", str(conf)]) == EXIT_CONFIG
+    assert one_error_line(capsys.readouterr().err)
+    conf.write_text(json.dumps({"check": False, "n": 100}))
+    _, unchecked = run_to_file(tmp_path, "u.csv", ["excursions", "--config", str(conf)])
+    _, plain = run_to_file(tmp_path, "p.csv", ["excursions", "--n", "100"])
+    assert unchecked == plain
+
+
+def test_sample_counts_past_the_memory_cap_exit_one_at_once(capsys):
+    for command in cli._COMMANDS:
+        cap = cli._OPTIONS["n"].caps[command]
+        # the defaults sit a factor 50 or more inside the cap
+        assert 50 * cli._OPTIONS["n"].defaults[command] <= cap, command
+        begun = time.perf_counter()
+        assert main([command, "--n", "1000000000000"]) == EXIT_CONFIG, command
+        assert time.perf_counter() - begun < 1.0, command
+        err = capsys.readouterr().err
+        assert one_error_line(err) and f"from 1 to {cap:,}" in err, command
+
+
+def test_help_states_each_table_default_and_rule(capsys):
+    for command in cli._COMMANDS:
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        helped = " ".join(capsys.readouterr().out.split())
+        for key, opt in cli._OPTIONS.items():
+            if command in opt.defaults:
+                default = opt.defaults[command]
+                shown = opt.shown if default is None else default
+                assert f"{opt.rule_for(command)}; default {shown}" in helped, (command, key)

@@ -347,22 +347,9 @@ def test_regenerative_first_moment():
     assert gate(check)
 
 
-def test_regenerative_adaptive_quadrature_agrees_with_gauss():
-    est_g = regenerative_estimate(
-        lambda pos, v: np.exp(0.5 * pos), 400, P12, make_stream(79, 3)
-    )
-    est_a = regenerative_estimate(
-        lambda pos, v: np.exp(0.5 * pos), 400, P12, make_stream(79, 3), quadrature="adaptive"
-    )
-    assert est_a.value == pytest.approx(est_g.value, rel=1e-9)
-    assert est_a.n == est_g.n
-
-
 def test_regenerative_input_errors():
     with pytest.raises(ValueError):
         regenerative_estimate(lambda pos, v: pos, 1, P12, make_stream(80, 0))
-    with pytest.raises(ValueError):
-        regenerative_estimate(lambda pos, v: pos, 10, P12, make_stream(80, 0), quadrature="mc")
     with pytest.raises(ValueError):
         regenerative_estimate(
             lambda pos, v: np.full_like(pos, np.nan), 10, P12, make_stream(80, 0)

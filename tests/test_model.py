@@ -181,6 +181,14 @@ def test_bound_constants_frozen():
     assert bound_constants(ModelParams(1.0, 16.0)).spatial_rate == 12.0
     # prefactor tends to 1 as the rates merge
     assert bound_constants(ModelParams(1.0, 1.0 + 1e-9)).prefactor == pytest.approx(1.0, abs=1e-6)
+    # (b/a)**2.5 past the float range, or a*a below it, gives an infinite
+    # prefactor rather than an OverflowError or a ZeroDivisionError
+    wide = ModelParams(1.0, 1e308)
+    assert bound_constants(wide).prefactor == math.inf
+    assert tv_bound(1.0, 0.0, 0.0, "unreflected", wide) == math.inf
+    assert bound_constants(ModelParams(1e-300, 1.0)).reflected_prefactor == math.inf
+    # at the critical rate the discriminant is boundary roundoff, checked without a float **
+    assert excursion_mgf(critical_rate(wide), wide).is_finite
 
 
 def test_spatial_rate_below_gap():
