@@ -1,9 +1,9 @@
-"""Timing record of the batch endpoint sampler, ``tv_curve`` and the benchmark workloads.
+"""Timing record of the batch samplers, ``tv_curve`` and the benchmark workloads.
 
 Run from the root of a source checkout:
 
-    python3 bench/run.py --label change --out BENCH_9.json
-    python3 bench/run.py --label change --out BENCH_9.json --baseline ../parent
+    python3 bench/run.py --label change --out BENCH_12.json
+    python3 bench/run.py --label change --out BENCH_12.json --baseline ../parent
 
 The package is imported straight from this checkout's ``src/``.  The record
 holds the machine, the Python and numpy versions and the git commit, then:
@@ -19,6 +19,14 @@ holds the machine, the Python and numpy versions and the git commit, then:
   sampler takes a grid (it has ``simulate._time_grid``), else (``method``
   "chained") as one one-time call per start and grid step, the way
   ``tv_curve`` did before the grid call;
+- µs per run of ``tv_curve``'s coupling half at the size of the
+  ``tvcurve`` benchmark job, for both processes: n = 1000 time-only
+  couplings of the same starts to horizon 20 at a = 1, b = 2, as one call
+  per run of ``coalescent_couple_*`` (``scalar``) and, where the checkout
+  has it, as one call of ``coupling.coalescence_times`` (``batch``);
+- ms per call of ``analysis.sde_oracle`` at the size of the ``scaling``
+  subcommand: n = 1000 endpoints from 0 at drift 1 to time 1, in steps of
+  ``default_oracle_dt(1)``;
 - seconds per call and µs per run of ``analysis.tv_curve`` at the size of
   the ``tvcurve`` benchmark job (n = 1000 runs per leg, same starts, grid
   and rates), for both processes; a run is one coupling and one walker per
@@ -182,6 +190,54 @@ def walker_half_record(pkgs: dict, repeats: int) -> dict:
     return out
 
 
+def coupling_half_record(pkgs: dict, repeats: int) -> dict:
+    horizon = TV_GRID[-1]
+    out = {label: {} for label in pkgs}
+    for process in ("reflected", "unreflected"):
+        calls = {}
+        for label, pkg in pkgs.items():
+
+            def scalar(pkg=pkg, process=process):
+                params, rng = pkg.model.ModelParams(1.0, 2.0), pkg.simulate.make_stream(1, 0)
+                couple = getattr(pkg.coupling, f"coalescent_couple_{process}")
+                for _ in range(TV_RUNS):
+                    couple(*TV_STARTS[0], *TV_STARTS[1], horizon, params, rng, record_paths=False)
+
+            def batch(pkg=pkg, process=process):
+                params, rng = pkg.model.ModelParams(1.0, 2.0), pkg.simulate.make_stream(1, 0)
+                pkg.coupling.coalescence_times(TV_RUNS, *TV_STARTS, horizon, process, params, rng)
+
+            calls[label, "scalar"] = scalar
+            if hasattr(pkg.coupling, "coalescence_times"):
+                calls[label, "batch"] = batch
+        for (label, method), samples in timed(calls, repeats).items():
+            out[label].setdefault(process, {})[method] = {
+                "median_us_per_run": 1e6 * statistics.median(samples) / TV_RUNS,
+                "runs_s": samples,
+            }
+    return {
+        label: {"n": TV_RUNS, "horizon": horizon, "starts": TV_STARTS, "processes": processes}
+        for label, processes in out.items()
+    }
+
+
+def oracle_record(pkgs: dict, repeats: int) -> dict:
+    def call(pkg):
+        dt = pkg.analysis.default_oracle_dt(1.0)
+        return lambda: pkg.analysis.sde_oracle(
+            1.0, 0.0, dt, 1.0, WALKERS, pkg.simulate.make_stream(1, 0)
+        )
+
+    runs = timed({label: call(pkg) for label, pkg in pkgs.items()}, repeats)
+    return {
+        label: {
+            "n": WALKERS, "drift": 1.0, "x0": 0.0, "t": 1.0,
+            "median_ms_per_call": 1e3 * statistics.median(samples), "runs_s": samples,
+        }
+        for label, samples in runs.items()
+    }
+
+
 def tv_curve_record(pkgs: dict, repeats: int) -> dict:
     import numpy as np
 
@@ -255,6 +311,8 @@ def main(argv=None) -> int:
     measured = {
         "sample_unreflected_states": sampler_record(pkgs, args.repeats),
         "tv_curve_walkers": walker_half_record(pkgs, args.repeats),
+        "tv_curve_couplings": coupling_half_record(pkgs, args.repeats),
+        "sde_oracle": oracle_record(pkgs, args.repeats),
         "tv_curve": tv_curve_record(pkgs, args.repeats),
     }
     order = list(roots)

@@ -14,14 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import coalescent_couple_reflected, coalescent_couple_unreflected
+from .coupling import coalescence_times
 from .excursions import EstimateWithCI
 from .model import ModelParams, tv_bound
 from .paths import check_start, write_csv
 from .simulate import sample_reflected_states, sample_unreflected_states
 
-# unused here, but perfbench/tracing.py wraps both names in this module's
+# unused here, but perfbench/tracing.py wraps these names in this module's
 # namespace, so they stay importable from it
+from .coupling import coalescent_couple_reflected, coalescent_couple_unreflected  # noqa: F401
 from .simulate import simulate_reflected, simulate_unreflected  # noqa: F401
 
 __all__ = [
@@ -185,14 +186,16 @@ def tv_curve(
     max|start| + T of the origin (on one side of it for the reflected
     process).
 
-    The couplings draw first.  The walkers of both starts then run as one
-    batch of 2n through the grid call of the batch endpoint sampler, which
-    records every walker as it passes each grid time and carries it on.
-    The grid is taken in chunks of at most ``_GRID_CELLS // (2n)`` times
-    (one time at least), each chunk started from the states at the last
-    time of the one before; by the Markov property that is exact, and the
-    recorded states take O(n) memory.  Each grid time's histograms are
-    built once, for both the estimate and its noise floor.
+    The couplings draw first, as one batch of n time-only runs of
+    :func:`~telegraph_kit.coupling.coalescence_times`.  The walkers of both
+    starts then run as one batch of 2n through the grid call of the batch
+    endpoint sampler, which records every walker as it passes each grid
+    time and carries it on.  The grid is taken in chunks of at most
+    ``_GRID_CELLS // (2n)`` times (one time at least), each chunk started
+    from the states at the last time of the one before; by the Markov
+    property that is exact, and the recorded states take O(n) memory.
+    Each grid time's histograms are built once, for both the estimate and
+    its noise floor.
     """
     if process not in ("reflected", "unreflected"):
         raise ValueError(f"process must be 'reflected' or 'unreflected', got {process!r}")
@@ -220,11 +223,9 @@ def tv_curve(
             f"bin width {bin_width!r} cuts the walkers' reach into about {bins:.3g} bins,"
             f" past the cap of {_BIN_CAP:,}"
         )
-    couple = coalescent_couple_reflected if reflected else coalescent_couple_unreflected
-    times = np.empty(n, dtype=np.float64)
-    for i in range(n):
-        res = couple(pos_a, vel_a, pos_b, vel_b, horizon, params, rng, record_paths=False)
-        times[i] = math.inf if res.coalescence_time is None else res.coalescence_time
+    times, _, _ = coalescence_times(
+        n, (pos_a, vel_a), (pos_b, vel_b), horizon, process, params, rng
+    )
     times.sort()
     survival = (n - np.searchsorted(times, grid, side="right")) / n
 
@@ -261,6 +262,10 @@ def empirical_decay_rate(curve: TvCurve) -> float:
     return float(-slope)
 
 
+# normals one draw of sde_oracle holds at most: a block of steps, a row each
+_NORMAL_BLOCK = 1 << 16
+
+
 def sde_oracle(
     drift: float,
     x0: float,
@@ -269,7 +274,13 @@ def sde_oracle(
     n: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Euler-Maruyama endpoints of dX = dB - drift * sign(X) dt, sign(0) = 0."""
+    """Euler-Maruyama endpoints of dX = dB - drift * sign(X) dt, sign(0) = 0.
+
+    The normals are drawn a block of steps at a time and each step updates
+    the endpoints in place; the draws, the endpoint bits and the generator
+    state after the call are those of one ``standard_normal(n)`` call per
+    step, the last step being the remainder of horizon/dt if there is one.
+    """
     dt = float(dt)
     horizon = float(horizon)
     if dt <= 0.0 or horizon < 0.0:
@@ -278,12 +289,25 @@ def sde_oracle(
     x = np.full(n, float(x0), dtype=np.float64)
     steps = int(horizon / dt)
     rem = horizon - steps * dt
-    root = math.sqrt(dt)
-    for _ in range(steps):
-        x += -drift * np.sign(x) * dt + root * rng.standard_normal(n)
+    work = np.empty(n, dtype=np.float64)
+    per_block = max(1, _NORMAL_BLOCK // max(n, 1))
+    for done in range(0, steps, per_block):
+        _euler_steps(x, drift, dt, min(per_block, steps - done), rng, work)
     if rem > 1e-15 * max(1.0, horizon):
-        x += -drift * np.sign(x) * rem + math.sqrt(rem) * rng.standard_normal(n)
+        _euler_steps(x, drift, rem, 1, rng, work)
     return x
+
+
+def _euler_steps(x, drift, h, steps, rng, work) -> None:
+    """``steps`` Euler steps of length h on x in place, from one block of normals."""
+    z = rng.standard_normal((steps, x.size))
+    z *= math.sqrt(h)
+    pull = -drift * h
+    for noise in z:
+        np.sign(x, out=work)
+        work *= pull
+        work += noise
+        x += work
 
 
 def reflected_bm_oracle(
@@ -337,7 +361,10 @@ def scaling_limit_check(
     time t * scale, matching the diffusive clock; the endpoint is compared
     against the Euler oracle of the sign-drift SDE at time t.  Returns the
     KS statistic and p-value; the statistic shrinks as the scale grows.
+    It needs n >= 2, as the KS p-value of one walker a side is undefined.
     """
+    if int(n) < 2:
+        raise ValueError("need at least two walkers for a KS test")
     scale = float(scale)
     drift = float(drift)
     if scale <= drift:

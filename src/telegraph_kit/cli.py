@@ -464,8 +464,10 @@ def _cmd_invariant(cfg: RunConfig, seed: int):
 def _cmd_hitting(cfg: RunConfig, seed: int):
     (pos0, vel0), lam = cfg.options["start"], cfg.options["lam"]
     reference = model.hitting_mgf(pos0, vel0, lam, cfg.params)
-    if not reference.is_finite:
+    if not model.hitting_exponent(lam, cfg.params).is_finite:
         raise _ConfigError(f"lam={lam} lies beyond the transform domain")
+    if not reference.is_finite:
+        raise _ConfigError(f"the reference at lam={lam} from {pos0} is past the float range")
 
     def worker(rng, count):
         return excursions.sample_hitting(pos0, vel0, cfg.params, rng, size=count)
@@ -607,8 +609,14 @@ def _cmd_formulas(cfg: RunConfig, seed: int):
             if not (psi.is_finite and c.is_finite):
                 ok = False
                 continue
-            res = p.a * psi.value**2 - (p.a + p.b - 2.0 * lam_k) * psi.value + p.b
-            scale = p.a * psi.value**2 + abs(p.a + p.b - 2.0 * lam_k) * psi.value + p.b
+            try:
+                square = psi.value**2
+            except OverflowError:
+                raise _ConfigError(
+                    f"the check needs psi(lam)**2, past the float range at lam={float(lam_k)!r}"
+                ) from None
+            res = p.a * square - (p.a + p.b - 2.0 * lam_k) * psi.value + p.b
+            scale = p.a * square + abs(p.a + p.b - 2.0 * lam_k) * psi.value + p.b
             if abs(res) > 1e-10 * scale:
                 ok = False
             consistency = lam_k + p.a * (psi.value - 1.0)

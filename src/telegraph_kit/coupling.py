@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .excursions import sample_hitting, sample_sigma
+from .excursions import _capped_hitting, sample_hitting, sample_sigma
 from .model import INFINITE, LaplaceValue, ModelParams, excursion_mgf, hitting_exponent
 from .paths import KnotRecorder, PiecewisePath, check_start, fold, write_csv
 from .simulate import ExpSource, walk_reflected
@@ -44,6 +44,7 @@ __all__ = [
     "stick_couple",
     "coalescent_couple_reflected",
     "coalescent_couple_unreflected",
+    "coalescence_times",
     "sample_dominating_time",
     "dominating_time_mgf",
     "write_coupling_batch_csv",
@@ -420,6 +421,166 @@ def coalescent_couple_unreflected(
         # the sticking blocks start at once and no crossing is reported
         res.crossing_time = res.crossing_position = None
     return res
+
+
+def _crossing_times(n, hi, lo, horizon, params, rng, odd):
+    """The crossing stage of n runs from the ordered folded starts hi and lo, as arrays.
+
+    Returns each run's crossing time and position, nan on a horizon abort.
+    The runs alternate in step: a common-velocity phase is one batched
+    hitting draw, the lower leg's origin visit, which flips ``odd``; an
+    opposed round is one Exp(a+b) race against the meeting point, whose
+    flips take a Bernoulli(a/(a+b)) mark naming the leg, as in
+    :func:`_crossing_phase`.
+    """
+    a, b = params.a, params.b
+    (x_hi, v_hi), (x_lo, v_lo) = hi, lo
+    t_c = np.full(n, math.nan)
+    x_c = np.full(n, math.nan)
+    if v_hi != v_lo and x_hi == x_lo:
+        t_c[:], x_c[:] = 0.0, x_hi
+        return t_c, x_c
+    run = np.arange(n)
+    t = np.zeros(n)
+    glued = True
+    if v_hi == v_lo:
+        x, up, gap = np.full(n, x_lo), np.full(n, v_lo == 1), np.full(n, x_hi - x_lo)
+    elif v_hi == 1:
+        # independent phase: the lower leg's flip, the upper leg's flip or
+        # the lower leg's origin hit, whichever comes first, leaves the legs
+        # with a common velocity, down after an upper flip and up otherwise
+        e_lo = rng.standard_exponential(n) / a
+        e_hi = rng.standard_exponential(n) / b
+        t = np.minimum(np.minimum(e_lo, e_hi), x_lo)
+        hit = (x_lo <= e_lo) & (x_lo <= e_hi)
+        odd ^= hit
+        x, up = x_lo - t, hit | (e_lo <= e_hi)
+        gap = np.where(hit, x_hi + x_lo, (x_hi - x_lo) + 2.0 * t)
+    else:
+        h, l = np.full(n, x_hi), np.full(n, x_lo)
+        glued = False
+    while run.size:
+        if glued:
+            t = _capped_hitting(t, x, up, horizon, params, rng)
+            live = t <= horizon
+            run, t, h = run[live], t[live], gap[live]
+            l = np.zeros(run.size)
+            odd[run] ^= True
+        half = 0.5 * (h - l)
+        tau = rng.standard_exponential(run.size) / (a + b)
+        meet = tau >= half
+        t_meet = t + half
+        crossed = meet & (t_meet <= horizon)
+        t_c[run[crossed]] = t_meet[crossed]
+        x_c[run[crossed]] = 0.5 * (h + l)[crossed]
+        t += tau
+        live = ~meet & (t <= horizon)
+        run, t, tau = run[live], t[live], tau[live]
+        x = l[live] + tau
+        gap = (h[live] - tau) - x
+        up = rng.random(run.size) < a / (a + b)
+        glued = True
+    return t_c, x_c
+
+
+def _merge_times(t, x, horizon, params, rng):
+    """Sticking blocks from met heights x at times t, as arrays: merge times and heights.
+
+    Each block draws the down leg's descent Exp(a) and the up leg's climb
+    Exp(b), as in :func:`_stick_phase`; a descent that outlasts the height
+    merges the run at (climb, -1), after the down leg's one origin visit of
+    the stage.  Time is inf, and height nan, for runs that merge past the
+    horizon.
+    """
+    a, b = params.a, params.b
+    t_m = np.full(t.size, math.inf)
+    x_m = np.full(t.size, math.nan)
+    run = np.arange(t.size)
+    while run.size:
+        r = rng.standard_exponential(run.size) / a
+        q = rng.standard_exponential(run.size) / b
+        merging = r >= x
+        t = t + (np.minimum(r, x) + q)
+        done = merging & (t <= horizon)
+        t_m[run[done]] = t[done]
+        x_m[run[done]] = q[done]
+        live = ~merging & (t <= horizon)
+        run, t, x = run[live], t[live], (x + (q - r))[live]
+    return t_m, x_m
+
+
+def _repair_times(t, x, v, horizon, params, rng):
+    """Merge times of whole-line runs merged at (x, v) at times t with unequal signs.
+
+    As in :func:`_sign_repair`, the merged legs walk together to the next
+    origin visit, which flips both signs (none from the origin itself);
+    there one of them flips after an Exp(2b) wait, and the sticking blocks
+    from that height merge them with equal signs.
+    """
+    t = _capped_hitting(t, x, (v == 1) & (x > 0.0), horizon, params, rng)
+    wait = rng.standard_exponential(t.size) / (2.0 * params.b)
+    return _merge_times(t + wait, wait, horizon, params, rng)[0]
+
+
+def coalescence_times(
+    n: int,
+    start_1,
+    start_2,
+    horizon: float,
+    process: str,
+    params: ModelParams,
+    rng: np.random.Generator,
+):
+    """Coalescence time, crossing time and crossing position of n coupled runs.
+
+    The runs have the law of n calls of :func:`coalescent_couple_reflected`
+    or :func:`coalescent_couple_unreflected` with ``record_paths=False``
+    from the (position, velocity) starts, and the result is three arrays of
+    shape (n,).  Coalescence times are inf where the run had not merged by
+    the horizon; crossing times and positions are nan where no crossing is
+    reported, as those calls give None.
+
+    Each phase is one flat draw over the live runs: a common-velocity phase
+    is a batched hitting draw, an opposed round an Exp(a+b) race with a
+    Bernoulli(a/(a+b)) mark, a sticking block a pair of Exp(a) and Exp(b)
+    draws.  A whole-line run keeps only the parity of its two legs' origin
+    visits, which tells whether their signs differ at the merge; those runs
+    take the sign repair of :func:`_sign_repair`, a hitting draw to the
+    next origin visit and an Exp(2b) wait, then sticking blocks again.  The
+    fair coin that names the flipped leg there changes no time, so it is not
+    drawn.  A hitting tree stops growing once its run passes the horizon.
+    """
+    if process not in ("reflected", "unreflected"):
+        raise ValueError(f"process must be 'reflected' or 'unreflected', got {process!r}")
+    n = int(n)
+    if n < 1:
+        raise ValueError("n must be positive")
+    reflected = process == "reflected"
+    y1, w1 = check_start(*start_1, reflected=reflected)
+    y2, w2 = check_start(*start_2, reflected=reflected)
+    hz = _check_horizon(horizon)
+    x1, v1, s1 = fold(y1, w1)
+    x2, v2, s2 = fold(y2, w2)
+    # odd where the legs' signs differ, which only the whole line reads
+    odd = np.full(n, s1 != s2)
+    if (x1, v1) == (x2, v2):
+        t_c, x_c = np.full(n, math.nan), np.full(n, math.nan)
+        t_m, x_m, v_m = np.zeros(n), np.full(n, x1), v1
+    else:
+        hi, lo = max((x1, v1), (x2, v2)), min((x1, v1), (x2, v2))
+        t_c, x_c = _crossing_times(n, hi, lo, hz, params, rng, odd)
+        met = ~np.isnan(t_c)
+        t_m = np.full(n, math.inf)
+        x_m = np.full(n, math.nan)
+        t_m[met], x_m[met] = _merge_times(t_c[met], x_c[met], hz, params, rng)
+        odd ^= t_m <= hz  # the down leg's origin visit in the merging block
+        v_m = -1
+        if not reflected and y2 == -y1 and w2 == w1 and y1 != 0.0:
+            t_c[:] = x_c[:] = math.nan  # mirror starts report no crossing
+    repair = (odd & (t_m <= hz)).nonzero()[0]
+    if not reflected and repair.size:
+        t_m[repair] = _repair_times(t_m[repair], x_m[repair], v_m, hz, params, rng)
+    return t_m, t_c, x_c
 
 
 @dataclass(frozen=True)

@@ -167,6 +167,47 @@ def sample_hitting(x, v: int, params: ModelParams, rng: np.random.Generator, siz
     return _summed_lengths(x, params.a * x, int(v == 1), size, params, rng)
 
 
+def _capped_hitting(t, x, up, horizon, params: ModelParams, rng: np.random.Generator):
+    """Origin hitting times t + T of runs at heights x, inf for those past the horizon.
+
+    T is the hitting time of :func:`sample_hitting` from (x, +1) where ``up``
+    holds and (x, -1) elsewhere: x plus one excursion length per
+    Poisson(a*x) root, and one more root while ascending.  The trees of all
+    runs grow a generation at a time, with only their Exp(b) climbs drawn,
+    as lengths need no heights.  A run whose partial sum passes the horizon
+    will end past it, so it reads inf and grows no more nodes, and a run
+    whose descent alone passes it draws no roots; so a run grows at most
+    about b*horizon/2 nodes past its a*horizon roots, even at a == b.  The
+    node budget counts every node of the call.
+    """
+    a, b = params.a, params.b
+    total = t + x
+    near = (total <= horizon).nonzero()[0]
+    mean_roots = a * x[near]
+    if np.any(mean_roots > NODE_BUDGET):
+        raise RecursionBudgetError(
+            f"excursion trees would exceed {NODE_BUDGET} nodes in one call: "
+            f"one draw alone takes about {float(np.max(mean_roots)):.3g} trees"
+        )
+    kids = np.zeros(x.size, dtype=np.int64)
+    kids[near] = rng.poisson(mean_roots) + up[near]
+    owner = np.arange(x.size)
+    nodes = 0
+    while True:
+        nodes += int(kids.sum())
+        if nodes > NODE_BUDGET:
+            raise RecursionBudgetError(f"excursion trees exceeded {NODE_BUDGET} nodes in one call")
+        owner = np.repeat(owner, kids)
+        if not owner.size:
+            break
+        e = rng.standard_exponential(owner.size) / b
+        total += np.bincount(owner, 2.0 * e, x.size)
+        keep = total[owner] <= horizon
+        owner, kids = owner[keep], rng.poisson(a * e[keep])
+    total[total > horizon] = math.inf
+    return total
+
+
 def sample_sigma(u, params: ModelParams, rng: np.random.Generator, size=None):
     """Additive origin-visit functional: Poisson(a*u/2) excursion lengths summed.
 

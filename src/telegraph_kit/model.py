@@ -161,6 +161,7 @@ def hitting_mgf(x: float, v: int, lam: float, params: ModelParams) -> LaplaceVal
 
     From (x, -1) this is exp(x * c(lam)); from (x, +1) the particle must
     first complete the excursion in progress, giving psi(lam) * exp(x * c(lam)).
+    A value past the float range is :data:`INFINITE`, as beyond the domain.
     """
     if v not in (-1, 1):
         raise ValueError(f"velocity must be -1 or +1, got {v}")
@@ -170,7 +171,10 @@ def hitting_mgf(x: float, v: int, lam: float, params: ModelParams) -> LaplaceVal
     c = hitting_exponent(lam, params)
     if not c.is_finite:
         return INFINITE
-    base = math.exp(x * c.value)
+    try:
+        base = math.exp(x * c.value)
+    except OverflowError:
+        return INFINITE
     if v == -1:
         return LaplaceValue(base)
     psi = excursion_mgf(lam, params)

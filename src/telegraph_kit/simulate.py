@@ -227,18 +227,21 @@ def _folded_walk(y0, w0, grid, a, b, rng):
     """Whole-line states of n walkers at every time of a sorted grid: (G, n) arrays.
 
     The folded round of :func:`sample_unreflected_states`.  A walker is held
-    as its height x = |y|, its fold sign (``neg``: y < 0) and one signed rate
-    per round parity, +a on a leg toward the origin and -b on a leg away
-    from it, so d = e/rate is negative exactly on away legs.  The leg's
-    event is |min(x, d)|: a toward leg that reaches the origin (x <= d)
-    crosses it, lands on x - x = 0.0 and flips the fold sign, and
-    x - min(x, d) is both the toward move x - d and the away move x + |d|.
-    ``rem`` is the time left to the walker's next grid time, decremented by
-    each event.  An event longer than ``rem`` records y + w*rem at the flat
-    output position ``slot`` of that grid time, and the walker carries on
-    towards the next grid time or, past the last, leaves the compacted live
-    arrays.  At the origin x keeps the sign of the whole-line zero, which a
-    zero output can show.
+    as its height x = |y| and its fold sign (``neg``: y < 0).  While every
+    live walker is on a leg of the same direction, which holds from starts
+    that share one and changes only at a zero draw, a round does that
+    direction's work alone: an away leg lasts d = e/b and adds d to x; a
+    toward leg lasts min(x, e/a), and one that reaches the origin (x <= e/a)
+    lands on x - x = 0.0 and flips the fold sign.  Otherwise each walker
+    holds a signed rate per round parity, +a toward and -b away, so d = e/rate
+    is negative exactly on away legs and the event is |min(x, d)|.
+
+    ``rem`` is the time left to the walker's next grid time, less each
+    event; a walker whose new remainder is negative has an event longer
+    than the old one, and records y + w*rem at the flat output position
+    ``slot`` of that grid time.  It carries on towards the next grid time
+    or, past the last, leaves the compacted live arrays.  At the origin x
+    keeps the sign of the whole-line zero, which a zero output can show.
     """
     n, n_times = y0.size, grid.size
     total = n * n_times
@@ -249,32 +252,48 @@ def _folded_walk(y0, w0, grid, a, b, rng):
     x = np.where(at_origin, y0, np.abs(y0))
     neg = np.where(at_origin, w0 < 0, y0 < 0.0)
     toward = y0 * w0 < 0.0
-    rates = [np.where(toward, a, -b), np.where(toward, -b, a)]
+    heading = bool(toward[0])  # this round's legs head for the origin, while all agree
+    rates = None  # the signed rates per round parity, once the walkers' directions differ
+    if toward.any() != toward.all():
+        rates = [np.where(toward, a, -b), np.where(toward, -b, a)]
     rem = np.full(n, grid[0], dtype=np.float64)
     slot = np.arange(n)
     no_walkers = slot[:0]
     parity = 0
     while x.size:
-        rate = rates[parity]
         e = rng.standard_exponential(x.size)
-        d = e / rate
-        crossing = x <= d
-        step = np.minimum(x, d)
-        event = np.abs(step)
-        passing = event > rem
+        if rates is not None:
+            rate = rates[parity]
+            d = e / rate
+            crossing = x <= d
+            step = np.minimum(x, d)
+            event = np.abs(step)
+        elif heading:
+            d = e / a
+            event = np.minimum(x, d)
+        else:
+            event = e / b
         stuck = no_walkers
-        if e[e.argmin()] == 0.0:
+        if (rates is not None or not heading) and e[e.argmin()] == 0.0:
             # the one break in the alternation: a zero draw on an away leg at
             # the origin leaves the walker there, its velocity flipped, with
             # another away leg to come (the rate sign makes it a "crossing")
-            stuck = (crossing & (rate < 0.0)).nonzero()[0]
+            if rates is None:
+                stuck = ((e == 0.0) & (x == 0.0)).nonzero()[0]
+            else:
+                stuck = (crossing & (rate < 0.0)).nonzero()[0]
             origin = x[stuck] + np.where(neg[stuck], -0.0, 0.0)
-        some = passing.any()
+        left = rem - event
+        some = left[left.argmin()] < 0.0
         if some:
+            passing = left < 0.0
             hit = passing.nonzero()[0]
             x_h, rem_h, at = x[hit], rem[hit], slot[hit]
             sign = np.where(neg[hit], -1.0, 1.0)
-            w_h = np.where(rate[hit] < 0.0, sign, -sign)
+            if rates is None:
+                w_h = -sign if heading else sign
+            else:
+                w_h = np.where(rate[hit] < 0.0, sign, -sign)
             y_h = np.where(x_h == 0.0, x_h, sign * x_h)
             y_out[at] = y_h + w_h * rem_h
             w_out[at] = w_h
@@ -295,18 +314,32 @@ def _folded_walk(y0, w0, grid, a, b, rng):
                     at[more] += n
                     more = more[at[more] < total]
                 slot[hit] = at
-                rem[hit] = rem_h
+                left[hit] = rem_h - ev_h
                 live = slot < total
-        x -= step
-        neg ^= crossing
-        rem -= event
+        rem = left
+        if rates is not None:
+            x -= step
+            neg ^= crossing
+        elif heading:
+            neg ^= x <= d
+            x -= event
+        else:
+            x += event
         if stuck.size:
             x[stuck] = origin
+            if rates is None:
+                # this round was an away one for every walker; from here on
+                # the stuck walkers are a round out of step with the others
+                neg[stuck] ^= True
+                away, next_leg = np.full(x.size, -b), np.full(x.size, a)
+                rates = [away, next_leg] if parity == 0 else [next_leg, away]
             rates[0][stuck], rates[1][stuck] = rates[1][stuck], rates[0][stuck]
         if some and not live.all():
             x, neg, rem, slot = x[live], neg[live], rem[live], slot[live]
-            rates = [rates[0][live], rates[1][live]]
+            if rates is not None:
+                rates = [rates[0][live], rates[1][live]]
         parity ^= 1
+        heading = not heading
     return y_out.reshape(n_times, n), w_out.reshape(n_times, n)
 
 

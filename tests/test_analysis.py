@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from conftest import gate
@@ -252,6 +254,48 @@ def test_sde_oracle_zero_drift_is_exact():
         sde_oracle(1.0, 0.0, 0.0, 1.0, 10, make_stream(108, 9))
     with pytest.raises(ValueError):
         sde_oracle(1.0, 0.0, 0.01, -1.0, 10, make_stream(108, 9))
+
+
+def reference_sde_oracle(drift, x0, dt, horizon, n, rng):
+    """The Euler loop before its normals came in blocks: one draw and new arrays a step.
+
+    Kept verbatim, but for its name and this docstring, to pin the draws,
+    the endpoint bits and the generator state of :func:`sde_oracle`.
+    """
+    dt = float(dt)
+    horizon = float(horizon)
+    if dt <= 0.0 or horizon < 0.0:
+        raise ValueError("need dt > 0 and horizon >= 0")
+    n = int(n)
+    x = np.full(n, float(x0), dtype=np.float64)
+    steps = int(horizon / dt)
+    rem = horizon - steps * dt
+    root = math.sqrt(dt)
+    for _ in range(steps):
+        x += -drift * np.sign(x) * dt + root * rng.standard_normal(n)
+    if rem > 1e-15 * max(1.0, horizon):
+        x += -drift * np.sign(x) * rem + math.sqrt(rem) * rng.standard_normal(n)
+    return x
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    st.floats(-3.0, 5.0) | st.just(0.0),
+    st.floats(-2.0, 2.0) | st.just(0.0),
+    st.floats(1e-3, 0.5),
+    st.floats(0.0, 3.0),
+    st.integers(1, 300),
+    st.integers(0, 2**32 - 1),
+)
+@example(1.0, 0.0, 1e-3, 1.0, 1000, 1)  # scaling's size, several blocks of normals
+@example(1.0, 0.0, 0.3, 1.0, 5, 2)  # three steps and a remainder
+@example(0.0, 0.0, 0.25, 1.0, 5, 3)  # no drift: sign(0) times a zero pull
+def test_sde_oracle_keeps_every_draw_of_the_old_loop(drift, x0, dt, horizon, n, seed):
+    rng, twin = make_stream(seed, 0), make_stream(seed, 0)
+    x = sde_oracle(drift, x0, dt, horizon, n, rng)
+    x_ref = reference_sde_oracle(drift, x0, dt, horizon, n, twin)
+    assert x.tobytes() == x_ref.tobytes()
+    assert rng.random() == twin.random()
 
 
 def test_sde_oracle_short_time_drift():

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from telegraph_kit import analysis, cli
+from telegraph_kit import analysis, cli, model
 from telegraph_kit.cli import EXIT_CONFIG, EXIT_GATE, EXIT_OK, EXIT_RUNTIME, main
 from telegraph_kit.model import ModelParams
 
@@ -349,6 +349,33 @@ def test_non_finite_inputs_and_unrepresentable_references_exit_one():
         proc = run_child(argv, timeout=30)
         assert proc.returncode == EXIT_CONFIG, argv
         assert one_error_line(proc.stderr) and message in proc.stderr, argv
+
+
+def test_references_past_the_float_range_exit_one(capsys):
+    # both closed forms are inside their domain here, but exp(x*c(lam)) and
+    # psi(lam)**2 are past the largest float
+    assert model.hitting_mgf(1e5, -1, 0.08, ModelParams(1.0, 2.0)) is model.INFINITE
+    cases = [
+        ["hitting", "--start", "100000,-1", "--lam", "0.08", "--n", "10"],
+        ["hitting", "--start", "1e300,-1", "--lam", "0.08", "--n", "10"],
+        ["formulas", "--a", "1e-300", "--check"],
+    ]
+    for argv in cases:
+        assert main(argv) == EXIT_CONFIG, argv
+        captured = capsys.readouterr()
+        assert one_error_line(captured.err) and "past the float range" in captured.err, argv
+        assert captured.out == "", argv
+
+
+def test_scaling_needs_two_walkers(capsys):
+    # one walker a side leaves the KS p-value undefined (it read nan)
+    assert main(["scaling", "--n", "1"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert one_error_line(captured.err) and "two walkers" in captured.err
+    assert captured.out == ""
+    assert main(["scaling", "--n", "2", "--scales", "4"]) == EXIT_OK
+    p_value = float(capsys.readouterr().out.splitlines()[1].split(",")[4])
+    assert 0.0 <= p_value <= 1.0
 
 
 def test_moment_orders_up_to_a_float_reference_run(tmp_path):

@@ -9,9 +9,13 @@ checked for their structure; the batched hitting times against the event
 walk; and, for excursion lengths, hitting times and the origin-visit
 functional, a batch of one against a batch of 1,024.  The batch endpoint
 sampler is pinned bit for bit to its earlier uncompacted loop, also on a
-generator stub that hands out zero draws, its array starts to its scalar
+generator stub that hands out zero draws, its grid calls to the loop
+before each round did only its leg's work, its array starts to its scalar
 ones, and two chained calls and its grid call to one call in law.  The
-laws are compared with a two-sample test under the usual reseeded gate.
+array couplings follow the scalar time-only route in law, a check that
+rejects a sign repair without its Exp(2b) wait, and end at a == b within a
+small node budget.  The laws are compared with a two-sample test under the
+usual reseeded gate.
 """
 
 import math
@@ -23,8 +27,15 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from conftest import gate
-from telegraph_kit.coupling import coalescent_couple_reflected, coalescent_couple_unreflected
+from telegraph_kit import coupling, excursions
+from telegraph_kit.coupling import (
+    coalescence_times,
+    coalescent_couple_reflected,
+    coalescent_couple_unreflected,
+)
 from telegraph_kit.excursions import (
+    RecursionBudgetError,
+    _capped_hitting,
     first_return_time,
     sample_excursion_recursive,
     sample_excursions,
@@ -36,6 +47,7 @@ from telegraph_kit.model import ModelParams
 from telegraph_kit.paths import reflect_path, unreflect_path
 from telegraph_kit.simulate import (
     ExpSource,
+    _start_arrays,
     KnotRecorder,
     fold,
     make_stream,
@@ -281,6 +293,135 @@ def test_zero_draws_at_the_origin_keep_the_old_loop_bits(y0, w0, t, q):
     assert y.tobytes() == y_ref.tobytes()
     assert np.array_equal(w, w_ref)
     assert stub.random() == twin.random()
+
+
+def reference_folded_walk(y0, w0, grid, a, b, rng):
+    """The folded round of the grid sampler before each round did only its leg's work.
+
+    Every round treats each walker by its signed rate, whatever the legs'
+    directions; kept verbatim but for this docstring, to pin the draws, the
+    output bits and the generator state of the rewritten loop on grids.
+    """
+    n, n_times = y0.size, grid.size
+    total = n * n_times
+    gaps = np.diff(grid)
+    y_out = np.empty(total, dtype=np.float64)
+    w_out = np.empty(total, dtype=np.int64)
+    at_origin = y0 == 0.0
+    x = np.where(at_origin, y0, np.abs(y0))
+    neg = np.where(at_origin, w0 < 0, y0 < 0.0)
+    toward = y0 * w0 < 0.0
+    rates = [np.where(toward, a, -b), np.where(toward, -b, a)]
+    rem = np.full(n, grid[0], dtype=np.float64)
+    slot = np.arange(n)
+    no_walkers = slot[:0]
+    parity = 0
+    while x.size:
+        rate = rates[parity]
+        e = rng.standard_exponential(x.size)
+        d = e / rate
+        crossing = x <= d
+        step = np.minimum(x, d)
+        event = np.abs(step)
+        passing = event > rem
+        stuck = no_walkers
+        if e[e.argmin()] == 0.0:
+            # the one break in the alternation: a zero draw on an away leg at
+            # the origin leaves the walker there, its velocity flipped, with
+            # another away leg to come (the rate sign makes it a "crossing")
+            stuck = (crossing & (rate < 0.0)).nonzero()[0]
+            origin = x[stuck] + np.where(neg[stuck], -0.0, 0.0)
+        some = passing.any()
+        if some:
+            hit = passing.nonzero()[0]
+            x_h, rem_h, at = x[hit], rem[hit], slot[hit]
+            sign = np.where(neg[hit], -1.0, 1.0)
+            w_h = np.where(rate[hit] < 0.0, sign, -sign)
+            y_h = np.where(x_h == 0.0, x_h, sign * x_h)
+            y_out[at] = y_h + w_h * rem_h
+            w_out[at] = w_h
+            if n_times == 1:
+                # the grid path below gives the same, but in one-time calls
+                # it made the sampler 4-9% slower at scales 4 and 16
+                live = ~passing
+            else:
+                # an event longer than a grid gap passes several grid times
+                at += n
+                ev_h = event[hit]
+                more = (at < total).nonzero()[0]
+                while more.size:
+                    rem_h[more] += gaps[at[more] // n - 1]
+                    more = more[ev_h[more] > rem_h[more]]
+                    y_out[at[more]] = y_h[more] + w_h[more] * rem_h[more]
+                    w_out[at[more]] = w_h[more]
+                    at[more] += n
+                    more = more[at[more] < total]
+                slot[hit] = at
+                rem[hit] = rem_h
+                live = slot < total
+        x -= step
+        neg ^= crossing
+        rem -= event
+        if stuck.size:
+            x[stuck] = origin
+            rates[0][stuck], rates[1][stuck] = rates[1][stuck], rates[0][stuck]
+        if some and not live.all():
+            x, neg, rem, slot = x[live], neg[live], rem[live], slot[live]
+            rates = [rates[0][live], rates[1][live]]
+        parity ^= 1
+    return y_out.reshape(n_times, n), w_out.reshape(n_times, n)
+
+
+def folded_walks_agree(y0, w0, grid, n, params, make_rng):
+    """The sampler's grid call against the old loop on twin generators, bit for bit."""
+    rng, twin = make_rng(), make_rng()
+    y, w = sample_unreflected_states(y0, w0, grid, n, params, rng)
+    y0_arr, w0_arr = _start_arrays(y0, w0, n, twin)
+    y_ref, w_ref = reference_folded_walk(y0_arr, w0_arr, np.array(grid), params.a, params.b, twin)
+    return (
+        y.tobytes() == y_ref.tobytes()
+        and w.tobytes() == w_ref.tobytes()
+        and rng.random() == twin.random()
+    )
+
+
+grid_starts = st.one_of(
+    starts,
+    st.lists(starts, min_size=8, max_size=8).map(lambda ys: np.resize(ys, 64)),
+)
+grid_velocities = st.one_of(
+    start_velocities,
+    st.lists(velocities, min_size=8, max_size=8).map(lambda ws: np.resize(ws, 64)),
+)
+
+
+@SETTINGS
+@given(
+    rates,
+    grid_starts,
+    grid_velocities,
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+    st.floats(0.0, 20.0),
+    seeds,
+)
+@example(P12, 0.0, None, [0.5, 0.5, 0.51, 0.52], 8.0, 1)
+@example(ModelParams(99.0, 101.0), np.resize([0.0, -1.0, 2.0], 64), None, [0.1, 0.2, 0.3], 99.0, 2)
+def test_grid_calls_keep_every_draw_of_the_old_loop(params, y0, w0, fracs, s, seed):
+    # grid times are fractions of t = s/a and often share an event; array
+    # starts mix legs toward and away from the origin in one round
+    t = s / params.a
+    grid = sorted(f * t for f in fracs) + [t]
+    assert folded_walks_agree(y0, w0, grid, 64, params, lambda: make_stream(seed, 0))
+
+
+@pytest.mark.parametrize("y0", [0.0, 1.0, -0.5])
+@pytest.mark.parametrize("w0", [-1, 1, None])
+@pytest.mark.parametrize("q", [0.1, 0.6])
+def test_zero_draws_on_grids_keep_the_old_loop_bits(y0, w0, q):
+    # a zero draw at the origin puts walkers a round out of step with the rest
+    seed = 2000 + int(100 * q)
+    grid = [0.0, 0.5, 0.5, 1.0, 3.0]
+    assert folded_walks_agree(y0, w0, grid, 200, P12, lambda: ZeroDraws(seed, q))
 
 
 @SETTINGS
@@ -546,3 +687,108 @@ def test_whole_line_coupling_runs_over_the_folded_one(params, y0, w0, y1, w1, ho
         assert whole.coalescence_time is None
     else:
         assert whole.coalescence_time is None or whole.coalescence_time >= half.coalescence_time
+
+
+def scalar_coupling_times(process, start_1, start_2, horizon, n, params, rng):
+    """n time-only runs of the scalar route, as :func:`coalescence_times` reports them."""
+    run = coalescent_couple_reflected if process == "reflected" else coalescent_couple_unreflected
+    results = [run(*start_1, *start_2, horizon, params, rng, record_paths=False) for _ in range(n)]
+
+    def column(name, missing):
+        values = (getattr(res, name) for res in results)
+        return np.array([missing if value is None else value for value in values])
+
+    return (
+        column("coalescence_time", math.inf),
+        column("crossing_time", math.nan),
+        column("crossing_position", math.nan),
+    )
+
+
+def kernel_law_holds(process, params, start_1, start_2, horizon, seed, n=1000):
+    """Gated two-sample KS of the kernel's three columns against the scalar route's.
+
+    Whole-line starts are folded for the reflected process.  A run that
+    never merges counts as 2*horizon and a missing crossing as -1; each
+    column is tested at level 0.01 / 3.
+    """
+    if process == "reflected":
+        start_1, start_2 = fold(*start_1)[:2], fold(*start_2)[:2]
+
+    def keys(merge, cross_t, cross_x):
+        merge = np.where(np.isinf(merge), 2.0 * horizon, merge)
+        return merge, np.nan_to_num(cross_t, nan=-1.0), np.nan_to_num(cross_x, nan=-1.0)
+
+    def check(k):
+        batch = coalescence_times(
+            n, start_1, start_2, horizon, process, params, make_stream(seed, 2 * k)
+        )
+        scalar = scalar_coupling_times(
+            process, start_1, start_2, horizon, n, params, make_stream(seed, 2 * k + 1)
+        )
+        return all(
+            stats.ks_2samp(u, v, method="asymp").pvalue > 0.01 / 3
+            for u, v in zip(keys(*batch), keys(*scalar))
+        )
+
+    return gate(check)
+
+
+# a generic pair, identical folded starts with equal and with unequal signs,
+# a head-on pair and the mirror pair; folded, the last two meet head-on
+KERNEL_PAIRS = {
+    "generic": ((1.5, 1), (0.25, -1)),
+    "same folded, same sign": ((1.0, -1), (1.0, -1)),
+    "same folded, signs differ": ((1.0, 1), (-1.0, -1)),
+    "head-on": ((1.0, 1), (1.0, -1)),
+    "mirror": ((1.0, 1), (-1.0, 1)),
+}
+
+
+@pytest.mark.parametrize("pair", list(KERNEL_PAIRS))
+@settings(max_examples=10, deadline=None, database=None)
+@given(processes, rates, seeds)
+def test_coalescence_times_follow_the_scalar_route(pair, process, params, seed):
+    # starts and horizon in units of 1/a: a few flips toward the origin
+    (y1, w1), (y2, w2) = KERNEL_PAIRS[pair]
+    a = params.a
+    assert kernel_law_holds(process, params, (y1 / a, w1), (y2 / a, w2), 4.0 / a, seed, n=500)
+
+
+def no_wait_repair(t, x, v, horizon, params, rng):
+    """The mutant sign repair: the legs stick again at once, with no Exp(2b) wait."""
+    t = _capped_hitting(t, x, (v == 1) & (x > 0.0), horizon, params, rng)
+    return coupling._merge_times(t, np.zeros(t.size), horizon, params, rng)[0]
+
+
+@pytest.mark.parametrize("pair", ["same folded, signs differ", "head-on"])
+def test_kernel_law_check_rejects_a_sign_repair_without_its_wait(pair, monkeypatch):
+    starts = KERNEL_PAIRS[pair]
+    assert kernel_law_holds("unreflected", P12, *starts, 4.0, 11)
+    monkeypatch.setattr(coupling, "_repair_times", no_wait_repair)
+    assert not kernel_law_holds("unreflected", P12, *starts, 4.0, 11)
+
+
+@pytest.mark.parametrize("process", ["reflected", "unreflected"])
+def test_critical_coalescence_times_end_within_a_small_node_budget(process, monkeypatch):
+    # at a == b the hitting trees are critical; a run's tree stops growing
+    # once it passes the horizon, so no call comes near the budget
+    monkeypatch.setattr(excursions, "NODE_BUDGET", 4096)
+    params = ModelParams(1.0, 1.0)
+    merge, _, _ = coalescence_times(
+        300, (2.0, 1), (0.5, 1), 20.0, process, params, make_stream(13, 0)
+    )
+    assert merge.shape == (300,) and 0 < np.isfinite(merge).sum() < 300
+    # unpruned, one batch of as many critical trees passes the budget
+    with pytest.raises(RecursionBudgetError, match="4096 nodes"):
+        sample_hitting(0.5, 1, params, make_stream(13, 1), size=300)
+
+
+@pytest.mark.parametrize("process", ["reflected", "unreflected"])
+def test_descents_past_the_horizon_grow_no_trees(process):
+    # the lower leg's descent from 1e9 alone passes the horizon, so every
+    # run aborts; its Poisson(a*x) roots would pass the node budget
+    merge, cross, _ = coalescence_times(
+        100, (1e9, -1), (1e9 - 1.0, -1), 5.0, process, P12, make_stream(3, 0)
+    )
+    assert np.all(np.isinf(merge)) and np.all(np.isnan(cross))
