@@ -577,8 +577,8 @@ def coalescence_times(
         v_m = -1
         if not reflected and y2 == -y1 and w2 == w1 and y1 != 0.0:
             t_c[:] = x_c[:] = math.nan  # mirror starts report no crossing
-    repair = (odd & (t_m <= hz)).nonzero()[0]
-    if not reflected and repair.size:
+    if not reflected:
+        repair = (odd & (t_m <= hz)).nonzero()[0]
         t_m[repair] = _repair_times(t_m[repair], x_m[repair], v_m, hz, params, rng)
     return t_m, t_c, x_c
 
