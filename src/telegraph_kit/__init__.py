@@ -8,7 +8,6 @@ from .analysis import (
     empirical_decay_rate,
     ks_band,
     ks_two_sample,
-    reflected_bm_oracle,
     scaling_limit_check,
     sde_oracle,
     tv_curve,

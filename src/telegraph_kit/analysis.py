@@ -36,7 +36,6 @@ __all__ = [
     "tv_curve",
     "empirical_decay_rate",
     "sde_oracle",
-    "reflected_bm_oracle",
     "default_oracle_dt",
     "scaling_limit_check",
     "write_tv_curve_csv",
@@ -308,33 +307,6 @@ def _euler_steps(x, drift, h, steps, rng, work) -> None:
         work *= pull
         work += noise
         x += work
-
-
-def reflected_bm_oracle(
-    drift: float,
-    x0: float,
-    dt: float,
-    horizon: float,
-    n: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Euler endpoints of Brownian motion with constant downward drift, folded at 0."""
-    if float(x0) < 0.0:
-        raise ValueError("reflected start must be nonnegative")
-    dt = float(dt)
-    horizon = float(horizon)
-    if dt <= 0.0 or horizon < 0.0:
-        raise ValueError("need dt > 0 and horizon >= 0")
-    n = int(n)
-    x = np.full(n, float(x0), dtype=np.float64)
-    steps = int(horizon / dt)
-    rem = horizon - steps * dt
-    root = math.sqrt(dt)
-    for _ in range(steps):
-        x = np.abs(x - drift * dt + root * rng.standard_normal(n))
-    if rem > 1e-15 * max(1.0, horizon):
-        x = np.abs(x - drift * rem + math.sqrt(rem) * rng.standard_normal(n))
-    return x
 
 
 def default_oracle_dt(drift: float) -> float:

@@ -5,7 +5,8 @@ hitting-time transforms, coupled runs, distance curves, the diffusive limit
 and the closed-form table.  Every run draws all randomness from one root
 seed through numbered Philox streams, so outputs are reproducible byte for
 byte; batch subcommands split work into fixed-size chunks with one stream
-per chunk, which makes results independent of --threads.
+per chunk and run them in order on one thread.  --threads is still accepted,
+and checked, so that existing commands run, but it changes nothing.
 
 Exit codes: 0 success, 1 invalid configuration, 2 runtime abort,
 3 check-gate failure.  With --check each subcommand verifies a gate on its
@@ -22,7 +23,10 @@ import math
 import os
 import sys
 import traceback
-from concurrent.futures import ThreadPoolExecutor
+
+# unused here, but perfbench/tracing.py patches cli.ThreadPoolExecutor on every
+# traced run and raises AttributeError without it, so the name stays importable
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -48,6 +52,9 @@ _SCALING_CAP = 1_000_000
 _PATH_CAP = 1_000_000
 # the invariant gate caps exp(theta*x) above x = _GATE_CAP_SCALE / (b - a)
 _GATE_CAP_SCALE = 3.0
+# formulas --check tests its identities to 1e-10 relative, which their own float
+# arithmetic misses past this rate ratio b/a (at 1e13 for b = 1 and b = 2)
+_FORMULAS_RATIO_CAP = 1e12
 # a quantity whose log reaches this is past the largest float
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
@@ -229,7 +236,8 @@ _OPTIONS = {
     ),
     "out": _Option(_text, "a file name, '-' for stdout", "output file",
                    dict.fromkeys(_EVERY, "-"), bool),
-    "threads": _Option(_threads, "an integer, below 1 meaning 1", "worker threads",
+    "threads": _Option(_threads, "an integer, below 1 meaning 1",
+                       "accepted for old commands; chunks run in order on one thread",
                        dict.fromkeys(_EVERY), shown=f"${THREADS_ENV} or 1"),
     "check": _Option(_switch, "true or false in --config", "verify the subcommand's gate",
                      dict.fromkeys(_EVERY, False)),
@@ -331,20 +339,14 @@ def _resolve(argv) -> RunConfig:
     return RunConfig(args.command, params, *common, values)
 
 
-def _chunk_ranges(total: int):
-    return [(ci, min(CHUNK, total - ci * CHUNK)) for ci in range((total + CHUNK - 1) // CHUNK)]
+def _chunks(n: int, seed: int):
+    """(stream, count) for each CHUNK-item chunk of n items, in order.
 
-
-def _run_chunks(cfg: RunConfig, seed: int, worker):
-    """worker(stream, count) per chunk; ordered results, thread-count independent."""
-    tasks = _chunk_ranges(cfg.n)
-    if cfg.threads <= 1 or len(tasks) <= 1:
-        return [worker(simulate.make_stream(seed, ci), cnt) for ci, cnt in tasks]
-    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        futs = [
-            pool.submit(worker, simulate.make_stream(seed, ci), cnt) for ci, cnt in tasks
-        ]
-        return [f.result() for f in futs]
+    Chunk ci draws from stream ci of the seed, so the output is fixed by n
+    and the seed alone.
+    """
+    for ci, start in enumerate(range(0, n, CHUNK)):
+        yield simulate.make_stream(seed, ci), min(CHUNK, n - start)
 
 
 def _binom_se(p: float, n: int) -> float:
@@ -379,10 +381,11 @@ def _cmd_simulate(cfg: RunConfig, seed: int):
 
 
 def _cmd_excursions(cfg: RunConfig, seed: int):
-    def worker(rng, count):
-        return excursions.sample_excursions(count, cfg.params, rng)
-
-    records = [rec for part in _run_chunks(cfg, seed, worker) for rec in part]
+    records = [
+        rec
+        for rng, count in _chunks(cfg.n, seed)
+        for rec in excursions.sample_excursions(count, cfg.params, rng)
+    ]
     buf = io.StringIO()
     excursions.write_excursions_csv(records, buf)
     ok = True
@@ -468,11 +471,10 @@ def _cmd_hitting(cfg: RunConfig, seed: int):
         raise _ConfigError(f"lam={lam} lies beyond the transform domain")
     if not reference.is_finite:
         raise _ConfigError(f"the reference at lam={lam} from {pos0} is past the float range")
-
-    def worker(rng, count):
-        return excursions.sample_hitting(pos0, vel0, cfg.params, rng, size=count)
-
-    times = np.concatenate(_run_chunks(cfg, seed, worker))
+    times = np.concatenate([
+        excursions.sample_hitting(pos0, vel0, cfg.params, rng, size=count)
+        for rng, count in _chunks(cfg.n, seed)
+    ])
     values = np.exp(lam * times)
     est = float(values.mean())
     se = float(values.std(ddof=1)) / math.sqrt(values.size)
@@ -497,14 +499,11 @@ def _cmd_couple(cfg: RunConfig, seed: int):
     run = coupling.coalescent_couple_reflected
     if process == "unreflected":
         run = coupling.coalescent_couple_unreflected
-
-    def worker(rng, count):
-        return [
-            run(*start_1, *start_2, horizon, cfg.params, rng, record_paths=False)
-            for _ in range(count)
-        ]
-
-    results = [r for part in _run_chunks(cfg, seed, worker) for r in part]
+    results = [
+        run(*start_1, *start_2, horizon, cfg.params, rng, record_paths=False)
+        for rng, count in _chunks(cfg.n, seed)
+        for _ in range(count)
+    ]
     buf = io.StringIO()
     coupling.write_coupling_batch_csv(results, buf)
     ok = True
@@ -575,6 +574,11 @@ def _cmd_formulas(cfg: RunConfig, seed: int):
     lam = cfg.options["lam"]
     p = cfg.params
     contracting = p.b > p.a
+    if cfg.check and p.b > _FORMULAS_RATIO_CAP * p.a:
+        raise _ConfigError(
+            f"--check holds the closed forms to 1e-10 only up to b/a = {_FORMULAS_RATIO_CAP:.0e},"
+            f" got b/a = {p.b / p.a:.3g}"
+        )
 
     def finite(value: model.LaplaceValue):
         return value.value if value.is_finite else None
@@ -609,12 +613,7 @@ def _cmd_formulas(cfg: RunConfig, seed: int):
             if not (psi.is_finite and c.is_finite):
                 ok = False
                 continue
-            try:
-                square = psi.value**2
-            except OverflowError:
-                raise _ConfigError(
-                    f"the check needs psi(lam)**2, past the float range at lam={float(lam_k)!r}"
-                ) from None
+            square = psi.value**2  # psi <= sqrt(b/a), so this is at most _FORMULAS_RATIO_CAP
             res = p.a * square - (p.a + p.b - 2.0 * lam_k) * psi.value + p.b
             scale = p.a * square + abs(p.a + p.b - 2.0 * lam_k) * psi.value + p.b
             if abs(res) > 1e-10 * scale:

@@ -51,6 +51,15 @@ class RecursionBudgetError(RuntimeError):
     """Branching sampler exceeded its node budget (plausible only at a == b)."""
 
 
+def _check_budget(nodes) -> None:
+    """Refuse a call whose node count, or one draw's expected root count, passes NODE_BUDGET.
+
+    The constant is read at call time, so a patched value holds for every tree.
+    """
+    if nodes > NODE_BUDGET:
+        raise RecursionBudgetError(f"excursion trees passed {NODE_BUDGET} nodes in one call")
+
+
 @dataclass(frozen=True)
 class ExcursionRecord:
     """Summary of one origin-to-origin excursion."""
@@ -72,16 +81,12 @@ class EstimateWithCI:
         return z * self.std_error
 
 
-def sample_excursion_recursive(
-    params: ModelParams,
-    rng: np.random.Generator,
-    node_budget: int = NODE_BUDGET,
-) -> ExcursionRecord:
+def sample_excursion_recursive(params: ModelParams, rng: np.random.Generator) -> ExcursionRecord:
     """One excursion via the branching decomposition: a batch of one."""
-    return sample_excursions(1, params, rng, node_budget)[0]
+    return sample_excursions(1, params, rng)[0]
 
 
-def _tree_generations(roots, params, rng, node_budget):
+def _tree_generations(roots, params, rng):
     """Grow roots[i] excursion trees for each owner i together, a generation at a time.
 
     Yields each live node's owner, base height and Exp(b) climb E; each node
@@ -90,8 +95,7 @@ def _tree_generations(roots, params, rng, node_budget):
     """
     a, b = params.a, params.b
     nodes = int(roots.sum())
-    if nodes > node_budget:
-        raise RecursionBudgetError(f"excursion trees exceeded {node_budget} nodes in one call")
+    _check_budget(nodes)
     owner = np.repeat(np.arange(roots.size), roots)
     base = np.zeros(nodes)
     while owner.size:
@@ -100,17 +104,13 @@ def _tree_generations(roots, params, rng, node_budget):
         kids = rng.poisson(a * e)
         born = int(kids.sum())
         nodes += born
-        if nodes > node_budget:
-            raise RecursionBudgetError(f"excursion trees exceeded {node_budget} nodes in one call")
+        _check_budget(nodes)
         base = np.repeat(base, kids) + np.repeat(e, kids) * rng.random(born)
         owner = np.repeat(owner, kids)
 
 
 def sample_excursions(
-    n: int,
-    params: ModelParams,
-    rng: np.random.Generator,
-    node_budget: int = NODE_BUDGET,
+    n: int, params: ModelParams, rng: np.random.Generator
 ) -> list[ExcursionRecord]:
     """n independent excursions via the branching decomposition; no event simulation.
 
@@ -118,13 +118,13 @@ def sample_excursions(
     of each node plus one flip ahead of each child, 2k - 1 flips for a tree
     of k nodes.  The max height is the largest apex, base + E.  Raises
     :class:`RecursionBudgetError` once the call has grown more than
-    ``node_budget`` nodes over all its trees.
+    ``NODE_BUDGET`` nodes over all its trees.
     """
     n = int(n)
     length = np.zeros(n)
     jumps = np.full(n, -1, dtype=np.int64)
     max_height = np.zeros(n)
-    for owner, base, e in _tree_generations(np.ones(n, dtype=np.int64), params, rng, node_budget):
+    for owner, base, e in _tree_generations(np.ones(n, dtype=np.int64), params, rng):
         np.add.at(length, owner, 2.0 * e)
         np.add.at(jumps, owner, 2)
         np.maximum.at(max_height, owner, base + e)
@@ -137,14 +137,10 @@ def _summed_lengths(start, mean_roots, extra, size, params, rng):
     A mean above the node budget is refused before the Poisson draw, which
     could not even represent it; returns a float for a 0-d result.
     """
-    if np.any(mean_roots > NODE_BUDGET):
-        raise RecursionBudgetError(
-            f"excursion trees would exceed {NODE_BUDGET} nodes in one call: "
-            f"one draw alone takes about {float(np.max(mean_roots)):.3g} trees"
-        )
+    _check_budget(mean_roots.max(initial=0.0))
     roots = np.asarray(rng.poisson(mean_roots, size) + extra)
     total = np.zeros(roots.size)
-    for owner, _, e in _tree_generations(roots.ravel(), params, rng, NODE_BUDGET):
+    for owner, _, e in _tree_generations(roots.ravel(), params, rng):
         np.add.at(total, owner, 2.0 * e)
     total = start + total.reshape(roots.shape)
     return float(total) if total.ndim == 0 else total
@@ -184,19 +180,14 @@ def _capped_hitting(t, x, up, horizon, params: ModelParams, rng: np.random.Gener
     total = t + x
     near = (total <= horizon).nonzero()[0]
     mean_roots = a * x[near]
-    if np.any(mean_roots > NODE_BUDGET):
-        raise RecursionBudgetError(
-            f"excursion trees would exceed {NODE_BUDGET} nodes in one call: "
-            f"one draw alone takes about {float(np.max(mean_roots)):.3g} trees"
-        )
+    _check_budget(mean_roots.max(initial=0.0))
     kids = np.zeros(x.size, dtype=np.int64)
     kids[near] = rng.poisson(mean_roots) + up[near]
     owner = np.arange(x.size)
     nodes = 0
     while True:
         nodes += int(kids.sum())
-        if nodes > NODE_BUDGET:
-            raise RecursionBudgetError(f"excursion trees exceeded {NODE_BUDGET} nodes in one call")
+        _check_budget(nodes)
         owner = np.repeat(owner, kids)
         if not owner.size:
             break

@@ -132,8 +132,12 @@ def excursion_mgf(lam: float, params: ModelParams) -> LaplaceValue:
     s = _sqrt_discriminant(lam, params)
     if s is None:
         return INFINITE
-    m = params.a + params.b - 2.0 * lam
-    return LaplaceValue((m - s) / (2.0 * params.a))
+    a, b = params.a, params.b
+    # the smaller root as 2b/(m + s), since (m - s)/(2a) cancels once 4ab << m**2,
+    # halved first so that 2b cannot overflow; m is held at its domain floor
+    # 2*sqrt(ab), which rounding can undercut, so psi stays at most sqrt(b/a)
+    m = max(a + b - 2.0 * lam, 2.0 * math.sqrt(a * b))
+    return LaplaceValue(b / (0.5 * m + 0.5 * s))
 
 
 def hitting_exponent(lam: float, params: ModelParams) -> LaplaceValue:

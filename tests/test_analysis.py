@@ -17,14 +17,13 @@ from telegraph_kit.analysis import (
     empirical_decay_rate,
     ks_band,
     ks_two_sample,
-    reflected_bm_oracle,
     scaling_limit_check,
     sde_oracle,
     tv_curve,
     write_tv_curve_csv,
 )
 from telegraph_kit.model import ModelParams, critical_rate, tv_bound
-from telegraph_kit.simulate import make_stream, sample_unreflected_states
+from telegraph_kit.simulate import make_stream, sample_reflected_states, sample_unreflected_states
 
 P12 = ModelParams(1.0, 2.0)
 
@@ -321,32 +320,36 @@ def test_sde_oracle_equilibrium_moments():
     assert gate(check)
 
 
-def test_reflected_bm_oracle_zero_drift_is_exact():
-    # folding an exact Gaussian step preserves the folded law exactly
+def reflected_bm_cdf(z, x0, drift, t):
+    """CDF at time t of Brownian motion with drift -drift reflected at 0, from x0 >= 0.
+
+    Harrison, Brownian Motion and Stochastic Flow Systems (1985).
+    """
+    root, rise = math.sqrt(t), drift * t - x0
+    mirror = np.exp(-2.0 * drift * z) * stats.norm.cdf((rise - z) / root)
+    return stats.norm.cdf((z + rise) / root) - mirror
+
+
+@pytest.mark.parametrize(
+    "drift, t, x0, scale, n",
+    [
+        (0.0, 1.0, 0.0, 16.0, 20000),  # the folded normal
+        (1.0, 6.0, 0.0, 16.0, 20000),  # near the Exp(2c) equilibrium, mean 1/(2c)
+        (1.0, 1.0, 1.0, 32.0, 10000),  # mixing from a start off the origin
+    ],
+    ids=["folded-normal", "equilibrium", "from-one"],
+)
+def test_reflected_states_follow_reflected_bm_in_the_diffusive_limit(drift, t, x0, scale, n):
+    # rates (N - c, N + c) run to time t*N give reflected Brownian motion with
+    # drift -c at time t; positions scaled by 1.1 must fail the same test, and
+    # a start off the origin needs N >= 32 against finite-scale bias
+    params = ModelParams(scale - drift, scale + drift)
+
     def check(seed):
-        rng = make_stream(111, seed)
-        x = reflected_bm_oracle(0.0, 0.0, 0.05, 2.0, 20000, rng)
-        p = stats.kstest(x, stats.halfnorm(scale=math.sqrt(2.0)).cdf).pvalue
-        return p > 0.01
-
-    assert gate(check)
-    with pytest.raises(ValueError):
-        reflected_bm_oracle(1.0, -0.5, 0.01, 1.0, 10, make_stream(111, 9))
-
-
-def test_reflected_bm_oracle_equilibrium_and_mixing():
-    # with downward drift the folded diffusion equilibrates to an
-    # exponential profile, and clouds from different starts merge
-    def check(seed):
-        rng = make_stream(112, seed)
-        x = reflected_bm_oracle(1.0, 0.0, 1e-3, 15.0, 4000, rng)
-        if abs(float(np.mean(x)) - 0.5) > 0.04:
-            return False
-        ones = np.ones(4000)
-        hi = reflected_bm_oracle(1.0, 1.0, 2e-3, 4.0, 4000, rng)
-        lo = reflected_bm_oracle(1.0, 0.0, 2e-3, 4.0, 4000, rng)
-        gap = binned_tv_estimate(hi, ones, lo, ones, 0.2)
-        return gap <= math.exp(1.5) * math.exp(-2.0)
+        pos, _ = sample_reflected_states(x0, None, t * scale, n, params, make_stream(111, seed))
+        law = (x0, drift, t)
+        p_value = stats.kstest(pos, reflected_bm_cdf, args=law).pvalue
+        return p_value > 0.01 and stats.kstest(1.1 * pos, reflected_bm_cdf, args=law).pvalue < 0.01
 
     assert gate(check)
 

@@ -1,9 +1,9 @@
-import functools
 import json
 import math
 import os
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
@@ -134,6 +134,20 @@ def test_couple_threads_identical(tmp_path):
     assert one.splitlines()[0] == "run_id,crossing_time,coalescence_time,crossing_position,coalesced"
 
 
+def test_chunks_start_no_thread(tmp_path, monkeypatch):
+    # chunks run in order on one thread; --threads is accepted but starts none
+    def no_thread(self):
+        raise RuntimeError("a worker thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    for command in ("excursions", "hitting", "couple"):
+        args = [command, "--n", "3000", "--seed", "11"]
+        code_1, one = run_to_file(tmp_path, f"{command}1.csv", args + ["--threads", "1"])
+        code_8, eight = run_to_file(tmp_path, f"{command}8.csv", args + ["--threads", "8"])
+        assert code_1 == code_8 == EXIT_OK, command
+        assert one == eight, command
+
+
 def test_config_file_resolution(tmp_path):
     conf = tmp_path / "run.json"
     conf.write_text(json.dumps({"b": 3.0, "n": 500, "seed": 7}))
@@ -215,8 +229,7 @@ def test_runtime_failure_exits_two(monkeypatch, capsys):
 def test_critical_tree_budget_exits_two_with_one_line(monkeypatch, capsys):
     # at a == b the excursion tree is critical; the node budget ends the
     # run with a one-line error rather than a traceback
-    small = functools.partial(cli.excursions.sample_excursions, node_budget=4096)
-    monkeypatch.setattr(cli.excursions, "sample_excursions", small)
+    monkeypatch.setattr(cli.excursions, "NODE_BUDGET", 4096)
     argv = ["excursions", "--a", "1", "--b", "1", "--n", "2000", "--seed", "5"]
     assert main(argv) == EXIT_RUNTIME
     captured = capsys.readouterr()
@@ -352,19 +365,40 @@ def test_non_finite_inputs_and_unrepresentable_references_exit_one():
 
 
 def test_references_past_the_float_range_exit_one(capsys):
-    # both closed forms are inside their domain here, but exp(x*c(lam)) and
-    # psi(lam)**2 are past the largest float
+    # the closed form is inside its domain here, but exp(x*c(lam)) is past
+    # the largest float
     assert model.hitting_mgf(1e5, -1, 0.08, ModelParams(1.0, 2.0)) is model.INFINITE
     cases = [
         ["hitting", "--start", "100000,-1", "--lam", "0.08", "--n", "10"],
         ["hitting", "--start", "1e300,-1", "--lam", "0.08", "--n", "10"],
-        ["formulas", "--a", "1e-300", "--check"],
     ]
     for argv in cases:
         assert main(argv) == EXIT_CONFIG, argv
         captured = capsys.readouterr()
         assert one_error_line(captured.err) and "past the float range" in captured.err, argv
         assert captured.out == "", argv
+
+
+def test_formulas_check_passes_at_large_rate_ratios(tmp_path):
+    # the smaller root of the excursion transform once cancelled here, so the
+    # gate's identities failed (exit 3) on valid rates, and psi(0) read 1 - 3e-8
+    for a, b in (("0.001", "0.002"), ("2e-6", "2"), ("1e-12", "1")):
+        code, _ = run_to_file(tmp_path, "f.json", ["formulas", "--a", a, "--b", b, "--check"])
+        assert code == EXIT_OK, (a, b)
+    code, text = run_to_file(tmp_path, "g.json", ["formulas", "--a", "1e-9", "--b", "1"])
+    assert code == EXIT_OK and json.loads(text)["excursion_mgf"] == 1.0
+
+
+def test_formulas_check_refuses_past_its_rate_ratio(capsys):
+    # past b/a = 1e12 the check's own arithmetic misses its 1e-10 tolerance
+    for a in ("1e-13", "1e-300"):
+        assert main(["formulas", "--a", a, "--b", "1", "--check"]) == EXIT_CONFIG, a
+        captured = capsys.readouterr()
+        assert one_error_line(captured.err) and "b/a" in captured.err, a
+        assert captured.out == "", a
+    # without --check the table is written
+    assert main(["formulas", "--a", "1e-300", "--b", "1"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["excursion_mgf"] == 1.0
 
 
 def test_scaling_needs_two_walkers(capsys):

@@ -254,14 +254,15 @@ def test_sigma_additivity():
     assert gate(check)
 
 
-def test_node_budget_aborts_critical_trees():
+def test_node_budget_aborts_critical_trees(monkeypatch):
     # at a == b the offspring mean is 1 and the tree is critical; a tiny
     # budget must abort instead of hanging
+    monkeypatch.setattr(excursions, "NODE_BUDGET", 25)
     p = ModelParams(1.0, 1.0)
     rng = make_stream(71, 0)
     with pytest.raises(RecursionBudgetError):
         for _ in range(2000):
-            sample_excursion_recursive(p, rng, node_budget=25)
+            sample_excursion_recursive(p, rng)
 
 
 def test_jump_count_mean_stabilizes_across_batches():

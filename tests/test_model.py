@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from telegraph_kit.model import (
@@ -111,6 +113,31 @@ def test_fixed_point_and_consistency_identities():
             assert abs(residual) <= 1e-10 * scale
             c = hitting_exponent(lam, p).value
             assert c == pytest.approx(lam + p.a * (psi - 1.0), rel=1e-10, abs=1e-10)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(log_b=st.floats(-3.0, 6.0), log_ratio=st.floats(0.0, 12.0, exclude_min=True))
+@example(log_b=math.log10(0.002), log_ratio=math.log10(2.0))
+@example(log_b=math.log10(2.0), log_ratio=6.0)
+@example(log_b=0.0, log_ratio=9.0)
+@example(log_b=0.0, log_ratio=12.0)
+def test_identities_hold_at_large_rate_ratios(log_b, log_ratio):
+    # the formulas --check grid and tolerance, for b in [1e-3, 1e6] and b/a up
+    # to 1e12: the smaller root must not cancel when 4ab << (a + b - 2*lam)**2
+    b = 10.0**log_b
+    p = ModelParams(b / 10.0**log_ratio, b)
+    if not p.b > p.a:
+        return
+    top = critical_rate(p)
+    for lam in np.linspace(top - 5.0, top, 101):
+        lam = float(lam)
+        psi = excursion_mgf(lam, p).value
+        assert psi <= math.sqrt(p.b / p.a) * (1.0 + 1e-15)
+        m = p.a + p.b - 2.0 * lam
+        residual = p.a * psi * psi - m * psi + p.b
+        assert abs(residual) <= 1e-10 * (p.a * psi * psi + abs(m) * psi + p.b)
+        c = hitting_exponent(lam, p).value
+        assert abs(c - (lam + p.a * (psi - 1.0))) <= 1e-10 * max(1.0, abs(c))
 
 
 def test_excursion_mgf_increasing_up_to_boundary():
