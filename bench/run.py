@@ -31,6 +31,10 @@ holds the machine, the Python and numpy versions and the git commit, then:
   the ``tvcurve`` benchmark job (n = 1000 runs per leg, same starts, grid
   and rates), for both processes; a run is one coupling and one walker per
   start;
+- the wall time and peak RSS of whole ``scaling`` processes: each run is a
+  fresh ``python -m telegraph_kit.cli scaling --n 1000 --scales 4,16,100``,
+  timed from spawn to exit, with its peak RSS from the rusage of
+  ``os.wait4``, ``--repeats`` runs a checkout;
 - the JSON that ``perfbench/run.py --workload W --trace 0`` prints, run
   unchanged, for both workloads.
 
@@ -71,6 +75,19 @@ TV_STARTS = ((1.0, 1), (0.0, 1))
 WORKLOADS = ("tvcurve_scaling", "excursions_couple")
 SAMPLE_S = 0.05
 BASELINE_LABEL = "parent"
+SCALING_CLI = ("-m", "telegraph_kit.cli", "scaling", "--n", "1000", "--scales", "4,16,100")
+
+# Spawns its arguments as a program, waits, and prints the program's wall
+# seconds, peak RSS in KiB and exit code.  A spawned process's ru_maxrss
+# starts from its spawner's own peak, so this small interpreter, not the
+# timing process with its large arrays, spawns the measured one: the reading
+# is then the larger of its own peak and the launcher's, about 13 MB.
+_LAUNCHER = (
+    "import os, sys, time; t0 = time.perf_counter(); "
+    "pid = os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ); "
+    "_, status, usage = os.wait4(pid, 0); "
+    "print(time.perf_counter() - t0, usage.ru_maxrss, os.waitstatus_to_exitcode(status))"
+)
 
 
 def git(root: Path, *args: str) -> str | None:
@@ -265,6 +282,33 @@ def tv_curve_record(pkgs: dict, repeats: int) -> dict:
     }
 
 
+def scaling_process_record(roots: dict, repeats: int) -> dict:
+    """Wall time and peak RSS of fresh ``scaling`` processes, alternating the checkouts."""
+    argv = [sys.executable, "-c", _LAUNCHER, sys.executable, *SCALING_CLI, "--out", os.devnull]
+    runs = {label: [] for label in roots}
+    order = list(roots)
+    for _ in range(repeats):
+        for label in order:
+            env = {**os.environ, "PYTHONPATH": str(roots[label] / "src")}
+            proc = subprocess.run(
+                argv, cwd=roots[label], env=env, capture_output=True, text=True, check=True
+            )
+            wall, rss_kib, code = proc.stdout.split()
+            runs[label].append((float(wall), int(rss_kib) / 1024, int(code)))
+        order.reverse()
+    return {
+        label: {
+            "argv": ["python", *SCALING_CLI],
+            "median_wall_s": statistics.median(w for w, _, _ in samples),
+            "median_peak_rss_mb": statistics.median(r for _, r, _ in samples),
+            "wall_s": [w for w, _, _ in samples],
+            "peak_rss_mb": [r for _, r, _ in samples],
+            "returncodes": [c for _, _, c in samples],
+        }
+        for label, samples in runs.items()
+    }
+
+
 def perfbench_record(root: Path, workload: str, seed: int, seconds: float) -> dict:
     argv = [
         sys.executable, "perfbench/run.py", "--workload", workload,
@@ -309,6 +353,7 @@ def main(argv=None) -> int:
         for i, (label, root) in enumerate(roots.items())
     }
     measured = {
+        "scaling_process": scaling_process_record(roots, args.repeats),
         "sample_unreflected_states": sampler_record(pkgs, args.repeats),
         "tv_curve_walkers": walker_half_record(pkgs, args.repeats),
         "tv_curve_couplings": coupling_half_record(pkgs, args.repeats),

@@ -580,30 +580,31 @@ def _cmd_formulas(cfg: RunConfig, seed: int):
             f" got b/a = {p.b / p.a:.3g}"
         )
 
-    def finite(value: model.LaplaceValue):
-        return value.value if value.is_finite else None
+    def finite(value) -> float | None:  # JSON has no inf or nan: a divergent value is null
+        value = float(value)
+        return value if math.isfinite(value) else None
 
     table = {
         "a": p.a,
         "b": p.b,
         "lam": lam,
         "critical_rate": model.critical_rate(p) if contracting else 0.0,
-        "mean_return_time": model.mean_excursion_length(p) if contracting else None,
+        "mean_return_time": finite(model.mean_excursion_length(p)) if contracting else None,
         "excursion_mgf": finite(model.excursion_mgf(lam, p)),
         "hitting_exponent": finite(model.hitting_exponent(lam, p)),
         "invariant_mgf": finite(model.invariant_mgf(lam, p)) if contracting else None,
     }
     if contracting:
         consts = model.bound_constants(p)
-        table["bound_prefactor"] = consts.prefactor
+        table["bound_prefactor"] = finite(consts.prefactor)
         table["bound_spatial_rate"] = consts.spatial_rate
-        table["bound_reflected_prefactor"] = consts.reflected_prefactor
+        table["bound_reflected_prefactor"] = finite(consts.reflected_prefactor)
     table["meta"] = {
         "seed": cfg.seed,
         "version": __version__,
         "params": {"a": p.a, "b": p.b},
     }
-    text = json.dumps(table, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(table, indent=2, sort_keys=True, allow_nan=False) + "\n"
     ok = True
     if cfg.check:
         top = model.critical_rate(p) if contracting else 0.0

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import special, stats
 
 from conftest import gate
 from telegraph_kit import analysis
@@ -38,6 +38,68 @@ def test_ks_two_sample_basics():
     assert stat > 0.8 and p < 1e-10
     with pytest.raises(ValueError):
         ks_two_sample(x, [])
+
+
+def test_ks_statistic_matches_scipy_bit_for_bit():
+    rng = make_stream(102, 0)
+    x, y = rng.standard_normal(700), rng.standard_normal(311) + 0.1
+    cases = [
+        (x, y),  # unequal sizes
+        (np.round(x, 1), np.round(y, 1)),  # ties within and across the samples
+        (np.round(y, 1), np.round(x, 1)),
+        (x[:1], y),  # n = 1
+        (y, x[:1]),
+        (x, x.copy()),  # identical samples
+    ]
+    for s1, s2 in cases:
+        ref = stats.ks_2samp(s1, s2, method="asymp").statistic
+        assert ks_two_sample(s1, s2)[0].hex() == float(ref).hex()
+
+
+def test_kolmogorov_limit_law_matches_scipy():
+    lams = np.linspace(0.05, 10.0, 2000)
+    assert (lams < 1.0).sum() > 100 and (lams >= 1.0).sum() > 100  # both branches
+    got = [analysis._kolmogorov_sf(float(lam)) for lam in lams]
+    np.testing.assert_allclose(got, special.kolmogorov(lams), rtol=1e-12, atol=0.0)
+    assert analysis._kolmogorov_sf(0.0) == 1.0
+
+
+# sizes whose en = nm/(n+m) is a whole number from 25 up: scipy's asymptotic
+# p-value rounds en to an integer, which alone moves it by several percent
+_KS_SIZES = ((50, 50), (30, 150), (26, 650), (200, 200), (120, 600), (2000, 2000))
+
+
+def _ks_p_value_gaps(ks) -> list[float]:
+    """Relative gaps of ks's p-value to scipy's wherever scipy's lies in [1e-3, 0.5]."""
+    gaps = []
+    for n, m in _KS_SIZES:
+        x, y = (np.arange(n) + 0.5) / n, (np.arange(m) + 0.5) / m
+        for shift in np.linspace(0.0, 0.5, 200):
+            ref = stats.ks_2samp(x, y + shift, method="asymp").pvalue
+            if 1e-3 <= ref <= 0.5:
+                gaps.append(abs(ks(x, y + shift)[1] / ref - 1.0))
+    return gaps
+
+
+def test_ks_p_value_is_close_to_scipy():
+    gaps = _ks_p_value_gaps(ks_two_sample)
+    assert len(gaps) > 300
+    assert max(gaps) < 0.05
+
+
+def test_ks_p_value_check_rejects_the_uncorrected_argument():
+    # Kolmogorov's law at sqrt(en) * D, without Stephens' finite-size terms
+    def uncorrected(x, y):
+        stat, _ = ks_two_sample(x, y)
+        return stat, analysis._kolmogorov_sf(math.sqrt(x.size * y.size / (x.size + y.size)) * stat)
+
+    assert max(_ks_p_value_gaps(uncorrected)) > 0.05
+
+
+def test_ks_two_sample_propagates_nan():
+    for s1, s2 in (([0.5, math.nan, 1.0], [0.2, 0.3]), ([0.5], [math.nan]), ([math.nan], [math.nan])):
+        stat, p = ks_two_sample(s1, s2)
+        assert math.isnan(stat) and math.isnan(p)
 
 
 def test_ks_level_calibration():

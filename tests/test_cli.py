@@ -66,6 +66,24 @@ def test_formulas_output(tmp_path):
     assert json.loads(text3)["excursion_mgf"] is None
 
 
+def _no_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_formulas_writes_standard_json_past_the_float_range(tmp_path):
+    # a tiny a overflows both bound prefactors, a tiny gap the mean return time
+    cases = [
+        (["--a", "1e-300"], ("bound_prefactor", "bound_reflected_prefactor")),
+        (["--a", "1e-308", "--b", "2e-308"], ("bound_reflected_prefactor", "mean_return_time")),
+    ]
+    for i, (rates, nulls) in enumerate(cases):
+        code, text = run_to_file(tmp_path, f"f{i}.json", ["formulas", *rates])
+        assert code == EXIT_OK
+        table = json.loads(text, parse_constant=_no_constant)
+        for key in nulls:
+            assert table[key] is None, (rates, key)
+
+
 def test_simulate_csv_shape(tmp_path):
     code, text = run_to_file(
         tmp_path,
@@ -523,6 +541,36 @@ def test_all_subcommands_check_smoke(tmp_path):
         code, text = run_to_file(tmp_path, f"smoke{i}.out", argv + ["--check", "--seed", "2"])
         assert code == EXIT_OK, argv
         assert text
+
+
+# runs the CLI once per argument list, then prints any scipy module it loaded
+_SCIPY_FREE_CLI = (
+    "import json, os, sys; from telegraph_kit.cli import main; "
+    "codes = [main(argv + ['--out', os.devnull]) for argv in json.loads(sys.argv[1])]; "
+    "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))"
+)
+
+
+def test_no_subcommand_loads_scipy():
+    runs = [
+        ["simulate", "--horizon", "10"],
+        ["excursions", "--n", "200"],
+        ["invariant", "--n", "200"],
+        ["hitting", "--n", "200"],
+        ["couple", "--n", "100", "--horizon", "20"],
+        ["tvcurve", "--n", "1000", "--t-grid", "1:4:1"],
+        ["scaling", "--n", "200", "--scales", "4,16"],
+        ["formulas"],
+    ]
+    assert {argv[0] for argv in runs} == set(cli._COMMANDS)
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_FREE_CLI, json.dumps(runs)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded = json.loads(proc.stdout)
+    assert codes == [EXIT_OK] * len(runs)
+    assert loaded == []
 
 
 def test_installed_entry_point(tmp_path):
