@@ -2,11 +2,12 @@
 
 Run from the root of a source checkout:
 
-    python3 bench/run.py --label change --out BENCH_12.json
-    python3 bench/run.py --label change --out BENCH_12.json --baseline ../parent
+    python3 bench/run.py --label change --out BENCH_15.json
+    python3 bench/run.py --label change --out BENCH_15.json --baseline ../parent
 
 The package is imported straight from this checkout's ``src/``.  The record
-holds the machine, the Python and numpy versions and the git commit, then:
+holds the machine, the Python and numpy versions, the git commit and the
+line count of each module of ``src/telegraph_kit`` with their total, then:
 
 - µs per walker of ``simulate.sample_unreflected_states`` at the sizes of
   the ``scaling`` subcommand (n = 1000 walkers from 0 with random
@@ -15,15 +16,12 @@ holds the machine, the Python and numpy versions and the git commit, then:
 - µs per walker of ``tv_curve``'s independent half at the size of the
   ``tvcurve`` benchmark job, for both processes: the 2n = 2000 walkers of
   the starts (1, +1) and (0, +1) carried across the grid 1..20 at a = 1,
-  b = 2, in one grid call of the endpoint sampler where the checkout's
-  sampler takes a grid (it has ``simulate._time_grid``), else (``method``
-  "chained") as one one-time call per start and grid step, the way
-  ``tv_curve`` did before the grid call;
+  b = 2, in one grid call of the endpoint sampler;
 - µs per run of ``tv_curve``'s coupling half at the size of the
   ``tvcurve`` benchmark job, for both processes: n = 1000 time-only
   couplings of the same starts to horizon 20 at a = 1, b = 2, as one call
-  per run of ``coalescent_couple_*`` (``scalar``) and, where the checkout
-  has it, as one call of ``coupling.coalescence_times`` (``batch``);
+  per run of ``coalescent_couple_*`` (``scalar``) and as one call of
+  ``coupling.coalescence_times`` (``batch``);
 - ms per call of ``analysis.sde_oracle`` at the size of the ``scaling``
   subcommand: n = 1000 endpoints from 0 at drift 1 to time 1, in steps of
   ``default_oracle_dt(1)``;
@@ -166,8 +164,8 @@ def sampler_record(pkgs: dict, repeats: int) -> dict:
     return {label: {"n": WALKERS, "t": 1.0, "scales": scales} for label, scales in out.items()}
 
 
-def walker_half_calls(pkg, process: str):
-    """The walker half of one ``tv_curve`` call, and how the checkout runs it."""
+def walker_half_call(pkg, process: str):
+    """The walker half of one ``tv_curve`` call: one grid call of the endpoint sampler."""
     import numpy as np
 
     simulate = pkg.simulate
@@ -177,26 +175,13 @@ def walker_half_calls(pkg, process: str):
     pos = np.repeat([p for p, _ in TV_STARTS], TV_RUNS).astype(np.float64)
     vel = np.repeat([v for _, v in TV_STARTS], TV_RUNS)
     sample = getattr(simulate, f"sample_{process}_states")
-    if hasattr(simulate, "_time_grid"):
-        return lambda: sample(pos, vel, grid, walkers, params, simulate.make_stream(1, 0)), "grid"
-
-    def chained():  # a sampler that takes one time only
-        rng = simulate.make_stream(1, 0)
-        clouds = list(TV_STARTS)
-        t_prev = 0.0
-        for t in grid.tolist():
-            clouds = [sample(p, v, t - t_prev, TV_RUNS, params, rng) for p, v in clouds]
-            t_prev = t
-
-    return chained, "chained"
+    return lambda: sample(pos, vel, grid, walkers, params, simulate.make_stream(1, 0))
 
 
 def walker_half_record(pkgs: dict, repeats: int) -> dict:
     out = {label: {"processes": {}} for label in pkgs}
     for process in ("reflected", "unreflected"):
-        calls = {}
-        for label, pkg in pkgs.items():
-            calls[label], out[label]["method"] = walker_half_calls(pkg, process)
+        calls = {label: walker_half_call(pkg, process) for label, pkg in pkgs.items()}
         for label, samples in timed(calls, repeats).items():
             out[label]["processes"][process] = {
                 "median_us_per_walker": 1e6 * statistics.median(samples) / (2 * TV_RUNS),
@@ -225,8 +210,7 @@ def coupling_half_record(pkgs: dict, repeats: int) -> dict:
                 pkg.coupling.coalescence_times(TV_RUNS, *TV_STARTS, horizon, process, params, rng)
 
             calls[label, "scalar"] = scalar
-            if hasattr(pkg.coupling, "coalescence_times"):
-                calls[label, "batch"] = batch
+            calls[label, "batch"] = batch
         for (label, method), samples in timed(calls, repeats).items():
             out[label].setdefault(process, {})[method] = {
                 "median_us_per_run": 1e6 * statistics.median(samples) / TV_RUNS,
@@ -321,11 +305,12 @@ def perfbench_record(root: Path, workload: str, seed: int, seconds: float) -> di
     return {"argv": argv[1:], "env": json.loads(lines[-2]), "result": json.loads(lines[-1])}
 
 
-def source_lines(root: Path) -> int:
-    return sum(
-        len(path.read_text().splitlines())
-        for path in (root / "src" / "telegraph_kit").glob("*.py")
-    )
+def module_lines(root: Path) -> dict:
+    """Lines of each module of the package, by file name."""
+    return {
+        path.name: len(path.read_text().splitlines())
+        for path in sorted((root / "src" / "telegraph_kit").glob("*.py"))
+    }
 
 
 def main(argv=None) -> int:
@@ -370,6 +355,7 @@ def main(argv=None) -> int:
     out = Path(args.out)
     records = json.loads(out.read_text()) if out.exists() else {}
     for label, root in roots.items():
+        lines = module_lines(root)
         records[label] = {
             "git_commit": git(root, "rev-parse", "HEAD"),
             "src_modified": git(root, "status", "--porcelain", "--", "src") not in ("", None),
@@ -384,7 +370,8 @@ def main(argv=None) -> int:
             "numpy": np.__version__,
             "repeats": args.repeats,
             "alternated_with": [other for other in roots if other != label],
-            "source_lines": source_lines(root),
+            "module_lines": lines,
+            "source_lines": sum(lines.values()),
             **{name: per_label[label] for name, per_label in measured.items()},
         }
     out.write_text(json.dumps(records, indent=2, sort_keys=True) + "\n")

@@ -29,7 +29,7 @@ ks = stats.kstest(pos, stats.expon(scale=1.0 / params.rate_gap).cdf)
 print(f"KS against Exp({params.rate_gap}): stat {ks.statistic:.4f}, p {ks.pvalue:.3f}")
 
 # same expectation two ways: excursion averaging vs the closed form
-target = invariant_mgf(0.5, params).value
+target = invariant_mgf(0.5, params)
 est = regenerative_estimate(lambda x, v: np.exp(0.5 * x), 50000, params, make_stream(11, 1))
 print(f"\nE[exp(X/2)] regenerative  {est.value:.4f} +- {est.std_error:.4f}")
 print(f"E[exp(X/2)] closed form   {target:.4f}")

@@ -5,9 +5,10 @@ capped and a wall-time limit.  The flag cases set one of ``--start``,
 ``--start2``, ``--horizon``, ``--lam`` or ``--arg`` to nan, an infinity, a
 signed zero, 1e308 or an ordinary float.  The config cases set any option
 of any subcommand, in a --config file, to a JSON string, null, a list, a
-bool, 1e308 or "nan"; ``--n`` is also tried at 1, at 2 and past its cap.
-A case passes when the child exits with one of the CLI's codes 0-3 inside
-the limit and prints no traceback.  The example counts and the generation
+bool, 1e308 or "nan"; ``--n`` is also tried at 1 and at 2, with and
+without ``--check``, and past its cap.  A case passes when the child exits
+with one of the CLI's codes 0-3 inside the limit and prints no traceback;
+an ``--n`` case must also print no numpy ``RuntimeWarning``.  The example counts and the generation
 are fixed, so every run tries the same cases.  Kept out of the tier-1
 suite; run from the repository root:
 
@@ -103,7 +104,9 @@ def run_config(command, conf, argv=()):
         path = Path(workdir) / "run.json"
         path.write_text(json.dumps(conf))
         full = [command, "--config", str(path), *argv]
-        assert_clean([*full, conf], run_child(full, cwd=workdir))
+        proc = run_child(full, cwd=workdir)
+        assert_clean([*full, conf], proc)
+        return proc
 
 
 @settings(
@@ -146,9 +149,14 @@ def test_fuzzed_config_value_runs_or_exits_cleanly(case, value, check):
 
 
 @pytest.mark.parametrize("command", list(CONFIG_BASE))
-@pytest.mark.parametrize("n", ["1", "2", "past the cap"])
-def test_small_and_capped_sample_counts_run_or_exit_cleanly(command, n):
+@pytest.mark.parametrize(
+    "n, check", [("1", False), ("2", False), ("1", True), ("2", True), ("past the cap", False)]
+)
+def test_small_and_capped_sample_counts_run_or_exit_cleanly(command, n, check):
     if n == "past the cap":
         n = str(cli._OPTIONS["n"].caps[command] + 1)
     conf = {key: value for key, value in CONFIG_BASE[command].items() if key != "n"}
-    run_config(command, conf, ["--n", n, "--out", os.devnull])
+    argv = ["--n", n, "--out", os.devnull] + (["--check"] if check else [])
+    proc = run_config(command, conf, argv)
+    # a standard error of one draw is nan, which numpy reports with a RuntimeWarning
+    assert "RuntimeWarning" not in proc.stderr, (command, argv, proc.stderr[-2000:])

@@ -1,7 +1,6 @@
 """Exact simulation, couplings and verification for a mean-reverting telegraph particle."""
 
 from .analysis import (
-    EstimateWithCI,
     TvCurve,
     binned_tv_estimate,
     domination_gap,
@@ -25,6 +24,7 @@ from .coupling import (
     write_coupling_batch_csv,
 )
 from .excursions import (
+    EstimateWithCI,
     ExcursionRecord,
     RecursionBudgetError,
     first_return_time,
@@ -37,11 +37,9 @@ from .excursions import (
     write_excursions_csv,
 )
 from .model import (
-    INFINITE,
     VELOCITY_WEIGHT,
     BoundConstants,
     DegenerateRatesError,
-    LaplaceValue,
     ModelParams,
     bound_constants,
     critical_rate,
@@ -53,14 +51,13 @@ from .model import (
     mean_excursion_length,
     tv_bound,
 )
-from .paths import PiecewisePath, eval_path, reflect_path, unreflect_path, write_path_csv
+from .paths import PiecewisePath, reflect_path, unreflect_path, write_path_csv
 from .simulate import (
     make_stream,
     sample_reflected_states,
     sample_unreflected_states,
     simulate_reflected,
     simulate_unreflected,
-    split_streams,
 )
 
 __version__ = "0.1.0"

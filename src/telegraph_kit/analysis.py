@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling import coalescence_times
-from .excursions import EstimateWithCI
 from .model import ModelParams, tv_bound
 from .paths import check_start, write_csv
 from .simulate import sample_reflected_states, sample_unreflected_states
@@ -26,7 +25,6 @@ from .coupling import coalescent_couple_reflected, coalescent_couple_unreflected
 from .simulate import simulate_reflected, simulate_unreflected  # noqa: F401
 
 __all__ = [
-    "EstimateWithCI",
     "TvCurve",
     "ks_two_sample",
     "ks_band",

@@ -381,6 +381,8 @@ def _cmd_simulate(cfg: RunConfig, seed: int):
 
 
 def _cmd_excursions(cfg: RunConfig, seed: int):
+    if cfg.check and cfg.n < 2:
+        raise _ConfigError(f"--check needs --n of at least 2 for a standard error, got {cfg.n}")
     records = [
         rec
         for rng, count in _chunks(cfg.n, seed)
@@ -408,9 +410,9 @@ def _invariant_reference(kind: str, arg: float, params: model.ModelParams) -> fl
     gap = params.rate_gap
     if kind == "exponential":
         ref = model.invariant_mgf(arg, params)
-        if not ref.is_finite:
+        if not math.isfinite(ref):
             raise _ConfigError(f"exponential rate {arg} is outside the invariant domain")
-        return ref.value
+        return ref
     if kind == "indicator":
         return 1.0 if arg < 0.0 else math.exp(-gap * arg)
     if kind == "moment":  # the table admits no other integrand
@@ -466,10 +468,12 @@ def _cmd_invariant(cfg: RunConfig, seed: int):
 
 def _cmd_hitting(cfg: RunConfig, seed: int):
     (pos0, vel0), lam = cfg.options["start"], cfg.options["lam"]
+    if cfg.n < 2:
+        raise _ConfigError(f"hitting needs --n of at least 2 for a standard error, got {cfg.n}")
     reference = model.hitting_mgf(pos0, vel0, lam, cfg.params)
-    if not model.hitting_exponent(lam, cfg.params).is_finite:
+    if not math.isfinite(model.hitting_exponent(lam, cfg.params)):
         raise _ConfigError(f"lam={lam} lies beyond the transform domain")
-    if not reference.is_finite:
+    if not math.isfinite(reference):
         raise _ConfigError(f"the reference at lam={lam} from {pos0} is past the float range")
     times = np.concatenate([
         excursions.sample_hitting(pos0, vel0, cfg.params, rng, size=count)
@@ -479,11 +483,11 @@ def _cmd_hitting(cfg: RunConfig, seed: int):
     est = float(values.mean())
     se = float(values.std(ddof=1)) / math.sqrt(values.size)
     text = "lam,estimate,std_error,n,reference\n" + (
-        f"{lam!r},{est!r},{se!r},{values.size},{reference.value!r}\n"
+        f"{lam!r},{est!r},{se!r},{values.size},{reference!r}\n"
     )
     ok = True
     if cfg.check:
-        ok = abs(est - reference.value) <= GATE_Z * se
+        ok = abs(est - reference) <= GATE_Z * se
     return text, ok
 
 
@@ -581,7 +585,6 @@ def _cmd_formulas(cfg: RunConfig, seed: int):
         )
 
     def finite(value) -> float | None:  # JSON has no inf or nan: a divergent value is null
-        value = float(value)
         return value if math.isfinite(value) else None
 
     table = {
@@ -611,16 +614,16 @@ def _cmd_formulas(cfg: RunConfig, seed: int):
         for lam_k in np.linspace(top - 5.0, top, 101):
             psi = model.excursion_mgf(float(lam_k), p)
             c = model.hitting_exponent(float(lam_k), p)
-            if not (psi.is_finite and c.is_finite):
+            if not (math.isfinite(psi) and math.isfinite(c)):
                 ok = False
                 continue
-            square = psi.value**2  # psi <= sqrt(b/a), so this is at most _FORMULAS_RATIO_CAP
-            res = p.a * square - (p.a + p.b - 2.0 * lam_k) * psi.value + p.b
-            scale = p.a * square + abs(p.a + p.b - 2.0 * lam_k) * psi.value + p.b
+            square = psi**2  # psi <= sqrt(b/a), so this is at most _FORMULAS_RATIO_CAP
+            res = p.a * square - (p.a + p.b - 2.0 * lam_k) * psi + p.b
+            scale = p.a * square + abs(p.a + p.b - 2.0 * lam_k) * psi + p.b
             if abs(res) > 1e-10 * scale:
                 ok = False
-            consistency = lam_k + p.a * (psi.value - 1.0)
-            if abs(c.value - consistency) > 1e-10 * max(1.0, abs(c.value)):
+            consistency = lam_k + p.a * (psi - 1.0)
+            if abs(c - consistency) > 1e-10 * max(1.0, abs(c)):
                 ok = False
     return text, ok
 

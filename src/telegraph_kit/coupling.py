@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .excursions import _capped_hitting, sample_hitting, sample_sigma
-from .model import INFINITE, LaplaceValue, ModelParams, excursion_mgf, hitting_exponent
+from .model import ModelParams, excursion_mgf, hitting_exponent
 from .paths import KnotRecorder, PiecewisePath, check_start, fold, write_csv
 from .simulate import ExpSource, walk_reflected
 
@@ -646,10 +646,8 @@ def sample_dominating_time(
     )
 
 
-def dominating_time_mgf(
-    x: float, x_other: float, lam: float, params: ModelParams
-) -> LaplaceValue:
-    """Closed form of E[exp(lam * dominating time)]; finite for lam <= critical_rate.
+def dominating_time_mgf(x: float, x_other: float, lam: float, params: ModelParams) -> float:
+    """Closed form of E[exp(lam * dominating time)]; finite for lam <= critical_rate, else inf.
 
     Product of the transforms of the independent pieces; the first factor
     packages the Exp(a+b) clock together with the functionals driven by it.
@@ -661,17 +659,13 @@ def dominating_time_mgf(
     a, b = params.a, params.b
     psi = excursion_mgf(lam, params)
     c = hitting_exponent(lam, params)
-    if not (psi.is_finite and c.is_finite):
-        return INFINITE
-    denom = 2.0 * a + b - lam - a * psi.value - c.value
+    if not (math.isfinite(psi) and math.isfinite(c)):
+        return math.inf
+    denom = 2.0 * a + b - lam - a * psi - c
     if denom <= 0.0:
-        return INFINITE
-    exponent = (
-        x * c.value
-        + 0.5 * (x + x_other) * lam
-        + 0.5 * (x - x_other) * a * (psi.value - 1.0)
-    )
-    return LaplaceValue((a + b) * psi.value**2 / denom * math.exp(exponent))
+        return math.inf
+    exponent = x * c + 0.5 * (x + x_other) * lam + 0.5 * (x - x_other) * a * (psi - 1.0)
+    return (a + b) * psi**2 / denom * math.exp(exponent)
 
 
 def write_coupling_batch_csv(results, dest) -> None:

@@ -19,8 +19,6 @@ from typing import NamedTuple
 __all__ = [
     "DegenerateRatesError",
     "ModelParams",
-    "LaplaceValue",
-    "INFINITE",
     "VELOCITY_WEIGHT",
     "critical_rate",
     "excursion_mgf",
@@ -78,23 +76,6 @@ class ModelParams:
             raise DegenerateRatesError(f"{what} requires b > a, got a == b == {self.a}")
 
 
-@dataclass(frozen=True)
-class LaplaceValue:
-    """Value of an exponential moment; ``math.inf`` marks a divergent transform."""
-
-    value: float
-
-    @property
-    def is_finite(self) -> bool:
-        return math.isfinite(self.value)
-
-    def __float__(self) -> float:
-        return self.value
-
-
-INFINITE = LaplaceValue(math.inf)
-
-
 def critical_rate(params: ModelParams) -> float:
     """Exponential convergence rate (sqrt(b) - sqrt(a))**2 / 2; needs b > a."""
     params.require_contracting("the convergence rate")
@@ -122,36 +103,36 @@ def _sqrt_discriminant(lam: float, params: ModelParams) -> float | None:
     return math.sqrt(disc)
 
 
-def excursion_mgf(lam: float, params: ModelParams) -> LaplaceValue:
+def excursion_mgf(lam: float, params: ModelParams) -> float:
     """E[exp(lam * S)] for the first return time S to the origin from (0, +1).
 
-    Finite exactly on lam <= critical_rate; at the boundary the value is
-    sqrt(b / a).  Solves a * psi**2 - (a + b - 2*lam) * psi + b = 0 (smaller
-    root).
+    Finite exactly on lam <= critical_rate, ``math.inf`` beyond; at the
+    boundary the value is sqrt(b / a).  Solves
+    a * psi**2 - (a + b - 2*lam) * psi + b = 0 (smaller root).
     """
     s = _sqrt_discriminant(lam, params)
     if s is None:
-        return INFINITE
+        return math.inf
     a, b = params.a, params.b
     # the smaller root as 2b/(m + s), since (m - s)/(2a) cancels once 4ab << m**2,
     # halved first so that 2b cannot overflow; m is held at its domain floor
     # 2*sqrt(ab), which rounding can undercut, so psi stays at most sqrt(b/a)
     m = max(a + b - 2.0 * lam, 2.0 * math.sqrt(a * b))
-    return LaplaceValue(b / (0.5 * m + 0.5 * s))
+    return b / (0.5 * m + 0.5 * s)
 
 
-def hitting_exponent(lam: float, params: ModelParams) -> LaplaceValue:
+def hitting_exponent(lam: float, params: ModelParams) -> float:
     """Exponent c(lam) with E[exp(lam * S_x)] = exp(x * c(lam)) for descents.
 
     S_x is the origin hitting time started from (x, -1) in the reflected
     chain.  Finite on lam <= critical_rate, where it equals
-    (b - a - sqrt((a+b-2*lam)**2 - 4ab)) / 2; satisfies
-    c = lam + a * (psi - 1).
+    (b - a - sqrt((a+b-2*lam)**2 - 4ab)) / 2, and ``math.inf`` beyond;
+    satisfies c = lam + a * (psi - 1).
     """
     s = _sqrt_discriminant(lam, params)
     if s is None:
-        return INFINITE
-    return LaplaceValue((params.b - params.a - s) / 2.0)
+        return math.inf
+    return (params.b - params.a - s) / 2.0
 
 
 def mean_excursion_length(params: ModelParams) -> float:
@@ -160,12 +141,12 @@ def mean_excursion_length(params: ModelParams) -> float:
     return 2.0 / params.rate_gap
 
 
-def hitting_mgf(x: float, v: int, lam: float, params: ModelParams) -> LaplaceValue:
+def hitting_mgf(x: float, v: int, lam: float, params: ModelParams) -> float:
     """E[exp(lam * S_(x,v))], origin hitting time of the reflected chain.
 
     From (x, -1) this is exp(x * c(lam)); from (x, +1) the particle must
     first complete the excursion in progress, giving psi(lam) * exp(x * c(lam)).
-    A value past the float range is :data:`INFINITE`, as beyond the domain.
+    A value past the float range is ``math.inf``, as beyond the domain.
     """
     if v not in (-1, 1):
         raise ValueError(f"velocity must be -1 or +1, got {v}")
@@ -173,16 +154,13 @@ def hitting_mgf(x: float, v: int, lam: float, params: ModelParams) -> LaplaceVal
     if not 0.0 <= x < math.inf:
         raise ValueError(f"start position must be finite and nonnegative, got {x}")
     c = hitting_exponent(lam, params)
-    if not c.is_finite:
-        return INFINITE
+    if not math.isfinite(c):
+        return math.inf
     try:
-        base = math.exp(x * c.value)
+        base = math.exp(x * c)
     except OverflowError:
-        return INFINITE
-    if v == -1:
-        return LaplaceValue(base)
-    psi = excursion_mgf(lam, params)
-    return LaplaceValue(psi.value * base)
+        return math.inf
+    return base if v == -1 else excursion_mgf(lam, params) * base
 
 
 def invariant_density(y: float, process: str, params: ModelParams) -> float:
@@ -203,7 +181,7 @@ def invariant_density(y: float, process: str, params: ModelParams) -> float:
     raise ValueError(f"process must be 'reflected' or 'unreflected', got {process!r}")
 
 
-def invariant_mgf(lam: float, params: ModelParams) -> LaplaceValue:
+def invariant_mgf(lam: float, params: ModelParams) -> float:
     """E[exp(lam * X)] under the reflected invariant law Exp(b - a).
 
     Equals (b-a)/(b-a-lam) for lam < b - a, infinite otherwise.
@@ -211,8 +189,8 @@ def invariant_mgf(lam: float, params: ModelParams) -> LaplaceValue:
     params.require_contracting("the invariant law")
     gap = params.rate_gap
     if lam >= gap:
-        return INFINITE
-    return LaplaceValue(gap / (gap - lam))
+        return math.inf
+    return gap / (gap - lam)
 
 
 class BoundConstants(NamedTuple):

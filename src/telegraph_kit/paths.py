@@ -21,7 +21,6 @@ import numpy as np
 
 __all__ = [
     "PiecewisePath",
-    "eval_path",
     "reflect_path",
     "unreflect_path",
     "write_path_csv",
@@ -206,11 +205,6 @@ class KnotRecorder:
         return PiecewisePath.from_lists(
             t[keep], np.asarray(self.x)[keep], np.asarray(self.v)[keep], horizon
         )
-
-
-def eval_path(path: PiecewisePath, t: float) -> tuple[float, int]:
-    """State of ``path`` at time t; see :meth:`PiecewisePath.eval`."""
-    return path.eval(t)
 
 
 def reflect_path(path: PiecewisePath) -> PiecewisePath:

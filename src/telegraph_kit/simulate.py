@@ -43,7 +43,6 @@ from .paths import KnotRecorder, PiecewisePath, check_start, fold
 
 __all__ = [
     "make_stream",
-    "split_streams",
     "ExpSource",
     "simulate_unreflected",
     "simulate_reflected",
@@ -58,11 +57,6 @@ def make_stream(seed: int, stream_id: int = 0) -> np.random.Generator:
     """Counter-based generator keyed by (seed, stream_id), both 64-bit."""
     ss = np.random.SeedSequence(entropy=[int(seed) & _MASK64, int(stream_id) & _MASK64])
     return np.random.Generator(np.random.Philox(ss))
-
-
-def split_streams(seed: int, n: int, base: int = 0) -> list[np.random.Generator]:
-    """n independent streams for one seed, ids base..base+n-1."""
-    return [make_stream(seed, base + i) for i in range(n)]
 
 
 # first and largest refill of an ExpSource; refills double in between

@@ -126,7 +126,7 @@ def test_pair_start_forms(tmp_path):
     assert code3 == EXIT_OK
     from telegraph_kit.model import hitting_mgf
 
-    ref = hitting_mgf(1.0, 1, -0.5, ModelParams(1.0, 2.0)).value
+    ref = hitting_mgf(1.0, 1, -0.5, ModelParams(1.0, 2.0))
     assert float(text3.splitlines()[1].split(",")[4]) == ref
 
     assert main(["hitting", "--start=2,0", "--out", str(tmp_path / "x")]) == EXIT_CONFIG
@@ -385,7 +385,7 @@ def test_non_finite_inputs_and_unrepresentable_references_exit_one():
 def test_references_past_the_float_range_exit_one(capsys):
     # the closed form is inside its domain here, but exp(x*c(lam)) is past
     # the largest float
-    assert model.hitting_mgf(1e5, -1, 0.08, ModelParams(1.0, 2.0)) is model.INFINITE
+    assert model.hitting_mgf(1e5, -1, 0.08, ModelParams(1.0, 2.0)) == math.inf
     cases = [
         ["hitting", "--start", "100000,-1", "--lam", "0.08", "--n", "10"],
         ["hitting", "--start", "1e300,-1", "--lam", "0.08", "--n", "10"],
@@ -428,6 +428,32 @@ def test_scaling_needs_two_walkers(capsys):
     assert main(["scaling", "--n", "2", "--scales", "4"]) == EXIT_OK
     p_value = float(capsys.readouterr().out.splitlines()[1].split(",")[4])
     assert 0.0 <= p_value <= 1.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hitting", "--n", "1"],
+        ["hitting", "--n", "1", "--check", "--start", "0,-1"],
+        ["excursions", "--n", "1", "--check"],
+    ],
+)
+def test_one_draw_runs_needing_a_standard_error_exit_one(argv, monkeypatch, capsys):
+    # a standard error of one draw is nan; the run is refused before any sampling
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled")
+
+    monkeypatch.setattr(cli.excursions, "sample_hitting", no_sampling)
+    monkeypatch.setattr(cli.excursions, "sample_excursions", no_sampling)
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert one_error_line(captured.err) and "at least 2" in captured.err
+    assert captured.out == ""
+
+
+def test_one_excursion_without_check_writes_its_row(capsys):
+    assert main(["excursions", "--n", "1"]) == EXIT_OK
+    assert len(capsys.readouterr().out.splitlines()) == 2
 
 
 def test_moment_orders_up_to_a_float_reference_run(tmp_path):

@@ -119,7 +119,7 @@ def test_length_transform_matches_closed_form():
         for lam in (-1.0, 0.5 * lc):
             vals = np.exp(lam * lengths)
             se = vals.std(ddof=1) / math.sqrt(vals.size)
-            ok = ok and abs(vals.mean() - excursion_mgf(lam, P12).value) <= 3.0 * se
+            ok = ok and abs(vals.mean() - excursion_mgf(lam, P12)) <= 3.0 * se
         return ok
 
     assert gate(check)
@@ -145,7 +145,7 @@ def test_transform_domain_boundary_is_visible_in_samples():
         rng = make_stream(64, seed)
         lengths = np.array([r.length for r in sample_excursions(100000, P12, rng)])
         inside = np.exp(0.9 * lc * lengths)
-        target = excursion_mgf(0.9 * lc, P12).value
+        target = excursion_mgf(0.9 * lc, P12)
         settled = abs(inside.mean() - target) <= 0.15 * target
         return settled and _beyond_domain_contrast(lengths, 2.0 * lc) > 1.3
 
@@ -182,7 +182,7 @@ def test_hitting_sampler_cases():
 
 def test_hitting_transform_matches_closed_form():
     lam = 0.5 * critical_rate(P12)
-    target = hitting_mgf(2.0, -1, lam, P12).value
+    target = hitting_mgf(2.0, -1, lam, P12)
 
     def check(seed):
         rng = make_stream(66, seed)
@@ -311,7 +311,7 @@ def test_regenerative_velocity_marginal_is_fair():
 
 
 def test_regenerative_exponential_moment():
-    target = invariant_mgf(0.5, P12).value  # 2.0
+    target = invariant_mgf(0.5, P12)  # 2.0
 
     def check(seed):
         est = regenerative_estimate(

@@ -6,11 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from telegraph_kit.coupling import dominating_time_mgf
 from telegraph_kit.model import (
-    INFINITE,
     BoundConstants,
     DegenerateRatesError,
-    LaplaceValue,
     ModelParams,
     VELOCITY_WEIGHT,
     bound_constants,
@@ -57,33 +56,45 @@ def test_params_validation():
         bound_constants(p)
 
 
-def test_laplace_value_wrapper():
-    v = LaplaceValue(2.5)
-    assert v.is_finite and float(v) == 2.5
-    assert not INFINITE.is_finite
-    assert VELOCITY_WEIGHT == 0.5
-
-
 def test_critical_rate_frozen():
     assert critical_rate(P12) == pytest.approx(LC_12, rel=1e-12)
     assert critical_rate(ModelParams(1.0, 4.0)) == 0.5
 
 
 def test_excursion_mgf_frozen_points():
-    assert excursion_mgf(0.0, P12).value == pytest.approx(1.0, rel=1e-12)
-    assert excursion_mgf(-1.0, P12).value == pytest.approx(PSI_MINUS1_12, rel=1e-12)
+    assert excursion_mgf(0.0, P12) == pytest.approx(1.0, rel=1e-12)
+    assert excursion_mgf(-1.0, P12) == pytest.approx(PSI_MINUS1_12, rel=1e-12)
     lc = critical_rate(P12)
     # boundary value sqrt(b/a); the clamped discriminant costs ~1e-8 there
-    assert excursion_mgf(lc, P12).value == pytest.approx(math.sqrt(2.0), rel=1e-7)
-    assert not excursion_mgf(lc + 1e-6, P12).is_finite
+    assert excursion_mgf(lc, P12) == pytest.approx(math.sqrt(2.0), rel=1e-7)
+    assert excursion_mgf(lc + 1e-6, P12) == math.inf
 
 
 def test_hitting_exponent_frozen_points():
-    assert hitting_exponent(0.0, P12).value == pytest.approx(0.0, abs=1e-12)
-    assert hitting_exponent(-1.0, P12).value == pytest.approx(C_MINUS1_12, rel=1e-12)
+    assert hitting_exponent(0.0, P12) == pytest.approx(0.0, abs=1e-12)
+    assert hitting_exponent(-1.0, P12) == pytest.approx(C_MINUS1_12, rel=1e-12)
     lc = critical_rate(P12)
-    assert hitting_exponent(lc, P12).value == pytest.approx(0.5, rel=1e-7)
-    assert not hitting_exponent(lc + 1e-6, P12).is_finite
+    assert hitting_exponent(lc, P12) == pytest.approx(0.5, rel=1e-7)
+    assert hitting_exponent(lc + 1e-6, P12) == math.inf
+
+
+@pytest.mark.parametrize(
+    "closed_form, inside, beyond",
+    [
+        (excursion_mgf, (-1.0, P12), (LC_12 + 1e-6, P12)),
+        (hitting_exponent, (-1.0, P12), (LC_12 + 1e-6, P12)),
+        (hitting_mgf, (2.0, 1, -1.0, P12), (2.0, 1, LC_12 + 1e-6, P12)),
+        (hitting_mgf, (2.0, -1, LC_12, P12), (2.0, -1, LC_12 + 1e-6, P12)),
+        # inside the domain, but exp(x * c(lam)) is past the largest float
+        (hitting_mgf, (2.0, 1, 0.08, P12), (1e5, 1, 0.08, P12)),
+        (invariant_mgf, (0.5, P12), (1.0, P12)),
+        (dominating_time_mgf, (1.0, 0.5, -1.0, P12), (1.0, 0.5, LC_12 + 1e-6, P12)),
+    ],
+)
+def test_closed_forms_return_plain_floats(closed_form, inside, beyond):
+    # a divergent transform is math.inf, as is a value past the float range
+    assert type(closed_form(*inside)) is float
+    assert closed_form(*beyond) == math.inf
 
 
 def test_domain_switch_is_ulp_sharp():
@@ -92,10 +103,10 @@ def test_domain_switch_is_ulp_sharp():
         a = float(rng.uniform(0.05, 5.0))
         p = ModelParams(a, a + float(rng.uniform(1e-3, 5.0)))
         lc = critical_rate(p)
-        assert excursion_mgf(lc, p).is_finite
-        assert not excursion_mgf(float(np.nextafter(lc, np.inf)), p).is_finite
-        assert hitting_exponent(lc, p).is_finite
-        assert not hitting_exponent(float(np.nextafter(lc, np.inf)), p).is_finite
+        assert math.isfinite(excursion_mgf(lc, p))
+        assert excursion_mgf(float(np.nextafter(lc, np.inf)), p) == math.inf
+        assert math.isfinite(hitting_exponent(lc, p))
+        assert hitting_exponent(float(np.nextafter(lc, np.inf)), p) == math.inf
 
 
 def test_fixed_point_and_consistency_identities():
@@ -106,12 +117,12 @@ def test_fixed_point_and_consistency_identities():
         lc = critical_rate(p)
         for lam in rng.uniform(lc - 3.0 * (p.a + p.b), lc, size=30):
             lam = float(lam)
-            psi = excursion_mgf(lam, p).value
+            psi = excursion_mgf(lam, p)
             m = p.a + p.b - 2.0 * lam
             residual = p.a * psi * psi - m * psi + p.b
             scale = p.a * psi * psi + abs(m) * psi + p.b
             assert abs(residual) <= 1e-10 * scale
-            c = hitting_exponent(lam, p).value
+            c = hitting_exponent(lam, p)
             assert c == pytest.approx(lam + p.a * (psi - 1.0), rel=1e-10, abs=1e-10)
 
 
@@ -131,12 +142,12 @@ def test_identities_hold_at_large_rate_ratios(log_b, log_ratio):
     top = critical_rate(p)
     for lam in np.linspace(top - 5.0, top, 101):
         lam = float(lam)
-        psi = excursion_mgf(lam, p).value
+        psi = excursion_mgf(lam, p)
         assert psi <= math.sqrt(p.b / p.a) * (1.0 + 1e-15)
         m = p.a + p.b - 2.0 * lam
         residual = p.a * psi * psi - m * psi + p.b
         assert abs(residual) <= 1e-10 * (p.a * psi * psi + abs(m) * psi + p.b)
-        c = hitting_exponent(lam, p).value
+        c = hitting_exponent(lam, p)
         assert abs(c - (lam + p.a * (psi - 1.0))) <= 1e-10 * max(1.0, abs(c))
 
 
@@ -144,14 +155,14 @@ def test_excursion_mgf_increasing_up_to_boundary():
     for p in (P12, ModelParams(0.3, 1.9), ModelParams(2.0, 2.5)):
         lc = critical_rate(p)
         grid = np.linspace(lc - 8.0, lc, 400)
-        vals = [excursion_mgf(float(l), p).value for l in grid]
+        vals = [excursion_mgf(float(l), p) for l in grid]
         assert all(np.diff(vals) > 0.0)
 
 
 def test_mgf_derivative_at_zero_matches_mean_length():
     h = 1e-6
     for p in (P12, ModelParams(0.5, 3.0), ModelParams(2.0, 2.2)):
-        slope = (excursion_mgf(h, p).value - excursion_mgf(-h, p).value) / (2.0 * h)
+        slope = (excursion_mgf(h, p) - excursion_mgf(-h, p)) / (2.0 * h)
         assert slope == pytest.approx(mean_excursion_length(p), rel=1e-4)
 
 
@@ -163,10 +174,10 @@ def test_mean_excursion_length_values():
 
 def test_hitting_mgf_cases():
     lc = critical_rate(P12)
-    assert hitting_mgf(0.0, -1, lc, P12).value == 1.0
-    assert hitting_mgf(0.0, 1, lc, P12).value == pytest.approx(math.sqrt(2.0), rel=1e-7)
-    assert hitting_mgf(2.0, -1, lc, P12).value == pytest.approx(math.e, rel=1e-7)
-    assert not hitting_mgf(1.0, -1, lc + 1e-3, P12).is_finite
+    assert hitting_mgf(0.0, -1, lc, P12) == 1.0
+    assert hitting_mgf(0.0, 1, lc, P12) == pytest.approx(math.sqrt(2.0), rel=1e-7)
+    assert hitting_mgf(2.0, -1, lc, P12) == pytest.approx(math.e, rel=1e-7)
+    assert hitting_mgf(1.0, -1, lc + 1e-3, P12) == math.inf
     with pytest.raises(ValueError):
         hitting_mgf(1.0, 0, 0.0, P12)
     with pytest.raises(ValueError):
@@ -174,6 +185,7 @@ def test_hitting_mgf_cases():
 
 
 def test_invariant_density_values_and_errors():
+    assert VELOCITY_WEIGHT == 0.5  # the velocity is an independent fair sign
     assert invariant_density(0.0, "unreflected", P12) == 0.5
     assert invariant_density(0.0, "reflected", P12) == 1.0
     assert invariant_density(50.0, "unreflected", P12) < 1e-8
@@ -193,10 +205,10 @@ def test_invariant_density_normalization():
 
 
 def test_invariant_mgf_values():
-    assert invariant_mgf(0.0, P12).value == 1.0
-    assert invariant_mgf(0.5, P12).value == pytest.approx(2.0, rel=1e-12)
-    assert not invariant_mgf(1.0, P12).is_finite
-    assert not invariant_mgf(1.5, P12).is_finite
+    assert invariant_mgf(0.0, P12) == 1.0
+    assert invariant_mgf(0.5, P12) == pytest.approx(2.0, rel=1e-12)
+    assert invariant_mgf(1.0, P12) == math.inf
+    assert invariant_mgf(1.5, P12) == math.inf
 
 
 def test_bound_constants_frozen():
@@ -215,7 +227,7 @@ def test_bound_constants_frozen():
     assert tv_bound(1.0, 0.0, 0.0, "unreflected", wide) == math.inf
     assert bound_constants(ModelParams(1e-300, 1.0)).reflected_prefactor == math.inf
     # at the critical rate the discriminant is boundary roundoff, checked without a float **
-    assert excursion_mgf(critical_rate(wide), wide).is_finite
+    assert math.isfinite(excursion_mgf(critical_rate(wide), wide))
 
 
 def test_spatial_rate_below_gap():

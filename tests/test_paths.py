@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from telegraph_kit.model import ModelParams
-from telegraph_kit.paths import PiecewisePath, eval_path, reflect_path, unreflect_path, write_path_csv
+from telegraph_kit.paths import PiecewisePath, reflect_path, unreflect_path, write_path_csv
 from telegraph_kit.simulate import make_stream, simulate_reflected, simulate_unreflected
 
 P12 = ModelParams(1.0, 2.0)
@@ -15,7 +15,7 @@ def test_eval_basic_and_bounds():
     path = PiecewisePath.from_lists([0.0], [1.0], [1], 5.0)
     assert path.eval(0.0) == (1.0, 1)
     assert path.eval(2.0) == (3.0, 1)
-    assert eval_path(path, 5.0) == (6.0, 1)
+    assert path.eval(5.0) == (6.0, 1)
     assert path.initial_state == (1.0, 1)
     assert path.events == []
     with pytest.raises(ValueError):

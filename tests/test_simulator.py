@@ -14,7 +14,6 @@ from telegraph_kit.simulate import (
     sample_unreflected_states,
     simulate_reflected,
     simulate_unreflected,
-    split_streams,
 )
 
 P12 = ModelParams(1.0, 2.0)
@@ -28,10 +27,10 @@ def test_streams_are_deterministic_and_distinct():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
-    streams = split_streams(5, 4)
+    streams = [make_stream(5, i) for i in range(4)]
     draws = [s.standard_exponential() for s in streams]
     assert len(set(draws)) == 4
-    again = [s.standard_exponential() for s in split_streams(5, 4)]
+    again = [make_stream(5, i).standard_exponential() for i in range(4)]
     assert draws == again
 
 
@@ -123,7 +122,7 @@ def test_degenerate_rates_give_constant_rate_flips():
 def test_mean_hitting_time_matches_transform_slope():
     """E[hit time from (x,-1)] equals x * c'(0), read off by finite differences."""
     h = 1e-6
-    slope = (hitting_exponent(h, P12).value - hitting_exponent(-h, P12).value) / (2.0 * h)
+    slope = (hitting_exponent(h, P12) - hitting_exponent(-h, P12)) / (2.0 * h)
     target = 3.0 * slope
 
     def check(seed):
