@@ -651,6 +651,7 @@ def dominating_time_mgf(x: float, x_other: float, lam: float, params: ModelParam
 
     Product of the transforms of the independent pieces; the first factor
     packages the Exp(a+b) clock together with the functionals driven by it.
+    A value past the float range is ``math.inf``, as beyond the domain.
     """
     x = float(x)
     x_other = float(x_other)
@@ -665,7 +666,10 @@ def dominating_time_mgf(x: float, x_other: float, lam: float, params: ModelParam
     if denom <= 0.0:
         return math.inf
     exponent = x * c + 0.5 * (x + x_other) * lam + 0.5 * (x - x_other) * a * (psi - 1.0)
-    return (a + b) * psi**2 / denom * math.exp(exponent)
+    try:
+        return (a + b) * psi**2 / denom * math.exp(exponent)
+    except OverflowError:
+        return math.inf
 
 
 def write_coupling_batch_csv(results, dest) -> None:

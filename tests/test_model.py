@@ -85,10 +85,11 @@ def test_hitting_exponent_frozen_points():
         (hitting_exponent, (-1.0, P12), (LC_12 + 1e-6, P12)),
         (hitting_mgf, (2.0, 1, -1.0, P12), (2.0, 1, LC_12 + 1e-6, P12)),
         (hitting_mgf, (2.0, -1, LC_12, P12), (2.0, -1, LC_12 + 1e-6, P12)),
-        # inside the domain, but exp(x * c(lam)) is past the largest float
-        (hitting_mgf, (2.0, 1, 0.08, P12), (1e5, 1, 0.08, P12)),
         (invariant_mgf, (0.5, P12), (1.0, P12)),
         (dominating_time_mgf, (1.0, 0.5, -1.0, P12), (1.0, 0.5, LC_12 + 1e-6, P12)),
+        # far starts: inside the domain, but past the largest float
+        (hitting_mgf, (2.0, 1, 0.08, P12), (1e5, 1, 0.08, P12)),
+        (dominating_time_mgf, (1.0, 0.5, LC_12, P12), (3000.0, 0.0, LC_12, P12)),
     ],
 )
 def test_closed_forms_return_plain_floats(closed_form, inside, beyond):
