@@ -8,9 +8,9 @@ of any subcommand, in a --config file, to a JSON string, null, a list, a
 bool, 1e308 or "nan"; ``--n`` is also tried at 1 and at 2, with and
 without ``--check``, and past its cap.  A case passes when the child exits
 with one of the CLI's codes 0-3 inside the limit and prints no traceback;
-an ``--n`` case must also print no numpy ``RuntimeWarning``.  The example counts and the generation
-are fixed, so every run tries the same cases.  Kept out of the tier-1
-suite; run from the repository root:
+an ``--n`` case must also print no numpy ``RuntimeWarning``.  The example
+counts and the generation are fixed, so every run tries the same cases.
+Kept out of the tier-1 suite; run from the repository root:
 
     python3 -m pytest -q fuzz/test_cli_fuzz.py
 """
