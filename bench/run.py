@@ -25,6 +25,10 @@ line count of each module of ``src/telegraph_kit`` with their total, then:
 - ms per call of ``analysis.sde_oracle`` at the size of the ``scaling``
   subcommand: n = 1000 endpoints from 0 at drift 1 to time 1, in steps of
   ``default_oracle_dt(1)``;
+- ms per in-process ``excursions --n 20480 --check`` job through
+  ``cli.main``, output to the null device, and µs per excursion of
+  ``excursions.sample_excursions`` in 1,024-excursion chunks, the CLI's
+  chunk size, at a = 1, b = 2;
 - seconds per call and µs per run of ``analysis.tv_curve`` at the size of
   the ``tvcurve`` benchmark job (n = 1000 runs per leg, same starts, grid
   and rates), for both processes; a run is one coupling and one walker per
@@ -54,6 +58,7 @@ by more than the change being measured.
 from __future__ import annotations
 
 import argparse
+import importlib
 import importlib.util
 import json
 import os
@@ -74,6 +79,8 @@ WORKLOADS = ("tvcurve_scaling", "excursions_couple")
 SAMPLE_S = 0.05
 BASELINE_LABEL = "parent"
 SCALING_CLI = ("-m", "telegraph_kit.cli", "scaling", "--n", "1000", "--scales", "4,16,100")
+EXCURSIONS_JOB = ("excursions", "--n", "20480", "--check", "--seed", "1")
+EXCURSION_CHUNK = 1024
 
 # Spawns its arguments as a program, waits, and prints the program's wall
 # seconds, peak RSS in KiB and exit code.  A spawned process's ru_maxrss
@@ -239,6 +246,29 @@ def oracle_record(pkgs: dict, repeats: int) -> dict:
     }
 
 
+def excursions_record(pkgs: dict, repeats: int) -> dict:
+    jobs, chunks = {}, {}
+    for label, pkg in pkgs.items():
+        cli = importlib.import_module(f"{pkg.__name__}.cli")
+        params = pkg.model.ModelParams(1.0, 2.0)
+        jobs[label] = lambda cli=cli: cli.main([*EXCURSIONS_JOB, "--out", os.devnull])
+        chunks[label] = lambda pkg=pkg, params=params: pkg.excursions.sample_excursions(
+            EXCURSION_CHUNK, params, pkg.simulate.make_stream(1, 0)
+        )
+    job_runs, chunk_runs = timed(jobs, repeats), timed(chunks, repeats)
+    return {
+        label: {
+            "job_argv": list(EXCURSIONS_JOB),
+            "median_ms_per_job": 1e3 * statistics.median(job_runs[label]),
+            "job_runs_s": job_runs[label],
+            "chunk": EXCURSION_CHUNK,
+            "median_us_per_excursion": 1e6 * statistics.median(chunk_runs[label]) / EXCURSION_CHUNK,
+            "chunk_runs_s": chunk_runs[label],
+        }
+        for label in pkgs
+    }
+
+
 def tv_curve_record(pkgs: dict, repeats: int) -> dict:
     import numpy as np
 
@@ -344,6 +374,7 @@ def main(argv=None) -> int:
         "tv_curve_couplings": coupling_half_record(pkgs, args.repeats),
         "sde_oracle": oracle_record(pkgs, args.repeats),
         "tv_curve": tv_curve_record(pkgs, args.repeats),
+        "excursions": excursions_record(pkgs, args.repeats),
     }
     order = list(roots)
     for workload in WORKLOADS:

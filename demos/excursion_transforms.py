@@ -18,9 +18,7 @@ from telegraph_kit.simulate import make_stream
 params = ModelParams(a=1.0, b=2.0)
 lam_c = critical_rate(params)
 
-lengths = np.array(
-    [r.length for r in sample_excursions(200000, params, make_stream(23, 0))]
-)
+lengths = sample_excursions(200000, params, make_stream(23, 0)).length
 se = lengths.std(ddof=1) / np.sqrt(lengths.size)
 print(f"mean excursion length  {lengths.mean():.4f} +- {se:.4f}"
       f"   (exact {mean_excursion_length(params):.4f})")

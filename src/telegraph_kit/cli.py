@@ -18,15 +18,9 @@ around 1e-6 per gate at the 0.01 level.
 from __future__ import annotations
 
 import io
-import json
 import math
 import os
 import sys
-import traceback
-
-# unused here, but perfbench/tracing.py patches cli.ThreadPoolExecutor on every
-# traced run and raises AttributeError without it, so the name stays importable
-from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -159,8 +153,9 @@ class _Option:
     """How one option is read and checked, its help, and its default per subcommand.
 
     parse reads flag text, a JSON value or the default, or raises ValueError;
-    a value that fails test or passes the subcommand's cap is refused as not
-    ``rule``.  The keys of defaults are the subcommands that take the option.
+    a value that fails test or lies outside the subcommand's floor and cap is
+    refused as not ``rule``.  The keys of defaults are the subcommands that
+    take the option.
     """
 
     parse: Callable
@@ -170,14 +165,22 @@ class _Option:
     test: Callable = lambda value: True
     shown: str = ""  # what a None default stands for; it is computed later
     caps: dict = field(default_factory=dict)
+    floors: dict = field(default_factory=dict)  # subcommand: (least value, why, or "")
 
     def rule_for(self, command: str) -> str:
-        return self.rule.format(cap=f"{self.caps.get(command, 0):,}")
+        floor, why = self.floors.get(command, (0, ""))
+        rule = self.rule.format(floor=f"{floor:,}", cap=f"{self.caps.get(command, 0):,}")
+        return f"{rule}, as {why}" if why else rule
 
     def convert(self, raw, command: str):
         value = self.parse(raw)
         cap = self.caps.get(command)
-        if value is not None and not (self.test(value) and (cap is None or value <= cap)):
+        floor, _ = self.floors.get(command, (None, ""))
+        if value is not None and not (
+            self.test(value)
+            and (cap is None or value <= cap)
+            and (floor is None or value >= floor)
+        ):
             raise ValueError(f"must be {self.rule_for(command)}, got {raw!r}")
         return value
 
@@ -203,20 +206,21 @@ def _choice(choices: tuple, help: str, defaults: dict) -> _Option:
     return _Option(_text, " or ".join(choices), help, defaults, lambda x: x in choices)
 
 
-# subcommand: (default --n, bytes per item).  A larger --n than _MEMORY_BUDGET
-# over the bytes per item is refused before any work.  Bytes per item are the
-# slope of a run's peak RSS between --n 20,000 and 100,000 at the other
-# defaults, output text included (x86-64 Linux, Python 3.11, numpy 2.4),
-# rounded up.  simulate and formulas draw no batch; their 1 byte only bounds n.
+# subcommand: (default --n, least --n and why, bytes per item).  A smaller
+# --n than the least, or a larger one than _MEMORY_BUDGET over the bytes per
+# item, is refused before any work.  Bytes per item are the slope of a run's
+# peak RSS between --n 20,000 and 100,000 at the other defaults, output text
+# included (x86-64 Linux, Python 3.11, numpy 2.4), rounded up.  simulate and
+# formulas draw no batch; their 1 byte only bounds n.
 _SIZES = {
-    "simulate": (1, 1),
-    "excursions": (10000, 350),
-    "invariant": (10000, 2400),
-    "hitting": (10000, 40),
-    "couple": (10000, 450),
-    "tvcurve": (2000, 330),
-    "scaling": (10000, 220),
-    "formulas": (1, 1),
+    "simulate": (1, (1, ""), 1),
+    "excursions": (10000, (1, ""), 350),
+    "invariant": (10000, (2, "a standard error needs at least 2 excursions"), 2400),
+    "hitting": (10000, (2, "a standard error needs at least 2 draws"), 40),
+    "couple": (10000, (1, ""), 450),
+    "tvcurve": (2000, (1000, "the TV curve needs at least 1000 runs per leg"), 330),
+    "scaling": (10000, (2, "a KS test needs two walkers a side"), 220),
+    "formulas": (1, (1, ""), 1),
 }
 _MEMORY_BUDGET = 2 << 30
 _EVERY = tuple(_SIZES)
@@ -230,9 +234,10 @@ _OPTIONS = {
     "seed": _Option(_integer, "an integer", "root seed; all streams derive from it",
                     dict.fromkeys(_EVERY, 0)),
     "n": _Option(
-        _integer, "an integer from 1 to {cap}", "sample count",
-        {command: n for command, (n, _) in _SIZES.items()}, lambda n: n >= 1,
-        caps={command: _MEMORY_BUDGET // size for command, (_, size) in _SIZES.items()},
+        _integer, "an integer from {floor} to {cap}", "sample count",
+        {command: n for command, (n, _, _) in _SIZES.items()},
+        caps={command: _MEMORY_BUDGET // size for command, (_, _, size) in _SIZES.items()},
+        floors={command: floor for command, (_, floor, _) in _SIZES.items()},
     ),
     "out": _Option(_text, "a file name, '-' for stdout", "output file",
                    dict.fromkeys(_EVERY, "-"), bool),
@@ -311,6 +316,8 @@ def _resolve(argv) -> RunConfig:
         raise _ConfigError("a subcommand is required")
     file_conf = {}
     if args.config is not None:
+        import json
+
         try:
             with open(args.config) as fh:
                 file_conf = json.load(fh)
@@ -383,16 +390,15 @@ def _cmd_simulate(cfg: RunConfig, seed: int):
 def _cmd_excursions(cfg: RunConfig, seed: int):
     if cfg.check and cfg.n < 2:
         raise _ConfigError(f"--check needs --n of at least 2 for a standard error, got {cfg.n}")
-    records = [
-        rec
-        for rng, count in _chunks(cfg.n, seed)
-        for rec in excursions.sample_excursions(count, cfg.params, rng)
+    chunks = [
+        excursions.sample_excursions(count, cfg.params, rng) for rng, count in _chunks(cfg.n, seed)
     ]
+    batch = excursions.ExcursionRecord._make(map(np.concatenate, zip(*chunks)))
     buf = io.StringIO()
-    excursions.write_excursions_csv(records, buf)
+    excursions.write_excursions_csv(batch, buf)
     ok = True
     if cfg.check and cfg.params.b > cfg.params.a:
-        lengths = np.array([r.length for r in records])
+        lengths = batch.length
         target = model.mean_excursion_length(cfg.params)
         se = float(lengths.std(ddof=1)) / math.sqrt(lengths.size)
         ok = abs(float(lengths.mean()) - target) <= GATE_Z * se
@@ -468,8 +474,6 @@ def _cmd_invariant(cfg: RunConfig, seed: int):
 
 def _cmd_hitting(cfg: RunConfig, seed: int):
     (pos0, vel0), lam = cfg.options["start"], cfg.options["lam"]
-    if cfg.n < 2:
-        raise _ConfigError(f"hitting needs --n of at least 2 for a standard error, got {cfg.n}")
     reference = model.hitting_mgf(pos0, vel0, lam, cfg.params)
     if not math.isfinite(model.hitting_exponent(lam, cfg.params)):
         raise _ConfigError(f"lam={lam} lies beyond the transform domain")
@@ -607,6 +611,8 @@ def _cmd_formulas(cfg: RunConfig, seed: int):
         "version": __version__,
         "params": {"a": p.a, "b": p.b},
     }
+    import json
+
     text = json.dumps(table, indent=2, sort_keys=True, allow_nan=False) + "\n"
     ok = True
     if cfg.check:
@@ -665,9 +671,21 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except Exception:
+        import traceback
+
         traceback.print_exc()
         return EXIT_RUNTIME
     return EXIT_GATE if cfg.check and not ok else EXIT_OK
+
+
+def __getattr__(name):
+    # perfbench/tracing.py patches cli.ThreadPoolExecutor on every traced run; it is
+    # served on demand, as importing concurrent.futures (and logging) slows every start
+    if name == "ThreadPoolExecutor":
+        from concurrent.futures import ThreadPoolExecutor
+
+        return ThreadPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 if __name__ == "__main__":

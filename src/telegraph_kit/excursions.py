@@ -6,8 +6,8 @@ with independent uniform marks.  Iterating this branching picture samples
 the return time S (length 2E plus the children's lengths), the flip count
 and the maximal height without simulating individual events.  One kernel
 grows a whole batch of such trees one generation at a time with array
-operations; :func:`sample_excursions` reads lengths, flip counts and
-heights off it, and hitting times from arbitrary starts and the additive
+operations; :func:`sample_excursions` returns its columns of lengths, flip
+counts and heights, and hitting times from arbitrary starts and the additive
 origin-visit functional sum its lengths by owner.  All three are batch
 calls, and a single draw is a batch of one.  The regenerative estimator
 turns exact event-simulated excursion paths into invariant-law
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -60,13 +60,12 @@ def _check_budget(nodes) -> None:
         raise RecursionBudgetError(f"excursion trees passed {NODE_BUDGET} nodes in one call")
 
 
-@dataclass(frozen=True)
-class ExcursionRecord:
-    """Summary of one origin-to-origin excursion."""
+class ExcursionRecord(NamedTuple):
+    """Length, flip-count and max-height columns of a batch of origin-to-origin excursions."""
 
-    length: float
-    jump_count: int
-    max_height: float
+    length: np.ndarray
+    jump_count: np.ndarray
+    max_height: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -82,8 +81,8 @@ class EstimateWithCI:
 
 
 def sample_excursion_recursive(params: ModelParams, rng: np.random.Generator) -> ExcursionRecord:
-    """One excursion via the branching decomposition: a batch of one."""
-    return sample_excursions(1, params, rng)[0]
+    """One excursion via the branching decomposition: a batch of one, as Python scalars."""
+    return ExcursionRecord._make(column.item() for column in sample_excursions(1, params, rng))
 
 
 def _tree_generations(roots, params, rng):
@@ -109,14 +108,13 @@ def _tree_generations(roots, params, rng):
         owner = np.repeat(owner, kids)
 
 
-def sample_excursions(
-    n: int, params: ModelParams, rng: np.random.Generator
-) -> list[ExcursionRecord]:
+def sample_excursions(n: int, params: ModelParams, rng: np.random.Generator) -> ExcursionRecord:
     """n independent excursions via the branching decomposition; no event simulation.
 
-    The jump count excludes the final flip back at the origin: the apex flip
-    of each node plus one flip ahead of each child, 2k - 1 flips for a tree
-    of k nodes.  The max height is the largest apex, base + E.  Raises
+    Returns float64, int64 and float64 columns of length n.  The jump count
+    excludes the final flip back at the origin: the apex flip of each node
+    plus one flip ahead of each child, 2k - 1 flips for a tree of k nodes.
+    The max height is the largest apex, base + E.  Raises
     :class:`RecursionBudgetError` once the call has grown more than
     ``NODE_BUDGET`` nodes over all its trees.
     """
@@ -128,7 +126,7 @@ def sample_excursions(
         np.add.at(length, owner, 2.0 * e)
         np.add.at(jumps, owner, 2)
         np.maximum.at(max_height, owner, base + e)
-    return list(map(ExcursionRecord, length.tolist(), jumps.tolist(), max_height.tolist()))
+    return ExcursionRecord(length, jumps, max_height)
 
 
 def _summed_lengths(start, mean_roots, extra, size, params, rng):
@@ -334,10 +332,7 @@ def _regenerative_estimates(integrands, n_excursions, params, rng):
     return estimates
 
 
-def write_excursions_csv(records, dest) -> None:
-    """Write ``length,jump_count,max_height`` rows for a batch of records."""
-    write_csv(
-        dest,
-        "length,jump_count,max_height",
-        (f"{rec.length!r},{rec.jump_count},{rec.max_height!r}\n" for rec in records),
-    )
+def write_excursions_csv(records: ExcursionRecord, dest) -> None:
+    """Write a ``length,jump_count,max_height`` row per excursion; floats as Python reprs."""
+    row = "{!r},{},{!r}\n".format
+    write_csv(dest, "length,jump_count,max_height", map(row, *(c.tolist() for c in records)))

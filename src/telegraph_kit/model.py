@@ -86,7 +86,8 @@ def _sqrt_discriminant(lam: float, params: ModelParams) -> float | None:
     """sqrt((a+b-2*lam)**2 - 4ab), or None when lam lies beyond the domain.
 
     Factored as (m - 2*sqrt(ab))*(m + 2*sqrt(ab)) with m = a+b-2*lam so the
-    cancellation near the critical rate stays benign.  Tiny negative values
+    cancellation near the critical rate stays benign, and scaled by m only
+    where that product passes the float range.  Tiny negative values
     produced by roundoff at the domain boundary are clamped to zero.
     """
     a, b = params.a, params.b
@@ -95,6 +96,8 @@ def _sqrt_discriminant(lam: float, params: ModelParams) -> float | None:
     m = a + b - 2.0 * lam
     two_root = 2.0 * math.sqrt(a * b)
     disc = (m - two_root) * (m + two_root)
+    if disc == math.inf and m < math.inf:  # m above about 1.3e154, and m > two_root
+        return m * math.sqrt((m - two_root) / m * (1.0 + two_root / m))
     if disc < 0.0:
         # lam is inside the domain, so any negative value is boundary roundoff
         if disc < -1e-12 * (a + b) * (a + b):  # a float ** past the float range would raise

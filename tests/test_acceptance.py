@@ -103,9 +103,8 @@ def test_criterion_02_mean_excursion_length():
 
     def check(seed):
         t0 = time.perf_counter()
-        recs = sample_excursions(100000, P12, make_stream(900, seed))
+        lengths = sample_excursions(100000, P12, make_stream(900, seed)).length
         timing["dt"] = time.perf_counter() - t0
-        lengths = np.array([r.length for r in recs])
         timing["mean"] = float(lengths.mean())
         timing["se"] = float(lengths.std(ddof=1)) / math.sqrt(lengths.size)
         return abs(timing["mean"] - 2.0) <= 3.0 * timing["se"] and timing["dt"] < 10.0
@@ -124,7 +123,7 @@ def test_criterion_03_sampler_oracle_equivalence():
     def check(seed):
         t0 = time.perf_counter()
         rng = make_stream(901, seed)
-        rec = np.array([r.length for r in sample_excursions(10000, P12, rng)])
+        rec = sample_excursions(10000, P12, rng).length
         rng2 = make_stream(902, seed)
         event = np.array([first_return_time(P12, rng2) for _ in range(10000)])
         _, p = ks_two_sample(rec, event)
@@ -141,9 +140,7 @@ def test_criterion_04_excursion_transform():
     info = {}
 
     def check(seed):
-        lengths = np.array(
-            [r.length for r in sample_excursions(100000, P12, make_stream(903, seed))]
-        )
+        lengths = sample_excursions(100000, P12, make_stream(903, seed)).length
         for lam, target in targets.items():
             vals = np.exp(lam * lengths)
             err = abs(float(vals.mean()) - target)

@@ -217,6 +217,8 @@ def test_config_errors_exit_one(tmp_path, capsys):
         ["simulate", "--a", "-1"],
         ["excursions", "--n", "0"],
         ["excursions", "--n", "-5"],
+        ["invariant", "--n", "1"],
+        ["tvcurve", "--n", "999"],
         ["simulate", "--process", "folded"],
         ["hitting", "--lambda", "0.5"],
         ["invariant", "--integrand", "cosine"],
@@ -649,13 +651,14 @@ def test_config_check_takes_only_json_booleans(tmp_path, capsys):
 def test_sample_counts_past_the_memory_cap_exit_one_at_once(capsys):
     for command in cli._COMMANDS:
         cap = cli._OPTIONS["n"].caps[command]
+        floor, _ = cli._OPTIONS["n"].floors[command]
         # the defaults sit a factor 50 or more inside the cap
         assert 50 * cli._OPTIONS["n"].defaults[command] <= cap, command
         begun = time.perf_counter()
         assert main([command, "--n", "1000000000000"]) == EXIT_CONFIG, command
         assert time.perf_counter() - begun < 1.0, command
         err = capsys.readouterr().err
-        assert one_error_line(err) and f"from 1 to {cap:,}" in err, command
+        assert one_error_line(err) and f"from {floor:,} to {cap:,}" in err, command
 
 
 def test_help_states_each_table_default_and_rule(capsys):

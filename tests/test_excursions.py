@@ -34,20 +34,36 @@ P12 = ModelParams(1.0, 2.0)
 
 def test_record_structure():
     recs = sample_excursions(500, P12, make_stream(60, 0))
-    assert all(isinstance(r, ExcursionRecord) for r in recs)
-    assert all(r.length > 0.0 for r in recs)
-    assert all(r.jump_count >= 1 for r in recs)
-    assert all(r.max_height > 0.0 for r in recs)
+    assert isinstance(recs, ExcursionRecord)
+    assert np.all(recs.length > 0.0)
+    assert np.all(recs.jump_count >= 1)
+    assert np.all(recs.max_height > 0.0)
     # reaching the apex and coming back already costs twice the height
-    assert all(r.length >= 2.0 * r.max_height - 1e-12 for r in recs)
+    assert np.all(recs.length >= 2.0 * recs.max_height - 1e-12)
     # the no-child draw exists and pins length = 2 * ascent
-    assert any(r.jump_count == 1 for r in recs)
+    assert np.any(recs.jump_count == 1)
+
+
+@pytest.mark.parametrize("n", [1, 1024, 1025])
+def test_batches_come_back_as_typed_columns(n):
+    recs = sample_excursions(n, P12, make_stream(60, n))
+    assert isinstance(recs, ExcursionRecord)
+    for column, dtype in zip(recs, (np.float64, np.int64, np.float64)):
+        assert type(column) is np.ndarray
+        assert column.dtype == dtype and column.shape == (n,)
+
+
+def test_batch_of_one_holds_python_scalars():
+    rec = sample_excursion_recursive(P12, make_stream(60, 7))
+    assert isinstance(rec, ExcursionRecord)
+    assert [type(value) for value in rec] == [float, int, float]
+    # the same draws as the batch call, one row of its columns
+    assert list(rec) == [column.item() for column in sample_excursions(1, P12, make_stream(60, 7))]
 
 
 def test_mean_length_matches_closed_form():
     def check(seed):
-        recs = sample_excursions(20000, P12, make_stream(61, seed))
-        lengths = np.array([r.length for r in recs])
+        lengths = sample_excursions(20000, P12, make_stream(61, seed)).length
         se = lengths.std(ddof=1) / math.sqrt(lengths.size)
         return abs(lengths.mean() - 2.0) <= 3.0 * se
 
@@ -76,9 +92,9 @@ def test_batched_trees_agree_with_event_simulation():
         rng = make_stream(62, 101 + 2 * seed)
         paths = [simulate_excursion(P12, rng) for _ in range(n)]
         pairs = [
-            ([r.length for r in recs], [p.horizon for p in paths]),
-            ([r.jump_count for r in recs], [p.knot_times.size - 2 for p in paths]),
-            ([r.max_height for r in recs], [p.knot_positions.max() for p in paths]),
+            (recs.length, [p.horizon for p in paths]),
+            (recs.jump_count, [p.knot_times.size - 2 for p in paths]),
+            (recs.max_height, [p.knot_positions.max() for p in paths]),
         ]
         return all(stats.ks_2samp(x, y, method="asymp").pvalue > 0.01 for x, y in pairs)
 
@@ -113,8 +129,7 @@ def test_length_transform_matches_closed_form():
     lc = critical_rate(P12)
 
     def check(seed):
-        recs = sample_excursions(20000, P12, make_stream(63, seed))
-        lengths = np.array([r.length for r in recs])
+        lengths = sample_excursions(20000, P12, make_stream(63, seed)).length
         ok = True
         for lam in (-1.0, 0.5 * lc):
             vals = np.exp(lam * lengths)
@@ -143,7 +158,7 @@ def test_transform_domain_boundary_is_visible_in_samples():
 
     def check(seed):
         rng = make_stream(64, seed)
-        lengths = np.array([r.length for r in sample_excursions(100000, P12, rng)])
+        lengths = sample_excursions(100000, P12, rng).length
         inside = np.exp(0.9 * lc * lengths)
         target = excursion_mgf(0.9 * lc, P12)
         settled = abs(inside.mean() - target) <= 0.15 * target
@@ -215,7 +230,7 @@ def test_hitting_from_up_state_prepends_one_excursion():
         rng1 = make_stream(68, 2 * seed)
         rng2 = make_stream(68, 2 * seed + 1)
         direct = sample_hitting(1.5, 1, P12, rng1, size=n)
-        composed = np.array([r.length for r in sample_excursions(n, P12, rng2)]) + sample_hitting(
+        composed = sample_excursions(n, P12, rng2).length + sample_hitting(
             1.5, -1, P12, rng2, size=n
         )
         _, p = stats.ks_2samp(direct, composed, method="asymp")
@@ -268,7 +283,7 @@ def test_node_budget_aborts_critical_trees(monkeypatch):
 def test_jump_count_mean_stabilizes_across_batches():
     rng = make_stream(72, 0)
     batches = [
-        np.array([r.jump_count for r in sample_excursions(4000, P12, rng)], dtype=np.float64)
+        sample_excursions(4000, P12, rng).jump_count.astype(np.float64)
         for _ in range(3)
     ]
     means = [b.mean() for b in batches]
@@ -367,6 +382,11 @@ def test_write_excursions_csv():
     assert lines[0] == "length,jump_count,max_height"
     assert len(lines) == 21
     first = lines[1].split(",")
-    assert float(first[0]) == recs[0].length
-    assert int(first[1]) == recs[0].jump_count
-    assert float(first[2]) == recs[0].max_height
+    assert float(first[0]) == recs.length[0]
+    assert int(first[1]) == recs.jump_count[0]
+    assert float(first[2]) == recs.max_height[0]
+    # numpy 2 prints a bare np.float64 as np.float64(...), so each field must
+    # be written from the Python value
+    columns = (column.tolist() for column in recs)
+    rows = [f"{length!r},{jumps},{height!r}" for length, jumps, height in zip(*columns)]
+    assert lines[1:] == rows

@@ -120,9 +120,9 @@ def test_excursion_path_ends_at_the_first_return(params, seed):
 def test_excursion_trees_are_well_formed(params, seed):
     # 2k - 1 flips for k nodes, and the climb to the top and back down
     # already takes twice the max height
-    for rec in sample_excursions(64, params, make_stream(seed, 0)):
-        assert rec.jump_count % 2 == 1
-        assert 2.0 * rec.max_height <= rec.length
+    recs = sample_excursions(64, params, make_stream(seed, 0))
+    assert np.all(recs.jump_count % 2 == 1)
+    assert np.all(2.0 * recs.max_height <= recs.length)
 
 
 @SETTINGS
@@ -165,7 +165,7 @@ def test_batch_of_one_has_the_batch_law(params, s, v, seed):
         (
             1024,
             lambda rng: sample_excursion_recursive(params, rng).length,
-            lambda rng: [r.length for r in sample_excursions(1024, params, rng)],
+            lambda rng: sample_excursions(1024, params, rng).length,
         ),
         (
             256,

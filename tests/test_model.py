@@ -152,6 +152,26 @@ def test_identities_hold_at_large_rate_ratios(log_b, log_ratio):
         assert abs(c - (lam + p.a * (psi - 1.0))) <= 1e-10 * max(1.0, abs(c))
 
 
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    log_b=st.floats(-3.0, 6.0), log_ratio=st.floats(0.0, 6.0), log_minus_lam=st.floats(0.0, 300.0)
+)
+@example(log_b=math.log10(2.0), log_ratio=math.log10(2.0), log_minus_lam=160.0)
+@example(log_b=math.log10(2.0), log_ratio=math.log10(2.0), log_minus_lam=300.0)
+def test_closed_forms_stay_finite_far_below_zero(log_b, log_ratio, log_minus_lam):
+    # (a + b - 2*lam)**2 passes the float range once -lam is above about 1e154,
+    # where the hitting exponent still equals lam + a*(psi - 1), about lam - a
+    b = 10.0**log_b
+    p = ModelParams(b / 10.0**log_ratio, b)
+    lam = -(10.0**log_minus_lam)
+    psi = excursion_mgf(lam, p)
+    assert 0.0 < psi <= math.sqrt(p.b / p.a)
+    c = hitting_exponent(lam, p)
+    assert math.isfinite(c)
+    assert abs(c - (lam + p.a * (psi - 1.0))) <= 1e-10 * max(1.0, abs(c))
+    assert hitting_mgf(0.0, -1, lam, p) == 1.0
+
+
 def test_excursion_mgf_increasing_up_to_boundary():
     for p in (P12, ModelParams(0.3, 1.9), ModelParams(2.0, 2.5)):
         lc = critical_rate(p)
