@@ -29,6 +29,10 @@ line count of each module of ``src/telegraph_kit`` with their total, then:
   ``cli.main``, output to the null device, and µs per excursion of
   ``excursions.sample_excursions`` in 1,024-excursion chunks, the CLI's
   chunk size, at a = 1, b = 2;
+- µs per draw of ``excursions.sample_hitting`` from (2, -1) at a = 1,
+  b = 2, the ``hitting`` benchmark job's start, in batches of 1 (no
+  ``size``), 2,048 (the job's ``--n``) and 100,000, and of
+  ``excursions.sample_sigma(1.0)`` in a batch of 1;
 - seconds per call and µs per run of ``analysis.tv_curve`` at the size of
   the ``tvcurve`` benchmark job (n = 1000 runs per leg, same starts, grid
   and rates), for both processes; a run is one coupling and one walker per
@@ -81,6 +85,7 @@ BASELINE_LABEL = "parent"
 SCALING_CLI = ("-m", "telegraph_kit.cli", "scaling", "--n", "1000", "--scales", "4,16,100")
 EXCURSIONS_JOB = ("excursions", "--n", "20480", "--check", "--seed", "1")
 EXCURSION_CHUNK = 1024
+HITTING_BATCHES = (1, 2048, 100_000)
 
 # Spawns its arguments as a program, waits, and prints the program's wall
 # seconds, peak RSS in KiB and exit code.  A spawned process's ru_maxrss
@@ -269,6 +274,29 @@ def excursions_record(pkgs: dict, repeats: int) -> dict:
     }
 
 
+def lengths_record(pkgs: dict, repeats: int) -> dict:
+    """µs per draw of the lengths-only tree loop through its two public samplers."""
+    cases = [(f"sample_hitting_batch_{size}", size) for size in HITTING_BATCHES]
+    cases.append(("sample_sigma_batch_1", 1))
+    out = {label: {"a": 1.0, "b": 2.0, "hitting_start": [2.0, -1], "sigma_u": 1.0} for label in pkgs}
+    for name, size in cases:
+
+        def call(pkg, name=name, size=size):
+            params, rng = pkg.model.ModelParams(1.0, 2.0), pkg.simulate.make_stream(1, 0)
+            if name.startswith("sample_sigma"):
+                return lambda: pkg.excursions.sample_sigma(1.0, params, rng)
+            batch = None if size == 1 else size
+            return lambda: pkg.excursions.sample_hitting(2.0, -1, params, rng, size=batch)
+
+        runs = timed({label: call(pkg) for label, pkg in pkgs.items()}, repeats)
+        for label, samples in runs.items():
+            out[label][name] = {
+                "median_us_per_draw": 1e6 * statistics.median(samples) / size,
+                "runs_s": samples,
+            }
+    return out
+
+
 def tv_curve_record(pkgs: dict, repeats: int) -> dict:
     import numpy as np
 
@@ -375,6 +403,7 @@ def main(argv=None) -> int:
         "sde_oracle": oracle_record(pkgs, args.repeats),
         "tv_curve": tv_curve_record(pkgs, args.repeats),
         "excursions": excursions_record(pkgs, args.repeats),
+        "excursion_lengths": lengths_record(pkgs, args.repeats),
     }
     order = list(roots)
     for workload in WORKLOADS:

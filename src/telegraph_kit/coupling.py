@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .excursions import _capped_hitting, sample_hitting, sample_sigma
+from .excursions import _summed_lengths, sample_hitting, sample_sigma
 from .model import ModelParams, excursion_mgf, hitting_exponent
 from .paths import KnotRecorder, PiecewisePath, check_start, fold, write_csv
 from .simulate import ExpSource, walk_reflected
@@ -423,6 +423,16 @@ def coalescent_couple_unreflected(
     return res
 
 
+def _hitting_times(t, x, up, horizon, params, rng):
+    """Origin hitting times t + T of runs at heights x, inf for those past the horizon.
+
+    T is the hitting time of :func:`sample_hitting` from (x, +1) where
+    ``up`` holds and (x, -1) elsewhere: x plus one excursion length per
+    Poisson(a*x) root, and one more root while ascending.
+    """
+    return _summed_lengths(t + x, params.a * x, up, horizon, params, rng)
+
+
 def _crossing_times(n, hi, lo, horizon, params, rng, odd):
     """The crossing stage of n runs from the ordered folded starts hi and lo, as arrays.
 
@@ -461,7 +471,7 @@ def _crossing_times(n, hi, lo, horizon, params, rng, odd):
         glued = False
     while run.size:
         if glued:
-            t = _capped_hitting(t, x, up, horizon, params, rng)
+            t = _hitting_times(t, x, up, horizon, params, rng)
             live = t <= horizon
             run, t, h = run[live], t[live], gap[live]
             l = np.zeros(run.size)
@@ -517,7 +527,7 @@ def _repair_times(t, x, v, horizon, params, rng):
     there one of them flips after an Exp(2b) wait, and the sticking blocks
     from that height merge them with equal signs.
     """
-    t = _capped_hitting(t, x, (v == 1) & (x > 0.0), horizon, params, rng)
+    t = _hitting_times(t, x, (v == 1) & (x > 0.0), horizon, params, rng)
     wait = rng.standard_exponential(t.size) / (2.0 * params.b)
     return _merge_times(t + wait, wait, horizon, params, rng)[0]
 

@@ -4,12 +4,15 @@ A fresh excursion from the origin climbs an Exp(b) height E, and on the way
 back down a Poisson(a*E) number of sub-excursions sprout at heights E*U_i
 with independent uniform marks.  Iterating this branching picture samples
 the return time S (length 2E plus the children's lengths), the flip count
-and the maximal height without simulating individual events.  One kernel
-grows a whole batch of such trees one generation at a time with array
-operations; :func:`sample_excursions` returns its columns of lengths, flip
-counts and heights, and hitting times from arbitrary starts and the additive
-origin-visit functional sum its lengths by owner.  All three are batch
-calls, and a single draw is a batch of one.  The regenerative estimator
+and the maximal height without simulating individual events.  Two loops
+grow a whole batch of such trees one generation at a time with array
+operations.  The one in :func:`sample_excursions` draws each child's base
+height, and returns columns of lengths, flip counts and heights.  The
+other draws lengths only: hitting times from arbitrary starts, the additive
+origin-visit functional and the hitting stages of the array coupling kernel
+add up the climbs of a Poisson number of trees per draw, and with a
+horizon it stops growing a draw's trees once the draw passes it.  All are
+batch calls, and a single draw is a batch of one.  The regenerative estimator
 turns exact event-simulated excursion paths into invariant-law
 expectations with a delta-method standard error.
 """
@@ -85,62 +88,79 @@ def sample_excursion_recursive(params: ModelParams, rng: np.random.Generator) ->
     return ExcursionRecord._make(column.item() for column in sample_excursions(1, params, rng))
 
 
-def _tree_generations(roots, params, rng):
-    """Grow roots[i] excursion trees for each owner i together, a generation at a time.
+def sample_excursions(n: int, params: ModelParams, rng: np.random.Generator) -> ExcursionRecord:
+    """n independent excursions via the branching decomposition; no event simulation.
 
-    Yields each live node's owner, base height and Exp(b) climb E; each node
-    then draws Poisson(a*E) children based at base + E*U.  The budget counts
-    every node of the call, the roots before their arrays are built.
+    The trees grow together a generation at a time: each live node draws
+    its Exp(b) climb E, then Poisson(a*E) children based at base + E*U.
+    Returns float64, int64 and float64 columns of length n.  The jump count
+    excludes the final flip back at the origin: the apex flip of each node
+    plus one flip ahead of each child, 2k - 1 flips for a tree of k nodes.
+    The max height is the largest apex, base + E.  Raises
+    :class:`RecursionBudgetError` once the call has grown more than
+    ``NODE_BUDGET`` nodes over all its trees, the roots counted before
+    their arrays are built.
     """
     a, b = params.a, params.b
-    nodes = int(roots.sum())
+    n = nodes = int(n)
     _check_budget(nodes)
-    owner = np.repeat(np.arange(roots.size), roots)
-    base = np.zeros(nodes)
+    length = np.zeros(n)
+    jumps = np.full(n, -1, dtype=np.int64)
+    max_height = np.zeros(n)
+    owner = np.arange(n)
+    base = np.zeros(n)
     while owner.size:
         e = rng.standard_exponential(owner.size) / b
-        yield owner, base, e
+        np.add.at(length, owner, 2.0 * e)
+        np.add.at(jumps, owner, 2)
+        np.maximum.at(max_height, owner, base + e)
         kids = rng.poisson(a * e)
         born = int(kids.sum())
         nodes += born
         _check_budget(nodes)
         base = np.repeat(base, kids) + np.repeat(e, kids) * rng.random(born)
         owner = np.repeat(owner, kids)
-
-
-def sample_excursions(n: int, params: ModelParams, rng: np.random.Generator) -> ExcursionRecord:
-    """n independent excursions via the branching decomposition; no event simulation.
-
-    Returns float64, int64 and float64 columns of length n.  The jump count
-    excludes the final flip back at the origin: the apex flip of each node
-    plus one flip ahead of each child, 2k - 1 flips for a tree of k nodes.
-    The max height is the largest apex, base + E.  Raises
-    :class:`RecursionBudgetError` once the call has grown more than
-    ``NODE_BUDGET`` nodes over all its trees.
-    """
-    n = int(n)
-    length = np.zeros(n)
-    jumps = np.full(n, -1, dtype=np.int64)
-    max_height = np.zeros(n)
-    for owner, base, e in _tree_generations(np.ones(n, dtype=np.int64), params, rng):
-        np.add.at(length, owner, 2.0 * e)
-        np.add.at(jumps, owner, 2)
-        np.maximum.at(max_height, owner, base + e)
     return ExcursionRecord(length, jumps, max_height)
 
 
-def _summed_lengths(start, mean_roots, extra, size, params, rng):
-    """start plus Poisson(mean_roots) + extra excursion lengths each, grown together.
+def _summed_lengths(start, mean_roots, extra, horizon, params, rng):
+    """start plus Poisson(mean_roots) + extra excursion lengths per draw, inf past the horizon.
 
-    A mean above the node budget is refused before the Poisson draw, which
-    could not even represent it; returns a float for a 0-d result.
+    start and mean_roots share one shape, which the result takes, and extra
+    is a bool or a bool array of that shape; a 0-d result is a float.
+    mean_roots must be finite where start passes the horizon.  The
+    trees of all draws grow together a generation at a time, with only their
+    Exp(b) climbs drawn, as lengths need no heights: a node of climb E adds
+    2E and has Poisson(a*E) children.  A draw whose partial sum passes the
+    horizon will end past it, so it reads inf and grows no more nodes, and a
+    draw whose start alone passes it draws no roots; so a draw grows at most
+    about b*horizon/2 nodes past its a*horizon roots, even at a == b.  The
+    expected roots are refused past the node budget before the Poisson draw,
+    which could not represent them, and the budget counts every node of the
+    call.
     """
+    a, b = params.a, params.b
+    total = np.array(start, dtype=np.float64)
+    near = total <= horizon
+    # a Poisson mean of 0 takes no draw, so far draws skip the stream
+    mean_roots = mean_roots * near
     _check_budget(mean_roots.max(initial=0.0))
-    roots = np.asarray(rng.poisson(mean_roots, size) + extra)
-    total = np.zeros(roots.size)
-    for owner, _, e in _tree_generations(roots.ravel(), params, rng):
-        np.add.at(total, owner, 2.0 * e)
-    total = start + total.reshape(roots.shape)
+    kids = np.ravel(rng.poisson(mean_roots) + (extra & near))
+    shape = total.shape
+    total = total.ravel()
+    owner = np.arange(total.size)
+    nodes = 0
+    while born := int(kids.sum()):
+        nodes += born
+        _check_budget(nodes)
+        owner = np.repeat(owner, kids)
+        e = rng.standard_exponential(owner.size) / b
+        total += np.bincount(owner, 2.0 * e, total.size)
+        keep = total[owner] <= horizon
+        owner, kids = owner[keep], rng.poisson(a * e[keep])
+    if horizon < math.inf:  # the public samplers' calls have no horizon
+        total[total > horizon] = math.inf
+    total = total.reshape(shape)
     return float(total) if total.ndim == 0 else total
 
 
@@ -156,45 +176,11 @@ def sample_hitting(x, v: int, params: ModelParams, rng: np.random.Generator, siz
     if v not in (-1, 1):
         raise ValueError(f"velocity must be -1 or +1, got {v}")
     x = np.asarray(x, dtype=np.float64)
-    if np.any(x < 0.0):
+    if not (x >= 0.0).all():
         raise ValueError("start position must be nonnegative")
-    return _summed_lengths(x, params.a * x, int(v == 1), size, params, rng)
-
-
-def _capped_hitting(t, x, up, horizon, params: ModelParams, rng: np.random.Generator):
-    """Origin hitting times t + T of runs at heights x, inf for those past the horizon.
-
-    T is the hitting time of :func:`sample_hitting` from (x, +1) where ``up``
-    holds and (x, -1) elsewhere: x plus one excursion length per
-    Poisson(a*x) root, and one more root while ascending.  The trees of all
-    runs grow a generation at a time, with only their Exp(b) climbs drawn,
-    as lengths need no heights.  A run whose partial sum passes the horizon
-    will end past it, so it reads inf and grows no more nodes, and a run
-    whose descent alone passes it draws no roots; so a run grows at most
-    about b*horizon/2 nodes past its a*horizon roots, even at a == b.  The
-    node budget counts every node of the call.
-    """
-    a, b = params.a, params.b
-    total = t + x
-    near = (total <= horizon).nonzero()[0]
-    mean_roots = a * x[near]
-    _check_budget(mean_roots.max(initial=0.0))
-    kids = np.zeros(x.size, dtype=np.int64)
-    kids[near] = rng.poisson(mean_roots) + up[near]
-    owner = np.arange(x.size)
-    nodes = 0
-    while True:
-        nodes += int(kids.sum())
-        _check_budget(nodes)
-        owner = np.repeat(owner, kids)
-        if not owner.size:
-            break
-        e = rng.standard_exponential(owner.size) / b
-        total += np.bincount(owner, 2.0 * e, x.size)
-        keep = total[owner] <= horizon
-        owner, kids = owner[keep], rng.poisson(a * e[keep])
-    total[total > horizon] = math.inf
-    return total
+    if size is not None:
+        x = np.broadcast_to(x, size)
+    return _summed_lengths(x, params.a * x, v == 1, math.inf, params, rng)
 
 
 def sample_sigma(u, params: ModelParams, rng: np.random.Generator, size=None):
@@ -205,9 +191,11 @@ def sample_sigma(u, params: ModelParams, rng: np.random.Generator, size=None):
     and array ``u`` batch the draws as in :func:`sample_hitting`.
     """
     u = np.asarray(u, dtype=np.float64)
-    if np.any(u < 0.0):
+    if not (u >= 0.0).all():
         raise ValueError("argument must be nonnegative")
-    return _summed_lengths(0.0, 0.5 * params.a * u, 0, size, params, rng)
+    if size is not None:
+        u = np.broadcast_to(u, size)
+    return _summed_lengths(np.zeros(u.shape), 0.5 * params.a * u, False, math.inf, params, rng)
 
 
 def simulate_excursion(params: ModelParams, rng: np.random.Generator) -> PiecewisePath:

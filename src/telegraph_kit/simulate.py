@@ -280,8 +280,7 @@ def _folded_walk(y0, w0, grid, a, b, rng):
         left = rem - event
         some = left[left.argmin()] < 0.0
         if some:
-            passing = left < 0.0
-            hit = passing.nonzero()[0]
+            hit = (left < 0.0).nonzero()[0]
             x_h, rem_h, at = x[hit], rem[hit], slot[hit]
             sign = np.where(neg[hit], -1.0, 1.0)
             if rates is None:
@@ -291,25 +290,20 @@ def _folded_walk(y0, w0, grid, a, b, rng):
             y_h = np.where(x_h == 0.0, x_h, sign * x_h)
             y_out[at] = y_h + w_h * rem_h
             w_out[at] = w_h
-            if n_times == 1:
-                # the grid path below gives the same, but in one-time calls
-                # it made the sampler 4-9% slower at scales 4 and 16
-                live = ~passing
-            else:
-                # an event longer than a grid gap passes several grid times
-                at += n
-                ev_h = event[hit]
-                more = (at < total).nonzero()[0]
-                while more.size:
-                    rem_h[more] += gaps[at[more] // n - 1]
-                    more = more[ev_h[more] > rem_h[more]]
-                    y_out[at[more]] = y_h[more] + w_h[more] * rem_h[more]
-                    w_out[at[more]] = w_h[more]
-                    at[more] += n
-                    more = more[at[more] < total]
-                slot[hit] = at
-                left[hit] = rem_h - ev_h
-                live = slot < total
+            # an event longer than a grid gap passes several grid times
+            at += n
+            ev_h = event[hit]
+            more = (at < total).nonzero()[0]
+            while more.size:
+                rem_h[more] += gaps[at[more] // n - 1]
+                more = more[ev_h[more] > rem_h[more]]
+                y_out[at[more]] = y_h[more] + w_h[more] * rem_h[more]
+                w_out[at[more]] = w_h[more]
+                at[more] += n
+                more = more[at[more] < total]
+            slot[hit] = at
+            left[hit] = rem_h - ev_h
+            live = slot < total
         rem = left
         if rates is not None:
             x -= step

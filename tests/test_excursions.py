@@ -209,6 +209,22 @@ def test_hitting_transform_matches_closed_form():
     assert gate(check)
 
 
+def test_hitting_transform_matches_closed_form_at_b_over_a_ten():
+    # criterion 05's check at a large rate ratio, where a descent from 2
+    # takes few excursions and each is short; also at the CLI's lam = -1
+    params = ModelParams(1.0, 10.0)
+    for lam in (0.5 * critical_rate(params), -1.0):
+        target = hitting_mgf(2.0, -1, lam, params)
+
+        def check(seed):
+            draws = sample_hitting(2.0, -1, params, make_stream(74, seed), size=20000)
+            vals = np.exp(lam * draws)
+            se = vals.std(ddof=1) / math.sqrt(vals.size)
+            return abs(vals.mean() - target) <= 3.0 * se
+
+        assert gate(check)
+
+
 def test_hitting_additivity_in_start_position():
     def check(seed):
         n = 4000

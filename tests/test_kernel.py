@@ -6,15 +6,16 @@ exact: the whole-line simulators, the excursion simulators, the reflected
 batch sampler and both coalescent couplings all run on the one reflected
 walk, so equal streams must give equal bits.  The excursion trees are
 checked for their structure; the batched hitting times against the event
-walk; and, for excursion lengths, hitting times and the origin-visit
+walk, a check that rejects a lengths kernel without the ascending root;
+and, for excursion lengths, hitting times and the origin-visit
 functional, a batch of one against a batch of 1,024.  The batch endpoint
 sampler is pinned bit for bit to its earlier uncompacted loop, also on a
 generator stub that hands out zero draws, its grid calls to the loop
 before each round did only its leg's work, its array starts to its scalar
 ones, and two chained calls and its grid call to one call in law.  The
 array couplings follow the scalar time-only route in law, a check that
-rejects a sign repair without its Exp(2b) wait, and end at a == b within a
-small node budget.  The laws are compared with a two-sample test under the
+rejects a sign repair without its Exp(2b) wait, end at a == b within a
+small node budget, and keep every draw of their earlier hitting loop.  The laws are compared with a two-sample test under the
 usual reseeded gate.
 """
 
@@ -35,7 +36,7 @@ from telegraph_kit.coupling import (
 )
 from telegraph_kit.excursions import (
     RecursionBudgetError,
-    _capped_hitting,
+    _check_budget,
     first_return_time,
     sample_excursion_recursive,
     sample_excursions,
@@ -125,14 +126,16 @@ def test_excursion_trees_are_well_formed(params, seed):
     assert np.all(2.0 * recs.max_height <= recs.length)
 
 
-@SETTINGS
-@given(rates, st.floats(0.0, 2.0), seeds)
-def test_batched_hitting_times_follow_the_event_walk(params, s, seed):
-    # starts at s/a take Poisson(s) excursions per descent; both sides are
-    # censored a few dozen flips past x, because near-critical excursions
-    # can run to millions of events
-    x = s / params.a
-    horizon = x + 40.0 / (params.a + params.b)
+def hitting_law_holds(params, s, seed):
+    """Gated two-sample KS of batched hitting times against the event walk.
+
+    Starts at s/a take Poisson(s) excursions per descent; both sides are
+    censored a few dozen flips past x, because near-critical excursions
+    can run to millions of events.
+    """
+    a, b = params.a, params.b
+    x = s / a
+    horizon = x + 40.0 / (a + b)
     n = 1000
 
     def check(k):
@@ -140,7 +143,6 @@ def test_batched_hitting_times_follow_the_event_walk(params, s, seed):
             batch = sample_hitting(x0, v0, params, make_stream(seed, 2 * k + 1), size=n)
             src = ExpSource(make_stream(seed, 2 * k + 2))
             add = KnotRecorder(x0, v0, store=False).add
-            a, b = params.a, params.b
             walks = [
                 walk_reflected(x0, v0, 0.0, horizon, a, b, src, add, stop_at_zero=True)
                 for _ in range(n)
@@ -151,7 +153,27 @@ def test_batched_hitting_times_follow_the_event_walk(params, s, seed):
                 return False
         return True
 
-    assert gate(check)
+    return gate(check)
+
+
+@SETTINGS
+@given(rates, st.floats(0.0, 2.0), seeds)
+def test_batched_hitting_times_follow_the_event_walk(params, s, seed):
+    assert hitting_law_holds(params, s, seed)
+
+
+merged_lengths = excursions._summed_lengths
+
+
+def no_ascent_lengths(start, mean_roots, extra, horizon, params, rng):
+    """The mutant lengths kernel: no extra root, so an ascent adds no excursion."""
+    return merged_lengths(start, mean_roots, False, horizon, params, rng)
+
+
+def test_hitting_law_check_rejects_a_kernel_without_the_ascending_root(monkeypatch):
+    assert hitting_law_holds(P12, 1.0, 5)
+    monkeypatch.setattr(excursions, "_summed_lengths", no_ascent_lengths)
+    assert not hitting_law_holds(P12, 1.0, 5)
 
 
 @SETTINGS
@@ -757,7 +779,7 @@ def test_coalescence_times_follow_the_scalar_route(pair, process, params, seed):
 
 def no_wait_repair(t, x, v, horizon, params, rng):
     """The mutant sign repair: the legs stick again at once, with no Exp(2b) wait."""
-    t = _capped_hitting(t, x, (v == 1) & (x > 0.0), horizon, params, rng)
+    t = coupling._hitting_times(t, x, (v == 1) & (x > 0.0), horizon, params, rng)
     return coupling._merge_times(t, np.zeros(t.size), horizon, params, rng)[0]
 
 
@@ -792,3 +814,60 @@ def test_descents_past_the_horizon_grow_no_trees(process):
         100, (1e9, -1), (1e9 - 1.0, -1), 5.0, process, P12, make_stream(3, 0)
     )
     assert np.all(np.isinf(merge)) and np.all(np.isnan(cross))
+
+
+def reference_capped_hitting(t, x, up, horizon, params, rng):
+    """The coupling kernel's hitting loop before it became the one lengths kernel.
+
+    Kept verbatim to pin the draws of :func:`coalescence_times`.
+    """
+    a, b = params.a, params.b
+    total = t + x
+    near = (total <= horizon).nonzero()[0]
+    mean_roots = a * x[near]
+    _check_budget(mean_roots.max(initial=0.0))
+    kids = np.zeros(x.size, dtype=np.int64)
+    kids[near] = rng.poisson(mean_roots) + up[near]
+    owner = np.arange(x.size)
+    nodes = 0
+    while True:
+        nodes += int(kids.sum())
+        _check_budget(nodes)
+        owner = np.repeat(owner, kids)
+        if not owner.size:
+            break
+        e = rng.standard_exponential(owner.size) / b
+        total += np.bincount(owner, 2.0 * e, x.size)
+        keep = total[owner] <= horizon
+        owner, kids = owner[keep], rng.poisson(a * e[keep])
+    total[total > horizon] = math.inf
+    return total
+
+
+@pytest.mark.parametrize("pair", list(KERNEL_PAIRS))
+@pytest.mark.parametrize("process", ["reflected", "unreflected"])
+def test_coalescence_times_keep_every_draw_of_the_capped_hitting_loop(
+    pair, process, monkeypatch
+):
+    # rates from near-critical to b/a = 10, horizons from a few flips to
+    # far past the usual merge, and a critical pair whose trees prune
+    starts = KERNEL_PAIRS[pair]
+    if process == "reflected":
+        starts = [fold(*start)[:2] for start in starts]
+    cases = [
+        (P12, 4.0, 21),
+        (P12, 40.0, 22),
+        (ModelParams(0.5, 5.0), 10.0, 23),
+        (ModelParams(1.0, 1.05), 30.0, 24),
+        (ModelParams(1.0, 1.0), 20.0, 25),
+    ]
+
+    def runs():
+        for params, horizon, seed in cases:
+            rng = make_stream(seed, 0)
+            columns = coalescence_times(2000, *starts, horizon, process, params, rng)
+            yield [column.tobytes() for column in columns], repr(rng.bit_generator.state)
+
+    merged = list(runs())
+    monkeypatch.setattr(coupling, "_hitting_times", reference_capped_hitting)
+    assert list(runs()) == merged
