@@ -278,7 +278,8 @@ def lengths_record(pkgs: dict, repeats: int) -> dict:
     """µs per draw of the lengths-only tree loop through its two public samplers."""
     cases = [(f"sample_hitting_batch_{size}", size) for size in HITTING_BATCHES]
     cases.append(("sample_sigma_batch_1", 1))
-    out = {label: {"a": 1.0, "b": 2.0, "hitting_start": [2.0, -1], "sigma_u": 1.0} for label in pkgs}
+    setup = {"a": 1.0, "b": 2.0, "hitting_start": [2.0, -1], "sigma_u": 1.0}
+    out = {label: dict(setup) for label in pkgs}
     for name, size in cases:
 
         def call(pkg, name=name, size=size):

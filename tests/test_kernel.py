@@ -15,8 +15,9 @@ before each round did only its leg's work, its array starts to its scalar
 ones, and two chained calls and its grid call to one call in law.  The
 array couplings follow the scalar time-only route in law, a check that
 rejects a sign repair without its Exp(2b) wait, end at a == b within a
-small node budget, and keep every draw of their earlier hitting loop.  The laws are compared with a two-sample test under the
-usual reseeded gate.
+small node budget, and keep every draw of their earlier hitting loop.
+The laws are compared with a two-sample test under the usual reseeded
+gate.
 """
 
 import math
