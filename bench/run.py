@@ -1,62 +1,39 @@
-"""Timing record of the batch samplers, ``tv_curve`` and the benchmark workloads.
+"""Timing record of the package's kernels, its CLI jobs and the benchmark workloads.
 
 Run from the root of a source checkout:
 
-    python3 bench/run.py --label change --out BENCH_15.json
-    python3 bench/run.py --label change --out BENCH_15.json --baseline ../parent
+    python3 bench/run.py --label change --out BENCH_21.json
+    python3 bench/run.py --label change --out BENCH_21.json --baseline ../parent
 
 The package is imported straight from this checkout's ``src/``.  The record
 holds the machine, the Python and numpy versions, the git commit and the
 line count of each module of ``src/telegraph_kit`` with their total, then:
 
-- µs per walker of ``simulate.sample_unreflected_states`` at the sizes of
-  the ``scaling`` subcommand (n = 1000 walkers from 0 with random
-  velocities, rates (scale - 1, scale + 1) to time ``t * scale``, t = 1,
-  scales 4, 16 and 100);
-- µs per walker of ``tv_curve``'s independent half at the size of the
-  ``tvcurve`` benchmark job, for both processes: the 2n = 2000 walkers of
-  the starts (1, +1) and (0, +1) carried across the grid 1..20 at a = 1,
-  b = 2, in one grid call of the endpoint sampler;
-- µs per run of ``tv_curve``'s coupling half at the size of the
-  ``tvcurve`` benchmark job, for both processes: n = 1000 time-only
-  couplings of the same starts to horizon 20 at a = 1, b = 2, as one call
-  per run of ``coalescent_couple_*`` (``scalar``) and as one call of
-  ``coupling.coalescence_times`` (``batch``);
-- ms per call of ``analysis.sde_oracle`` at the size of the ``scaling``
-  subcommand: n = 1000 endpoints from 0 at drift 1 to time 1, in steps of
-  ``default_oracle_dt(1)``;
-- ms per in-process ``excursions --n 20480 --check`` job through
-  ``cli.main``, output to the null device, and µs per excursion of
-  ``excursions.sample_excursions`` in 1,024-excursion chunks, the CLI's
-  chunk size, at a = 1, b = 2;
-- µs per draw of ``excursions.sample_hitting`` from (2, -1) at a = 1,
-  b = 2, the ``hitting`` benchmark job's start, in batches of 1 (no
-  ``size``), 2,048 (the job's ``--n``) and 100,000, and of
-  ``excursions.sample_sigma(1.0)`` in a batch of 1;
-- seconds per call and µs per run of ``analysis.tv_curve`` at the size of
-  the ``tvcurve`` benchmark job (n = 1000 runs per leg, same starts, grid
-  and rates), for both processes; a run is one coupling and one walker per
-  start;
-- the wall time and peak RSS of whole ``scaling`` processes: each run is a
-  fresh ``python -m telegraph_kit.cli scaling --n 1000 --scales 4,16,100``,
-  timed from spawn to exit, with its peak RSS from the rusage of
-  ``os.wait4``, ``--repeats`` runs a checkout;
-- the JSON that ``perfbench/run.py --workload W --trace 0`` prints, run
-  unchanged, for both workloads.
+- ``cases``: every row of :func:`case_table`, timed in this process by
+  :func:`time_cases`, ``--repeats`` samples a checkout, and recorded by
+  :func:`case_record`;
+- ``scaling_process``: the wall time, peak RSS and exit code of fresh
+  ``scaling`` processes (:func:`scaling_process`), ``--repeats`` runs a
+  checkout;
+- ``perfbench``: for both workloads, the JSON that ``perfbench/run.py
+  --workload W --trace 0`` prints, run unchanged ``PERFBENCH_PAIRS`` times a
+  checkout.
 
-Each timing is repeated ``--repeats`` times after one warm-up call and
-reported as the median with every sample; a sample of a call shorter than
-50 ms is the mean of as many calls as fill about 50 ms.  The record is stored under
-``--label`` in ``--out``; records under other labels are kept, so one file
-can hold a parent commit and a change measured on the same machine.
+The record is stored under ``--label`` in ``--out``; records under other
+labels are kept, so one file can hold a parent commit and a change measured
+on the same machine.
 
 ``--baseline DIR`` names a second checkout, say of the parent commit, and
 records it too, under the label "parent".  Both packages are then loaded
-side by side and every timing alternates between them call by call, with
-the order swapped on every repeat, and the perfbench runs alternate the
-same way.  A shared machine whose speed drifts over minutes then slows
-both records alike, where two records taken one after the other can differ
-by more than the change being measured.
+side by side, afresh every repeat, and every case alternates between them
+call by call, with the order swapped on every repeat; the process and
+perfbench runs alternate the same way.  A shared machine whose speed
+drifts over minutes then slows both records alike, where two records taken
+one after the other can differ by more than the change being measured.
+Even so a perfbench run lasts long enough to catch one speed regime of the
+host, so a pair of them reads the host as much as the code: only the
+in-process readings, medians with their win counts and paired ratios,
+back a speed claim.
 """
 
 from __future__ import annotations
@@ -71,7 +48,10 @@ import statistics
 import subprocess
 import sys
 import time
+from functools import partial
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SCALES = (4.0, 16.0, 100.0)
@@ -79,11 +59,10 @@ WALKERS = 1000
 TV_RUNS = 1000
 TV_GRID = tuple(float(t) for t in range(1, 21))
 TV_STARTS = ((1.0, 1), (0.0, 1))
-WORKLOADS = ("tvcurve_scaling", "excursions_couple")
 SAMPLE_S = 0.05
 BASELINE_LABEL = "parent"
+PERFBENCH_PAIRS = 4
 SCALING_CLI = ("-m", "telegraph_kit.cli", "scaling", "--n", "1000", "--scales", "4,16,100")
-EXCURSIONS_JOB = ("excursions", "--n", "20480", "--check", "--seed", "1")
 EXCURSION_CHUNK = 1024
 HITTING_BATCHES = (1, 2048, 100_000)
 
@@ -132,12 +111,160 @@ def load_package(root: Path, name: str):
     return module
 
 
-def timed(calls: dict, repeats: int) -> dict:
-    """Seconds per call of each labelled call, alternating the labels' order.
+def perfbench_jobs() -> dict:
+    """perfbench's job lists by workload, read from this checkout's ``perfbench/``."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
 
-    Each sample averages enough calls to last about ``SAMPLE_S``, a count
-    set from the slowest warm-up call and shared by every label, so a call
-    of a millisecond or two is not read off a single timer interval.
+    return {workload: workloads.jobs_for(workload) for workload in sorted(workloads.WORKLOADS)}
+
+
+def _sampler(pkg, scale):
+    params = pkg.model.ModelParams(scale - 1.0, scale + 1.0)
+    return lambda: pkg.simulate.sample_unreflected_states(
+        0.0, None, scale, WALKERS, params, pkg.simulate.make_stream(1, 0)
+    )
+
+
+def _tv_walkers(pkg, process):
+    params, grid = pkg.model.ModelParams(1.0, 2.0), np.array(TV_GRID)
+    pos = np.repeat([p for p, _ in TV_STARTS], TV_RUNS).astype(np.float64)
+    vel = np.repeat([v for _, v in TV_STARTS], TV_RUNS)
+    sample = getattr(pkg.simulate, f"sample_{process}_states")
+    return lambda: sample(pos, vel, grid, 2 * TV_RUNS, params, pkg.simulate.make_stream(1, 0))
+
+
+def _scalar_couplings(pkg, process):
+    def call():
+        params, rng = pkg.model.ModelParams(1.0, 2.0), pkg.simulate.make_stream(1, 0)
+        couple = getattr(pkg.coupling, f"coalescent_couple_{process}")
+        for _ in range(TV_RUNS):
+            couple(*TV_STARTS[0], *TV_STARTS[1], TV_GRID[-1], params, rng, record_paths=False)
+
+    return call
+
+
+def _batch_couplings(pkg, process):
+    params = pkg.model.ModelParams(1.0, 2.0)
+    return lambda: pkg.coupling.coalescence_times(
+        TV_RUNS, *TV_STARTS, TV_GRID[-1], process, params, pkg.simulate.make_stream(1, 0)
+    )
+
+
+def _tv_curve(pkg, process):
+    params, grid = pkg.model.ModelParams(1.0, 2.0), np.array(TV_GRID)
+    return lambda: pkg.analysis.tv_curve(
+        *TV_STARTS, process, grid, TV_RUNS, params, pkg.simulate.make_stream(1, 0)
+    )
+
+
+def _oracle(pkg):
+    dt = pkg.analysis.default_oracle_dt(1.0)
+    return lambda: pkg.analysis.sde_oracle(
+        1.0, 0.0, dt, 1.0, WALKERS, pkg.simulate.make_stream(1, 0)
+    )
+
+
+def _excursion_chunk(pkg):
+    params = pkg.model.ModelParams(1.0, 2.0)
+    return lambda: pkg.excursions.sample_excursions(
+        EXCURSION_CHUNK, params, pkg.simulate.make_stream(1, 0)
+    )
+
+
+def _hitting(pkg, size):
+    params, rng = pkg.model.ModelParams(1.0, 2.0), pkg.simulate.make_stream(1, 0)
+    batch = None if size == 1 else size
+    return lambda: pkg.excursions.sample_hitting(2.0, -1, params, rng, size=batch)
+
+
+def _sigma(pkg):
+    params, rng = pkg.model.ModelParams(1.0, 2.0), pkg.simulate.make_stream(1, 0)
+    return lambda: pkg.excursions.sample_sigma(1.0, params, rng)
+
+
+def _cli_jobs(pkg, argvs):
+    cli = importlib.import_module(f"{pkg.__name__}.cli")
+
+    def call():
+        for argv in argvs:
+            code = cli.main([*argv, "--out", os.devnull])
+            if code != 0:
+                raise RuntimeError(f"{pkg.__name__}: {' '.join(argv)} exited {code}")
+
+    return call
+
+
+def case_table(jobs: dict, seed: int) -> dict:
+    """Name -> (items per call, factory); ``factory(pkg)`` returns one call of the case.
+
+    ``jobs`` holds perfbench's job lists by workload, which run with ``seed``.
+    """
+    table = {}
+    for scale in SCALES:
+        # `scaling`'s batch sampler: n = 1000 walkers from 0 with random
+        # velocities, rates (scale - 1, scale + 1), to time t * scale with t = 1
+        table[f"sample_unreflected_states/{scale:g}"] = (WALKERS, partial(_sampler, scale=scale))
+    for process in ("reflected", "unreflected"):
+        # tv_curve's walker half at the `tvcurve` job's size: the 2n = 2000
+        # walkers of the starts (1, +1) and (0, +1) carried across the grid
+        # 1..20 at a = 1, b = 2, in one grid call of the endpoint sampler
+        table[f"tv_curve_walkers/{process}"] = (2 * TV_RUNS, partial(_tv_walkers, process=process))
+        # tv_curve's coupling half: n = 1000 time-only couplings of the same
+        # starts to horizon 20, one coalescent_couple_* call a run
+        table[f"tv_curve_couplings/{process}/scalar"] = (
+            TV_RUNS, partial(_scalar_couplings, process=process)
+        )
+        # the same couplings in one coupling.coalescence_times call
+        table[f"tv_curve_couplings/{process}/batch"] = (
+            TV_RUNS, partial(_batch_couplings, process=process)
+        )
+        # the whole tv_curve at that size; a run is one coupling and one walker per start
+        table[f"tv_curve/{process}"] = (TV_RUNS, partial(_tv_curve, process=process))
+    # `scaling`'s oracle: n = 1000 endpoints from 0 at drift 1 to time 1, in
+    # steps of default_oracle_dt(1)
+    table["sde_oracle"] = (WALKERS, _oracle)
+    # one chunk of the `excursions` job: 1,024 excursions at a = 1, b = 2
+    table["sample_excursions"] = (EXCURSION_CHUNK, _excursion_chunk)
+    for size in HITTING_BATCHES:
+        # hitting times from the `hitting` job's start (2, -1) at a = 1, b = 2;
+        # a batch of 1 is a call without size, 2,048 is the job's --n
+        table[f"sample_hitting/{size}"] = (size, partial(_hitting, size=size))
+    # sample_sigma(1.0) at a = 1, b = 2, a batch of 1
+    table["sample_sigma/1"] = (1, _sigma)
+    for workload, workload_jobs in jobs.items():
+        argvs = [job.cli_argv(seed) for job in workload_jobs]
+        for job, argv in zip(workload_jobs, argvs):
+            # one perfbench job through cli.main, output to the null device;
+            # its items as perfbench counts them
+            process = dict(zip(job.argv, job.argv[1:])).get("--process")
+            name = job.command if process is None else f"{job.command}/{process}"
+            table[f"cli/{name}"] = (job.items, partial(_cli_jobs, argvs=[argv]))
+        # a whole pass of the workload's job list, in its order
+        table[f"cli/pass/{workload}"] = (
+            sum(job.items for job in workload_jobs), partial(_cli_jobs, argvs=argvs)
+        )
+    return table
+
+
+def alternated(calls: dict, repeats: int) -> dict:
+    """Each labelled call's results over ``repeats`` rounds, reversing the order every round."""
+    results = {label: [] for label in calls}
+    order = list(calls)
+    for _ in range(repeats):
+        for label in order:
+            results[label].append(calls[label]())
+        order.reverse()
+    return results
+
+
+def timed(calls: dict) -> dict:
+    """Seconds per call of each labelled call, timed back to back in the dict's order.
+
+    After one warm-up call each, a sample averages enough calls to last about
+    ``SAMPLE_S``, a count set from the slowest warm-up call and shared by
+    every label, so a call of a millisecond or two is not read off a single
+    timer interval.
     """
     warm_up = []
     for call in calls.values():  # first allocations
@@ -145,223 +272,86 @@ def timed(calls: dict, repeats: int) -> dict:
         call()
         warm_up.append(time.perf_counter() - t0)
     number = max(1, int(SAMPLE_S / max(warm_up)))
-    runs = {label: [] for label in calls}
-    order = list(calls)
-    for _ in range(repeats):
-        for label in order:
-            t0 = time.perf_counter()
-            for _ in range(number):
-                calls[label]()
-            runs[label].append((time.perf_counter() - t0) / number)
-        order.reverse()
-    return runs
-
-
-def sampler_record(pkgs: dict, repeats: int) -> dict:
-    out = {label: {} for label in pkgs}
-    for scale in SCALES:
-
-        def call(pkg, scale=scale):
-            params = pkg.model.ModelParams(scale - 1.0, scale + 1.0)
-            return lambda: pkg.simulate.sample_unreflected_states(
-                0.0, None, scale, WALKERS, params, pkg.simulate.make_stream(1, 0)
-            )
-
-        runs = timed({label: call(pkg) for label, pkg in pkgs.items()}, repeats)
-        for label, samples in runs.items():
-            out[label][repr(scale)] = {
-                "median_us_per_walker": 1e6 * statistics.median(samples) / WALKERS,
-                "runs_s": samples,
-            }
-    return {label: {"n": WALKERS, "t": 1.0, "scales": scales} for label, scales in out.items()}
-
-
-def walker_half_call(pkg, process: str):
-    """The walker half of one ``tv_curve`` call: one grid call of the endpoint sampler."""
-    import numpy as np
-
-    simulate = pkg.simulate
-    params = pkg.model.ModelParams(1.0, 2.0)
-    grid = np.array(TV_GRID)
-    walkers = 2 * TV_RUNS
-    pos = np.repeat([p for p, _ in TV_STARTS], TV_RUNS).astype(np.float64)
-    vel = np.repeat([v for _, v in TV_STARTS], TV_RUNS)
-    sample = getattr(simulate, f"sample_{process}_states")
-    return lambda: sample(pos, vel, grid, walkers, params, simulate.make_stream(1, 0))
-
-
-def walker_half_record(pkgs: dict, repeats: int) -> dict:
-    out = {label: {"processes": {}} for label in pkgs}
-    for process in ("reflected", "unreflected"):
-        calls = {label: walker_half_call(pkg, process) for label, pkg in pkgs.items()}
-        for label, samples in timed(calls, repeats).items():
-            out[label]["processes"][process] = {
-                "median_us_per_walker": 1e6 * statistics.median(samples) / (2 * TV_RUNS),
-                "runs_s": samples,
-            }
-    for record in out.values():
-        record.update(walkers=2 * TV_RUNS, grid="1:20:1", starts=TV_STARTS)
+    out = {}
+    for label, call in calls.items():
+        t0 = time.perf_counter()
+        for _ in range(number):
+            call()
+        out[label] = (time.perf_counter() - t0) / number
     return out
 
 
-def coupling_half_record(pkgs: dict, repeats: int) -> dict:
-    horizon = TV_GRID[-1]
-    out = {label: {} for label in pkgs}
-    for process in ("reflected", "unreflected"):
-        calls = {}
-        for label, pkg in pkgs.items():
+def time_cases(table: dict, roots: dict, repeats: int) -> dict:
+    """Samples of every case, as name -> label -> seconds per call, one per repeat.
 
-            def scalar(pkg=pkg, process=process):
-                params, rng = pkg.model.ModelParams(1.0, 2.0), pkg.simulate.make_stream(1, 0)
-                couple = getattr(pkg.coupling, f"coalescent_couple_{process}")
-                for _ in range(TV_RUNS):
-                    couple(*TV_STARTS[0], *TV_STARTS[1], horizon, params, rng, record_paths=False)
-
-            def batch(pkg=pkg, process=process):
-                params, rng = pkg.model.ModelParams(1.0, 2.0), pkg.simulate.make_stream(1, 0)
-                pkg.coupling.coalescence_times(TV_RUNS, *TV_STARTS, horizon, process, params, rng)
-
-            calls[label, "scalar"] = scalar
-            calls[label, "batch"] = batch
-        for (label, method), samples in timed(calls, repeats).items():
-            out[label].setdefault(process, {})[method] = {
-                "median_us_per_run": 1e6 * statistics.median(samples) / TV_RUNS,
-                "runs_s": samples,
+    A case's repeats run together, each on packages loaded afresh, with the
+    checkouts timed back to back in an order reversed every repeat.  A
+    loaded package keeps its memory layout: on a 2-vCPU VM two loads of the
+    same code read the ``invariant`` job 8 to 18% apart over 15 to 40
+    alternations, and within 2% loaded afresh each repeat.  Together, the
+    repeats mostly fall in one of the host's speed regimes, which last
+    seconds and can double a call's time.
+    """
+    samples = {name: {label: [] for label in roots} for name in table}
+    for name, (_, factory) in table.items():
+        labels = list(roots)
+        for _ in range(repeats):
+            pkgs = {
+                label: load_package(root, f"telegraph_kit_{i}")
+                for i, (label, root) in enumerate(roots.items())
             }
-    return {
-        label: {"n": TV_RUNS, "horizon": horizon, "starts": TV_STARTS, "processes": processes}
-        for label, processes in out.items()
-    }
+            for label, seconds in timed({label: factory(pkgs[label]) for label in labels}).items():
+                samples[name][label].append(seconds)
+            for module in [m for m in sys.modules if m.startswith("telegraph_kit_")]:
+                del sys.modules[module]
+            labels.reverse()
+    return samples
 
 
-def oracle_record(pkgs: dict, repeats: int) -> dict:
-    def call(pkg):
-        dt = pkg.analysis.default_oracle_dt(1.0)
-        return lambda: pkg.analysis.sde_oracle(
-            1.0, 0.0, dt, 1.0, WALKERS, pkg.simulate.make_stream(1, 0)
-        )
+def case_record(items: int, runs: dict) -> dict:
+    """Per label: items per call, µs per item (median and quartiles) and the samples.
 
-    runs = timed({label: call(pkg) for label, pkg in pkgs.items()}, repeats)
-    return {
-        label: {
-            "n": WALKERS, "drift": 1.0, "x0": 0.0, "t": 1.0,
-            "median_ms_per_call": 1e3 * statistics.median(samples), "runs_s": samples,
+    Against the other label it adds ``won``, the repeats in which this label
+    was the faster, and ``median_paired_ratio``, the median over repeats of
+    its sample over the other's: a repeat's two samples are taken back to
+    back, so their ratio holds when a change of the host's speed regime
+    between repeats splits a median.
+    """
+    out = {}
+    for label, samples in runs.items():
+        us = 1e6 * np.array(samples) / items
+        out[label] = {
+            "items": items,
+            "median_us_per_item": float(np.median(us)),
+            "quartiles_us_per_item": np.percentile(us, [25, 75]).tolist(),
+            "runs_s": samples,
         }
-        for label, samples in runs.items()
-    }
-
-
-def excursions_record(pkgs: dict, repeats: int) -> dict:
-    jobs, chunks = {}, {}
-    for label, pkg in pkgs.items():
-        cli = importlib.import_module(f"{pkg.__name__}.cli")
-        params = pkg.model.ModelParams(1.0, 2.0)
-        jobs[label] = lambda cli=cli: cli.main([*EXCURSIONS_JOB, "--out", os.devnull])
-        chunks[label] = lambda pkg=pkg, params=params: pkg.excursions.sample_excursions(
-            EXCURSION_CHUNK, params, pkg.simulate.make_stream(1, 0)
-        )
-    job_runs, chunk_runs = timed(jobs, repeats), timed(chunks, repeats)
-    return {
-        label: {
-            "job_argv": list(EXCURSIONS_JOB),
-            "median_ms_per_job": 1e3 * statistics.median(job_runs[label]),
-            "job_runs_s": job_runs[label],
-            "chunk": EXCURSION_CHUNK,
-            "median_us_per_excursion": 1e6 * statistics.median(chunk_runs[label]) / EXCURSION_CHUNK,
-            "chunk_runs_s": chunk_runs[label],
-        }
-        for label in pkgs
-    }
-
-
-def lengths_record(pkgs: dict, repeats: int) -> dict:
-    """µs per draw of the lengths-only tree loop through its two public samplers."""
-    cases = [(f"sample_hitting_batch_{size}", size) for size in HITTING_BATCHES]
-    cases.append(("sample_sigma_batch_1", 1))
-    setup = {"a": 1.0, "b": 2.0, "hitting_start": [2.0, -1], "sigma_u": 1.0}
-    out = {label: dict(setup) for label in pkgs}
-    for name, size in cases:
-
-        def call(pkg, name=name, size=size):
-            params, rng = pkg.model.ModelParams(1.0, 2.0), pkg.simulate.make_stream(1, 0)
-            if name.startswith("sample_sigma"):
-                return lambda: pkg.excursions.sample_sigma(1.0, params, rng)
-            batch = None if size == 1 else size
-            return lambda: pkg.excursions.sample_hitting(2.0, -1, params, rng, size=batch)
-
-        runs = timed({label: call(pkg) for label, pkg in pkgs.items()}, repeats)
-        for label, samples in runs.items():
-            out[label][name] = {
-                "median_us_per_draw": 1e6 * statistics.median(samples) / size,
-                "runs_s": samples,
-            }
+        for other in runs.keys() - {label}:
+            out[label]["won"] = sum(s < o for s, o in zip(samples, runs[other]))
+            out[label]["median_paired_ratio"] = statistics.median(
+                s / o for s, o in zip(samples, runs[other])
+            )
     return out
 
 
-def tv_curve_record(pkgs: dict, repeats: int) -> dict:
-    import numpy as np
-
-    grid = np.array(TV_GRID)
-    out = {label: {} for label in pkgs}
-    for process in ("reflected", "unreflected"):
-
-        def call(pkg, process=process):
-            params = pkg.model.ModelParams(1.0, 2.0)
-            return lambda: pkg.analysis.tv_curve(
-                *TV_STARTS, process, grid, TV_RUNS, params, pkg.simulate.make_stream(1, 0)
-            )
-
-        runs = timed({label: call(pkg) for label, pkg in pkgs.items()}, repeats)
-        for label, samples in runs.items():
-            median = statistics.median(samples)
-            out[label][process] = {
-                "median_s_per_call": median,
-                "median_us_per_run": 1e6 * median / TV_RUNS,
-                "runs_s": samples,
-            }
-    return {
-        label: {"n": TV_RUNS, "grid": "1:20:1", "starts": TV_STARTS, "processes": processes}
-        for label, processes in out.items()
-    }
-
-
-def scaling_process_record(roots: dict, repeats: int) -> dict:
-    """Wall time and peak RSS of fresh ``scaling`` processes, alternating the checkouts."""
+def scaling_process(root: Path) -> dict:
+    """Wall seconds from spawn to exit, peak RSS in MB from the rusage of ``os.wait4``
+    and exit code of one fresh ``scaling`` process."""
     argv = [sys.executable, "-c", _LAUNCHER, sys.executable, *SCALING_CLI, "--out", os.devnull]
-    runs = {label: [] for label in roots}
-    order = list(roots)
-    for _ in range(repeats):
-        for label in order:
-            env = {**os.environ, "PYTHONPATH": str(roots[label] / "src")}
-            proc = subprocess.run(
-                argv, cwd=roots[label], env=env, capture_output=True, text=True, check=True
-            )
-            wall, rss_kib, code = proc.stdout.split()
-            runs[label].append((float(wall), int(rss_kib) / 1024, int(code)))
-        order.reverse()
-    return {
-        label: {
-            "argv": ["python", *SCALING_CLI],
-            "median_wall_s": statistics.median(w for w, _, _ in samples),
-            "median_peak_rss_mb": statistics.median(r for _, r, _ in samples),
-            "wall_s": [w for w, _, _ in samples],
-            "peak_rss_mb": [r for _, r, _ in samples],
-            "returncodes": [c for _, _, c in samples],
-        }
-        for label, samples in runs.items()
-    }
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True, check=True)
+    wall, rss_kib, code = proc.stdout.split()
+    return {"wall_s": float(wall), "peak_rss_mb": int(rss_kib) / 1024, "returncode": int(code)}
 
 
-def perfbench_record(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    argv = [
-        sys.executable, "perfbench/run.py", "--workload", workload,
-        "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
-    ]
-    proc = subprocess.run(argv, cwd=root, capture_output=True, text=True, check=False)
+def perfbench_run(root: Path, argv: list) -> dict:
+    proc = subprocess.run(
+        [sys.executable, *argv], cwd=root, capture_output=True, text=True, check=False
+    )
     if proc.returncode != 0:
-        return {"argv": argv[1:], "returncode": proc.returncode, "stderr": proc.stderr[-2000:]}
+        return {"returncode": proc.returncode, "stderr": proc.stderr[-2000:]}
     lines = proc.stdout.strip().splitlines()
-    return {"argv": argv[1:], "env": json.loads(lines[-2]), "result": json.loads(lines[-1])}
+    return {"returncode": 0, "env": json.loads(lines[-2]), "result": json.loads(lines[-1])}
 
 
 def module_lines(root: Path) -> dict:
@@ -377,7 +367,9 @@ def main(argv=None) -> int:
     parser.add_argument("--label", required=True, help="key of this record in the output file")
     parser.add_argument("--out", required=True, help="JSON file; other labels in it are kept")
     parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--seed", type=int, default=1, help="perfbench workload seed")
+    parser.add_argument(
+        "--seed", type=int, default=1, help="seed of the CLI jobs and the perfbench runs"
+    )
     parser.add_argument("--seconds", type=float, default=50.0, help="perfbench run length")
     parser.add_argument(
         "--baseline", type=Path, help='a second checkout, timed alternately, stored as "parent"'
@@ -390,29 +382,27 @@ def main(argv=None) -> int:
         if args.label == BASELINE_LABEL:
             parser.error(f"--label must not be {BASELINE_LABEL!r} with --baseline")
         roots[BASELINE_LABEL] = args.baseline.resolve()
-    import numpy as np
-
-    pkgs = {
-        label: load_package(root, f"telegraph_kit_{i}")
-        for i, (label, root) in enumerate(roots.items())
-    }
-    measured = {
-        "scaling_process": scaling_process_record(roots, args.repeats),
-        "sample_unreflected_states": sampler_record(pkgs, args.repeats),
-        "tv_curve_walkers": walker_half_record(pkgs, args.repeats),
-        "tv_curve_couplings": coupling_half_record(pkgs, args.repeats),
-        "sde_oracle": oracle_record(pkgs, args.repeats),
-        "tv_curve": tv_curve_record(pkgs, args.repeats),
-        "excursions": excursions_record(pkgs, args.repeats),
-        "excursion_lengths": lengths_record(pkgs, args.repeats),
-    }
-    order = list(roots)
-    for workload in WORKLOADS:
-        for label in order:
-            measured.setdefault(f"perfbench_{workload}", {})[label] = perfbench_record(
-                roots[label], workload, args.seed, args.seconds
-            )
-        order.reverse()
+    jobs = perfbench_jobs()
+    table = case_table(jobs, args.seed)
+    cases = {label: {} for label in roots}
+    for name, runs in time_cases(table, roots, args.repeats).items():
+        for label, record in case_record(table[name][0], runs).items():
+            cases[label][name] = record
+    scaling = alternated(
+        {label: partial(scaling_process, root) for label, root in roots.items()}, args.repeats
+    )
+    perfbench = {label: {} for label in roots}
+    for workload in jobs:
+        bench_argv = [
+            "perfbench/run.py", "--workload", workload,
+            "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0",
+        ]
+        runs = alternated(
+            {label: partial(perfbench_run, root, bench_argv) for label, root in roots.items()},
+            PERFBENCH_PAIRS,
+        )
+        for label in roots:
+            perfbench[label][workload] = {"argv": bench_argv, "runs": runs[label]}
     out = Path(args.out)
     records = json.loads(out.read_text()) if out.exists() else {}
     for label, root in roots.items():
@@ -433,7 +423,9 @@ def main(argv=None) -> int:
             "alternated_with": [other for other in roots if other != label],
             "module_lines": lines,
             "source_lines": sum(lines.values()),
-            **{name: per_label[label] for name, per_label in measured.items()},
+            "cases": cases[label],
+            "scaling_process": {"argv": ["python", *SCALING_CLI], "runs": scaling[label]},
+            "perfbench": perfbench[label],
         }
     out.write_text(json.dumps(records, indent=2, sort_keys=True) + "\n")
     return 0

@@ -307,7 +307,7 @@ def crossing_couple(
     x_other, v_other = check_start(x_other, v_other, reflected=True)
     if x < x_other:
         raise ValueError("crossing_couple expects the first start at or above the second")
-    hz = math.inf if horizon is None else float(horizon)
+    hz = math.inf if horizon is None else _check_horizon(horizon)
     rec1 = KnotRecorder(x, v, store=record_paths)
     rec2 = KnotRecorder(x_other, v_other, store=record_paths)
     src = ExpSource(rng)
@@ -344,7 +344,7 @@ def stick_couple(
     the second leg reflects instantly and the first block is the merging one.
     """
     x = check_start(x, 1, reflected=True)[0]
-    hz = math.inf if horizon is None else float(horizon)
+    hz = math.inf if horizon is None else _check_horizon(horizon)
     dn_v = 1 if x == 0.0 else -1
     rec_up = KnotRecorder(x, 1, store=record_paths)
     rec_dn = KnotRecorder(x, dn_v, store=record_paths)

@@ -537,6 +537,90 @@ def test_invariant_gate_rejects_a_sampler_with_the_wrong_gap(monkeypatch, tmp_pa
         assert code == EXIT_GATE, b
 
 
+def test_mean_hitting_time_is_the_transform_slope_at_zero():
+    # E[T] = x*c'(0) from (x, -1), with c = model.hitting_exponent, and from
+    # (x, +1) the excursion in progress adds psi'(0), psi = model.excursion_mgf
+    for a, b in ((1.0, 2.0), (1.0, 1.05), (0.3, 3.0), (2.0, 20.0)):
+        params = ModelParams(a, b)
+        h = 1e-3 * model.critical_rate(params)
+        c_slope = (model.hitting_exponent(h, params) - model.hitting_exponent(-h, params)) / (2 * h)
+        psi_slope = (model.excursion_mgf(h, params) - model.excursion_mgf(-h, params)) / (2 * h)
+        for x in (0.0, 0.7, 20.0):
+            down, up = (cli._mean_hitting_time(x, v, params) for v in (-1, 1))
+            assert down == pytest.approx(x * c_slope, rel=1e-6, abs=0.0), (a, b, x)
+            assert up == pytest.approx(x * c_slope + psi_slope, rel=1e-6), (a, b, x)
+
+
+def test_capped_moment_reference_is_the_incomplete_gamma_form():
+    from scipy.special import gammainc
+
+    for b in (1.05, 2.0, 4.0):
+        params = ModelParams(1.0, b)
+        gap = params.rate_gap
+        level = 3.0 / gap
+        for k in range(41):
+            reference = math.factorial(k) / gap**k
+            f, cap, got = cli._capped_moment(k, reference, params)
+            want = reference * gammainc(k + 1, 3.0) + level**k * math.exp(-3.0)
+            assert cap == level
+            assert got == pytest.approx(want, rel=1e-12), (b, k)
+            x = np.array([0.5 * level, 2.0 * level])
+            assert np.array_equal(f(x, None), np.array([0.5 * level, level]) ** k)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hitting", "--start", "20.686310407825857,1", "--seed", "1"],
+        ["hitting", "--start=0,1", "--lam=-1e100", "--n", "100"],
+        ["invariant", "--integrand", "moment", "--arg", "22", "--seed", "0"],
+        ["invariant", "--integrand", "moment", "--arg", "12", "--seed", "1"],
+    ],
+)
+def test_gates_pass_runs_whose_gate_trusted_a_skewed_mean(argv, tmp_path):
+    # all three attempts of each failed while the hitting gate read exp(lam*T)
+    # and the moment gate x**k; every output byte stays as it was
+    code, _ = run_to_file(tmp_path, "gate.csv", argv + ["--check"])
+    assert code == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "integrand, arg", [("moment", "0"), ("exponential", "0"), ("indicator", "-1")]
+)
+def test_invariant_gate_allows_for_the_rounding_of_an_exact_ratio(integrand, arg):
+    # each integrand is 1 here, so the estimate is 1 up to rounding and its
+    # standard error is rounding noise; this attempt failed on 0.9999999999999998
+    argv = ["invariant", "--integrand", integrand, "--arg", arg, "--n", "2000", "--check"]
+    text, ok = cli._cmd_invariant(cli._resolve(argv), 2)
+    assert text.splitlines()[1].startswith("0.9999999999999998,")
+    assert ok
+
+
+def test_hitting_and_moment_gates_reject_a_sampler_with_b_five_percent_high(monkeypatch, tmp_path):
+    # per attempt, the hitting gate failed this sampler at the default n on
+    # 1000 of 1000 seeds from (2, -1) and from (20, -1), and the moment gate at
+    # k = 2 on 165 of 200 at the default n and on 200 of 200 at n = 30,000
+    wrong = ModelParams(1.0, 2.1)
+    sample, estimate = cli.excursions.sample_hitting, cli.excursions._regenerative_estimates
+
+    def wrong_hitting(x, v, params, rng, size=None):
+        return sample(x, v, wrong, rng, size=size)
+
+    def wrong_estimates(integrands, n, params, rng):
+        return estimate(integrands, n, wrong, rng)
+
+    monkeypatch.setattr(cli.excursions, "sample_hitting", wrong_hitting)
+    monkeypatch.setattr(cli.excursions, "_regenerative_estimates", wrong_estimates)
+    runs = (
+        ["hitting"],
+        ["hitting", "--start", "20,1"],
+        ["invariant", "--integrand", "moment", "--arg", "2", "--n", "30000"],
+    )
+    for argv in runs:
+        code, _ = run_to_file(tmp_path, "wrong.csv", argv + ["--check"])
+        assert code == EXIT_GATE, argv
+
+
 def test_failed_gate_exits_three_but_writes_output(tmp_path, monkeypatch):
     # poison the reference so the gate cannot pass on any reseed; the run
     # must still write the first attempt's output and return the gate code

@@ -55,6 +55,16 @@ def test_every_coupling_refuses_non_finite_starts():
             coalescent_couple_unreflected(0.0, 1, bad, -1, 5.0, P12, rng, record_paths=False)
 
 
+def test_phase_couplings_refuse_a_bad_horizon():
+    # unchecked, a nan horizon gave no merge and a knotless path, a negative one an empty path
+    rng = make_stream(0, 2)
+    for bad in (math.nan, -1.0, 0.0, math.inf):
+        with pytest.raises(ValueError, match="horizon"):
+            crossing_couple(3.0, 1, 1.0, -1, P12, rng, horizon=bad)
+        with pytest.raises(ValueError, match="horizon"):
+            stick_couple(1.0, P12, rng, horizon=bad)
+
+
 def test_crossing_meets_with_opposite_velocities():
     # runs until the legs share a position; the upper one must arrive
     # descending and the lower one climbing

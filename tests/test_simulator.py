@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from conftest import gate
@@ -213,3 +215,64 @@ def test_endpoint_law_reaches_exponential_equilibrium():
         return p > 0.01
 
     assert gate(check)
+
+
+def stationary_law_holds(process, params, t, seed, chained=False, sampler_params=None):
+    """Start 1e5 walkers in the invariant law, run them to t, and test the law they reach.
+
+    The invariant position is Exp(b - a) on the half line and Laplace(b - a)
+    on the whole line, with an independent fair velocity, so a sampler
+    started there must keep that law at every t.  The positions of each
+    velocity go through a one-sample KS against the invariant CDF
+    (Bonferroni factor 2), and the +1 fraction through a binomial test.
+    ``chained`` runs the grid t/4, ..., t as two grid calls, the second
+    restarted from the states at the last time of the first, as
+    ``tv_curve`` does; ``sampler_params`` runs the sampler on other rates.
+    The law depends on b - a alone, so rates moved together, as
+    (a, b) + 0.1, keep it and pass: such a mutant needs an oracle at
+    finite t.
+    """
+    n = 100_000
+    rng = make_stream(72, seed)
+    gap = params.rate_gap
+    pos = rng.exponential(1.0 / gap, n)
+    vel = rng.choice(np.array([-1, 1]), n)
+    reflected = process == "reflected"
+    if not reflected:
+        pos *= rng.choice(np.array([-1.0, 1.0]), n)
+    sample = sample_reflected_states if reflected else sample_unreflected_states
+    run = params if sampler_params is None else sampler_params
+    if chained:
+        grid, t_prev = t * np.arange(1, 5) / 4.0, 0.0
+        for chunk in (grid[:2], grid[2:]):
+            rows_pos, rows_vel = sample(pos, vel, chunk - t_prev, n, run, rng)
+            pos, vel, t_prev = rows_pos[-1], rows_vel[-1], chunk[-1]
+    else:
+        pos, vel = sample(pos, vel, t, n, run, rng)
+
+    def cdf(y):
+        if reflected:
+            return -np.expm1(-gap * y)
+        below = 0.5 * np.exp(gap * np.minimum(y, 0.0))
+        return np.where(y < 0.0, below, 1.0 - 0.5 * np.exp(-gap * np.maximum(y, 0.0)))
+
+    p_ks = min(stats.kstest(pos[vel == v], cdf).pvalue for v in (-1, 1))
+    p_sign = stats.binomtest(int(np.count_nonzero(vel == 1)), n, 0.5).pvalue
+    return 2.0 * p_ks > 0.01 and p_sign > 0.01
+
+
+@pytest.mark.parametrize("chained", [False, True])
+@pytest.mark.parametrize("process", ["reflected", "unreflected"])
+@settings(max_examples=6, deadline=None, database=None, derandomize=True)
+@given(st.floats(0.5, 2.0), st.floats(1.05, 10.0), st.floats(0.5, 10.0))
+def test_batch_samplers_keep_the_invariant_law(process, chained, a, ratio, t):
+    params = ModelParams(a, a * ratio)
+    assert gate(lambda seed: stationary_law_holds(process, params, t, seed, chained))
+
+
+@pytest.mark.parametrize("wrong", [ModelParams(1.0, 2.1), ModelParams(1.05, 2.0)])
+@pytest.mark.parametrize("process", ["reflected", "unreflected"])
+def test_stationarity_check_rejects_b_or_a_five_percent_off(process, wrong):
+    assert not gate(
+        lambda seed: stationary_law_holds(process, P12, 5.0, seed, sampler_params=wrong)
+    )
