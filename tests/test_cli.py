@@ -613,7 +613,7 @@ def test_hitting_and_moment_gates_reject_a_sampler_with_b_five_percent_high(monk
     monkeypatch.setattr(cli.excursions, "_regenerative_estimates", wrong_estimates)
     runs = (
         ["hitting"],
-        ["hitting", "--start", "20,1"],
+        ["hitting", "--start", "20,-1"],
         ["invariant", "--integrand", "moment", "--arg", "2", "--n", "30000"],
     )
     for argv in runs:
