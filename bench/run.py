@@ -159,9 +159,8 @@ def _tv_curve(pkg, process):
 
 
 def _oracle(pkg):
-    dt = pkg.analysis.default_oracle_dt(1.0)
     return lambda: pkg.analysis.sde_oracle(
-        1.0, 0.0, dt, 1.0, WALKERS, pkg.simulate.make_stream(1, 0)
+        1.0, 0.0, 1e-3, 1.0, WALKERS, pkg.simulate.make_stream(1, 0)
     )
 
 
@@ -221,8 +220,8 @@ def case_table(jobs: dict, seed: int) -> dict:
         )
         # the whole tv_curve at that size; a run is one coupling and one walker per start
         table[f"tv_curve/{process}"] = (TV_RUNS, partial(_tv_curve, process=process))
-    # `scaling`'s oracle: n = 1000 endpoints from 0 at drift 1 to time 1, in
-    # steps of default_oracle_dt(1)
+    # the Euler oracle at the size `scaling` once drew it: n = 1000 endpoints
+    # from 0 at drift 1 to time 1, in steps of 1e-3
     table["sde_oracle"] = (WALKERS, _oracle)
     # one chunk of the `excursions` job: 1,024 excursions at a = 1, b = 2
     table["sample_excursions"] = (EXCURSION_CHUNK, _excursion_chunk)

@@ -5,9 +5,9 @@ from telegraph_kit.analysis import scaling_limit_check, sde_oracle
 from telegraph_kit.simulate import make_stream
 
 # speeding up the flips while keeping the rate asymmetry fixed drives the
-# centred particle toward a drifted Brownian motion; the KS distance to
-# that limit shrinks with the scale until it flattens into sampling noise
-# (about 0.009 at this n)
+# centred particle toward a drifted Brownian motion; the one-sample KS
+# distance to that limit's exact law shrinks with the scale until it
+# flattens into sampling noise (about 0.006 at this n)
 print("scale      KS stat    p-value")
 for i, scale in enumerate((1.05, 1.2, 2.0, 8.0, 32.0)):
     stat, p = scaling_limit_check(scale, 1.0, 1.0, 20000, make_stream(43, 20 + i))

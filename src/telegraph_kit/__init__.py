@@ -6,9 +6,11 @@ from .analysis import (
     domination_gap,
     empirical_decay_rate,
     ks_band,
+    ks_one_sample,
     ks_two_sample,
     scaling_limit_check,
     sde_oracle,
+    sign_drift_cdf,
     tv_curve,
     write_tv_curve_csv,
 )

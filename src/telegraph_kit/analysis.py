@@ -1,10 +1,10 @@
 """Statistical verification: distances, decay rates and diffusive limits.
 
 Everything here treats the simulators and couplings as black boxes and
-checks their outputs against each other or against closed forms: two-sample
-distribution tests, binned total-variation lower bounds against coupling
-survival upper bounds, tail decay-rate fits, and an Euler-Maruyama oracle
-for the Brownian limit with sign drift.
+checks their outputs against each other or against closed forms: one- and
+two-sample distribution tests, binned total-variation lower bounds against
+coupling survival upper bounds, tail decay-rate fits, and the exact law of
+the Brownian limit with sign drift, with an Euler-Maruyama oracle beside it.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ __all__ = [
     "tv_curve",
     "empirical_decay_rate",
     "sde_oracle",
-    "default_oracle_dt",
+    "sign_drift_cdf",
+    "ks_one_sample",
     "scaling_limit_check",
     "write_tv_curve_csv",
 ]
@@ -328,13 +329,107 @@ def _euler_steps(x, drift, h, steps, rng, work) -> None:
         x += work
 
 
-def default_oracle_dt(drift: float) -> float:
-    """Euler step of :func:`scaling_limit_check` when none is given.
+# e^a * Phi(-v) is taken as written below _TAIL_SPLIT, and above it as
+# e^(a - v*v/2) * e^(v*v/2) * Phi(-v).  The second factor comes from erfc
+# below _MILLS_CF, and beyond it from _MILLS_TERMS terms of Laplace's
+# continued fraction for the Mills ratio, which are exact to rounding there
+# while the rounding of v*v/2 costs the erfc form ever more digits
+_TAIL_SPLIT = 1.0
+_MILLS_CF = 8.0
+_MILLS_TERMS = 16
+_erfc = np.frompyfunc(math.erfc, 1, 1)
 
-    It shrinks with the drift so the sign discontinuity stays well resolved
-    at large drift.
+
+def _normal_tail(v: np.ndarray) -> np.ndarray:
+    """Phi(-v), elementwise."""
+    return 0.5 * _erfc(v * math.sqrt(0.5)).astype(np.float64)
+
+
+def _scaled_tail(v: np.ndarray) -> np.ndarray:
+    """e^(v*v/2) * Phi(-v) for v >= _TAIL_SPLIT; at most 1/(v*sqrt(2*pi))."""
+    out = np.empty_like(v)
+    mid = v < _MILLS_CF
+    out[mid] = _normal_tail(v[mid]) * np.exp(0.5 * v[mid] * v[mid])
+    far = v[~mid]
+    frac = far.copy()  # Laplace: Mills ratio = 1/(v + 1/(v + 2/(v + 3/(v + ...))))
+    for k in range(_MILLS_TERMS, 0, -1):
+        frac = far + k / frac
+    out[~mid] = 1.0 / (math.sqrt(2.0 * math.pi) * frac)
+    return out
+
+
+def _mirror_term(a: np.ndarray, expo: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """e^a * Phi(-v), with expo = a - v*v/2 passed in a form that cannot overflow.
+
+    Callers keep a bounded where v < _TAIL_SPLIT, so no finite input gives nan.
     """
-    return 1e-3 * min(1.0, 1.0 / (drift * drift)) if drift > 0.0 else 1e-3
+    out = np.empty_like(v)
+    near = v < _TAIL_SPLIT
+    out[near] = np.exp(a[near]) * _normal_tail(v[near])
+    far = ~near
+    out[far] = np.exp(expo[far]) * _scaled_tail(v[far])
+    return out
+
+
+def sign_drift_cdf(z, x0: float, drift: float, t: float) -> np.ndarray:
+    """CDF at time t > 0 of dX = dB - drift * sign(X) dt from x0, at the points z.
+
+    |X| is Brownian motion with drift -c, c = drift, reflected at 0, and
+    G(u) = P(|X_t| > u) is one minus Harrison's CDF (Harrison, "Brownian
+    Motion and Stochastic Flow Systems", 1985).  From x0 >= 0, the paths
+    still above u >= 0 without having reached the origin weigh
+    K(u) = Phi((x0 - u - ct)/sqrt t) - e^(2c x0) Phi((-x0 - u - ct)/sqrt t),
+    and a path that has reached it is then as likely below -u as above u.
+    So P(X_t > u) = (G + K)/2 and P(X_t < -u) = (G - K)/2, and a start
+    below the origin is the mirror image.  Both mirror terms share one
+    Gaussian exponent, summed from nonnegative parts, so every finite input
+    gives a value in [0, 1].
+    """
+    x0, c, t = float(x0), float(drift), float(t)
+    if not (t > 0.0 and c >= 0.0):
+        raise ValueError("need t > 0 and drift >= 0")
+    z = np.asarray(z, dtype=np.float64)
+    mirrored = x0 < 0.0
+    if mirrored:
+        x0, z = -x0, -z
+    u = np.abs(z)
+    root, ct = math.sqrt(t), c * t  # Python floats: an overflow reads inf
+    with np.errstate(over="ignore"):
+        # Phi(-v1) is the killed-path term of K; e^(-2cu) Phi(-v2) and
+        # e^(2c x0) Phi(-v3) are the mirror terms of G and K, both with
+        # exponent a - v*v/2 = -((x0 - ct)^2 + u^2 + 2u(x0 + ct)) / 2t
+        v1 = ((u - x0) + ct) / root
+        v2 = ((u - ct) + x0) / root
+        v3 = ((u + x0) + ct) / root
+        spread = (x0 - ct) * (x0 - ct) + u * u + 2.0 * (u * x0 + (u * c) * t)
+        expo = -0.5 * (spread / t)
+        m2 = _mirror_term(-2.0 * (c * u), expo, v2)
+        m3 = _mirror_term(np.broadcast_to(2.0 * (c * x0), u.shape), expo, v3)
+    below = 0.5 * (m2 + m3)  # P(X_t < -u)
+    excess = 0.5 * (m2 - m3)  # P(X_t > u) - Phi(-v1)
+    if mirrored:  # P(Y >= -z) for Y = -X, which starts at -x0 > 0
+        cdf = np.where(z >= 0.0, _normal_tail(v1) + excess, 1.0 - below)
+    else:
+        cdf = np.where(z >= 0.0, _normal_tail(-v1) - excess, below)
+    return np.clip(cdf, 0.0, 1.0)  # rounding can leave it an ulp outside
+
+
+def ks_one_sample(sample, cdf) -> tuple[float, float]:
+    """One-sample Kolmogorov-Smirnov statistic and asymptotic p-value against a continuous CDF.
+
+    ``cdf`` maps a sorted array to its CDF values.  The p-value is the one of
+    :func:`ks_two_sample` with en = n.  A NaN in the sample gives (nan, nan).
+    """
+    x = np.sort(np.asarray(sample, dtype=np.float64))
+    if x.size == 0:
+        raise ValueError("sample must be nonempty")
+    if np.isnan(x[-1]):
+        return math.nan, math.nan
+    f = cdf(x)
+    steps = np.arange(x.size + 1) / x.size
+    stat = max(float((steps[1:] - f).max()), float((f - steps[:-1]).max()))
+    root = math.sqrt(x.size)
+    return stat, _kolmogorov_sf((root + 0.12 + 0.11 / root) * stat)
 
 
 def scaling_limit_check(
@@ -343,16 +438,17 @@ def scaling_limit_check(
     t: float,
     n: int,
     rng: np.random.Generator,
-    dt: float | None = None,
     x0: float = 0.0,
 ) -> tuple[float, float]:
-    """KS comparison of the rescaled telegraph endpoint with its Brownian limit.
+    """KS test of the rescaled telegraph endpoint against its Brownian limit.
 
     The particle with rates (scale - drift, scale + drift) is run to real
-    time t * scale, matching the diffusive clock; the endpoint is compared
-    against the Euler oracle of the sign-drift SDE at time t.  Returns the
-    KS statistic and p-value; the statistic shrinks as the scale grows.
-    It needs n >= 2, as the KS p-value of one walker a side is undefined.
+    time t * scale, matching the diffusive clock; its n endpoints are tested
+    against :func:`sign_drift_cdf`, the exact law of the sign-drift SDE at
+    time t.  Returns the one-sample KS statistic and p-value; the statistic
+    shrinks as the scale grows.  At t = 0 both laws are the point mass at
+    x0, which reads (0.0, 1.0).  It needs n >= 2, the floor of the CLI's
+    ``scaling --n``.
     """
     if int(n) < 2:
         raise ValueError("need at least two walkers for a KS test")
@@ -364,10 +460,9 @@ def scaling_limit_check(
         raise ValueError("drift must be nonnegative")
     params = ModelParams(scale - drift, scale + drift)
     pos, _ = sample_unreflected_states(x0, None, float(t) * scale, n, params, rng)
-    if dt is None:
-        dt = default_oracle_dt(drift)
-    oracle = sde_oracle(drift, x0, dt, t, n, rng)
-    return ks_two_sample(pos, oracle)
+    if t == 0.0:
+        return 0.0, 1.0
+    return ks_one_sample(pos, lambda z: sign_drift_cdf(z, x0, drift, t))
 
 
 def write_tv_curve_csv(curve: TvCurve, dest) -> None:

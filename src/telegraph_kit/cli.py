@@ -38,8 +38,8 @@ RESEED_STRIDE = 1_000_003
 GATE_ATTEMPTS = 3
 GATE_Z = 3.0
 _GRID_CAP = 10_000
-# scaling refuses more than this many events per walker (t * scale**2) or
-# Euler steps of its oracle (t / dt); the defaults need 1e4 and 1e3
+# scaling refuses more than this many events per walker (t * scale**2);
+# the defaults need 1e4
 _SCALING_CAP = 1_000_000
 # simulate refuses more expected events than this, horizon*(a+b)/2 (the default needs 75);
 # so do couple per run and tvcurve per walker (the defaults need 1.5 and 30)
@@ -219,7 +219,7 @@ _SIZES = {
     "hitting": (10000, (2, "a standard error needs at least 2 draws"), 40),
     "couple": (10000, (1, ""), 450),
     "tvcurve": (2000, (1000, "the TV curve needs at least 1000 runs per leg"), 330),
-    "scaling": (10000, (2, "a KS test needs two walkers a side"), 220),
+    "scaling": (10000, (2, "a KS test needs two walkers"), 220),
     "formulas": (1, (1, ""), 1),
 }
 _MEMORY_BUDGET = 2 << 30
@@ -279,12 +279,9 @@ _OPTIONS = {
     "drift": _real("finite and nonnegative", "diffusive drift parameter", {"scaling": 1.0}),
     "t": _real(
         "finite and nonnegative",
-        "diffusive time; t*scale**2 events per walker and t/dt Euler steps are each capped at"
-        f" {_SCALING_CAP:,}",
+        f"diffusive time; t*scale**2 events per walker are capped at {_SCALING_CAP:,}",
         {"scaling": 1.0},
     ),
-    "dt": _real("finite and positive", "Euler step of the oracle", {"scaling": None},
-                "1e-3*min(1, 1/drift**2)"),
     "x0": _real("finite", "diffusive start position", {"scaling": 0.0}),
 }
 
@@ -408,7 +405,7 @@ def _cmd_excursions(cfg: RunConfig, seed: int):
 _INTEGRANDS = {
     "exponential": lambda arg: (lambda pos, v: np.exp(arg * pos)),
     "indicator": lambda arg: (lambda pos, v: (pos > arg).astype(np.float64)),
-    "moment": lambda arg: (lambda pos, v: pos ** int(round(arg))),
+    "moment": lambda arg: (lambda pos, v: pos ** int(arg)),
 }
 
 
@@ -422,14 +419,14 @@ def _invariant_reference(kind: str, arg: float, params: model.ModelParams) -> fl
     if kind == "indicator":
         return 1.0 if arg < 0.0 else math.exp(-gap * arg)
     if kind == "moment":  # the table admits no other integrand
-        k = int(round(arg))
-        if k < 0:
-            raise _ConfigError("moment order must be a nonnegative integer")
+        if not (arg >= 0.0 and arg.is_integer()):
+            raise _ConfigError(f"moment order must be a nonnegative integer, got {arg!r}")
+        k = int(arg)
         # checked in logs first, as math.factorial of a huge k does not return:
         # k! (a float only up to k = 170), (b - a)**k and k!/(b - a)**k must be floats
         log_power = k * math.log(gap)
         if k > 170 or max(log_power, math.lgamma(k + 1.0) - log_power) >= _LOG_FLOAT_MAX:
-            raise _ConfigError(f"moment order {k}: the reference k!/(b-a)^k is not a finite float")
+            raise _ConfigError(f"moment order {k:g}: the reference k!/(b-a)^k is not a finite float")
         return math.factorial(k) / gap**k
 
 
@@ -493,7 +490,7 @@ def _cmd_invariant(cfg: RunConfig, seed: int):
         capped, level, gate_reference = _capped_exponential(arg, cfg.params)
         integrands.append((capped, (level,)))
     elif cfg.check and kind == "moment":
-        capped, level, gate_reference = _capped_moment(int(round(arg)), reference, cfg.params)
+        capped, level, gate_reference = _capped_moment(int(arg), reference, cfg.params)
         integrands.append((capped, (level,)))
     rng = simulate.make_stream(seed, 0)
     estimates = excursions._regenerative_estimates(integrands, cfg.n, cfg.params, rng)
@@ -600,17 +597,14 @@ def _cmd_tvcurve(cfg: RunConfig, seed: int):
 
 
 def _cmd_scaling(cfg: RunConfig, seed: int):
-    scales, drift, t, dt, x0 = (cfg.options[k] for k in ("scales", "drift", "t", "dt", "x0"))
-    # predicted cost, refused before any work; the negated tests refuse nan
-    step = analysis.default_oracle_dt(drift) if dt is None else dt
-    steps = t / step if step > 0.0 else math.inf
-    _check_cost("t/dt", steps, "Euler steps", _SCALING_CAP)
+    scales, drift, t, x0 = (cfg.options[k] for k in ("scales", "drift", "t", "x0"))
+    # predicted cost, refused before any work; the negated test refuses nan
     for scale in scales:
         _check_cost("t*scale**2", t * scale * scale, "events per walker", _SCALING_CAP)
     rows = []
     for i, scale in enumerate(scales):
         rng = simulate.make_stream(seed, 2 * i)
-        stat, pval = analysis.scaling_limit_check(scale, drift, t, cfg.n, rng, dt=dt, x0=x0)
+        stat, pval = analysis.scaling_limit_check(scale, drift, t, cfg.n, rng, x0=x0)
         rows.append((scale, drift, t, stat, pval))
     text = "N,c,t,ks_stat,p_value\n" + "".join(
         f"{s!r},{c!r},{tt!r},{st!r},{pv!r}\n" for s, c, tt, st, pv in rows

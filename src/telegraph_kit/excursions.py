@@ -49,6 +49,11 @@ __all__ = [
 # hang.
 NODE_BUDGET = 100_000_000
 
+# numpy's Poisson sampler costs about 10 us a call on an array and under 1 us
+# on a scalar, and an array call draws what scalar calls in its order draw;
+# so this many means or fewer go through scalar calls
+_SCALAR_POISSON = 8
+
 
 class RecursionBudgetError(RuntimeError):
     """Branching sampler exceeded its node budget (plausible only at a == b)."""
@@ -61,6 +66,14 @@ def _check_budget(nodes) -> None:
     """
     if nodes > NODE_BUDGET:
         raise RecursionBudgetError(f"excursion trees passed {NODE_BUDGET} nodes in one call")
+
+
+def _poisson(rng: np.random.Generator, means) -> np.ndarray:
+    """``rng.poisson(means)`` as an int64 array, with the same draws and generator state."""
+    means = np.asarray(means)
+    if means.size > _SCALAR_POISSON:
+        return rng.poisson(means)
+    return np.array([rng.poisson(m) for m in means.flat], dtype=np.int64).reshape(means.shape)
 
 
 class ExcursionRecord(NamedTuple):
@@ -114,7 +127,7 @@ def sample_excursions(n: int, params: ModelParams, rng: np.random.Generator) -> 
         np.add.at(length, owner, 2.0 * e)
         np.add.at(jumps, owner, 2)
         np.maximum.at(max_height, owner, base + e)
-        kids = rng.poisson(a * e)
+        kids = _poisson(rng, a * e)
         born = int(kids.sum())
         nodes += born
         _check_budget(nodes)
@@ -145,7 +158,7 @@ def _summed_lengths(start, mean_roots, extra, horizon, params, rng):
     # a Poisson mean of 0 takes no draw, so far draws skip the stream
     mean_roots = mean_roots * near
     _check_budget(mean_roots.max(initial=0.0))
-    kids = np.ravel(rng.poisson(mean_roots) + (extra & near))
+    kids = np.ravel(_poisson(rng, mean_roots) + (extra & near))
     shape = total.shape
     total = total.ravel()
     owner = np.arange(total.size)
@@ -157,7 +170,7 @@ def _summed_lengths(start, mean_roots, extra, horizon, params, rng):
         e = rng.standard_exponential(owner.size) / b
         total += np.bincount(owner, 2.0 * e, total.size)
         keep = total[owner] <= horizon
-        owner, kids = owner[keep], rng.poisson(a * e[keep])
+        owner, kids = owner[keep], _poisson(rng, a * e[keep])
     if horizon < math.inf:  # the public samplers' calls have no horizon
         total[total > horizon] = math.inf
     total = total.reshape(shape)

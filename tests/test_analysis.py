@@ -16,9 +16,11 @@ from telegraph_kit.analysis import (
     domination_gap,
     empirical_decay_rate,
     ks_band,
+    ks_one_sample,
     ks_two_sample,
     scaling_limit_check,
     sde_oracle,
+    sign_drift_cdf,
     tv_curve,
     write_tv_curve_csv,
 )
@@ -414,6 +416,93 @@ def test_reflected_states_follow_reflected_bm_in_the_diffusive_limit(drift, t, x
         return p_value > 0.01 and stats.kstest(1.1 * pos, reflected_bm_cdf, args=law).pvalue < 0.01
 
     assert gate(check)
+
+
+# starts on and off the origin on both sides, drifts, times and points in
+# units of sqrt(t) around both +-x0, where the terms of the law turn over
+_LAW_CASES = [
+    (x0, drift, t)
+    for x0 in (0.0, 1.0, -0.5, 3.0, -3.0)
+    for drift in (0.0, 0.5, 1.0, 4.0)
+    for t in (0.1, 1.0, 6.0)
+]
+
+
+def _law_points(x0, t):
+    steps = math.sqrt(t) * np.linspace(-8.0, 8.0, 161)
+    return np.sort(np.concatenate([steps, steps + x0, steps - x0]))
+
+
+def test_sign_drift_law_folds_to_harrisons_reflected_law():
+    # |X| is Brownian motion with drift -c reflected at 0, from |x0|
+    for x0, drift, t in _LAW_CASES:
+        z = np.abs(_law_points(x0, t))
+        folded = sign_drift_cdf(z, x0, drift, t) - sign_drift_cdf(-z, x0, drift, t)
+        want = reflected_bm_cdf(z, abs(x0), drift, t)
+        np.testing.assert_allclose(folded, want, rtol=0.0, atol=1e-12, err_msg=f"{x0, drift, t}")
+
+
+def test_sign_drift_law_without_drift_is_normal():
+    for x0, _, t in _LAW_CASES:
+        z = _law_points(x0, t)
+        want = stats.norm.cdf(z, loc=x0, scale=math.sqrt(t))
+        np.testing.assert_allclose(sign_drift_cdf(z, x0, 0.0, t), want, rtol=0.0, atol=1e-12)
+
+
+def _mirror_symmetric_law(x0, drift, t):
+    """The law of S*|X| for a fair sign S: the exact law with its unhit-path term K dropped."""
+    return lambda z: 0.5 + 0.5 * np.sign(z) * reflected_bm_cdf(np.abs(z), abs(x0), drift, t)
+
+
+@pytest.mark.parametrize("x0", [1.0, -0.5])
+def test_sign_drift_law_matches_the_euler_oracle_off_the_origin(x0):
+    # from a start off the origin a path that has not yet reached it keeps
+    # its side, so the law is not symmetric: the oracle must fit the exact
+    # law and reject the symmetric one.  At dt = 1e-3 its bias stayed
+    # below the noise of 20,000 endpoints
+    def check(seed):
+        x = sde_oracle(1.0, x0, 1e-3, 1.0, 20000, make_stream(116, seed))
+        _, p = ks_one_sample(x, lambda z: sign_drift_cdf(z, x0, 1.0, 1.0))
+        _, p_symmetric = ks_one_sample(x, _mirror_symmetric_law(x0, 1.0, 1.0))
+        return p > 0.01 and p_symmetric < 0.01
+
+    assert gate(check)
+
+
+@pytest.mark.parametrize("x0", [0.0, 1.0, -1.0, 1e308, -1e308, 5e-324])
+def test_sign_drift_law_is_a_cdf_at_extreme_inputs(x0):
+    # c*sqrt(t) near 1e3 and tiny and huge t; numpy warnings fail the test,
+    # so no step may overflow into inf - inf or 0 * inf either
+    for drift, t in ((1e3, 1.0), (1.0, 1e6), (0.5, 5e-324), (1.0, 1e-300), (1.0, 1e300),
+                     (1e308, 1e308), (0.0, 1e308)):
+        root = math.sqrt(t)
+        with np.errstate(over="ignore"):
+            z = np.concatenate([np.linspace(-1.0, 1.0, 201) * 1e308,
+                                *(root * np.linspace(-10.0, 10.0, 201) + m for m in (0.0, x0, -x0))])
+        z = np.sort(z[np.isfinite(z)])
+        f = sign_drift_cdf(z, x0, drift, t)
+        assert np.all((f >= 0.0) & (f <= 1.0)), (drift, t)
+        # rounding may step back by a few ulps between neighbours an ulp apart
+        assert np.all(np.diff(f) >= -1e-15), (drift, t)
+    with pytest.raises(ValueError):
+        sign_drift_cdf([0.0], x0, 1.0, 0.0)
+    with pytest.raises(ValueError):
+        sign_drift_cdf([0.0], x0, -1.0, 1.0)
+
+
+def test_ks_one_sample_matches_scipy():
+    rng = make_stream(117, 0)
+    for n in (1, 2, 50, 3000):
+        x = rng.standard_normal(n) + 0.05
+        stat, p = ks_one_sample(x, stats.norm.cdf)
+        ref = stats.kstest(x, stats.norm.cdf).statistic
+        assert stat == pytest.approx(ref, rel=1e-13, abs=0.0)
+        root = math.sqrt(n)
+        assert p == pytest.approx(special.kolmogorov((root + 0.12 + 0.11 / root) * stat), rel=1e-12)
+    stat, p = ks_one_sample([0.5, math.nan], stats.norm.cdf)
+    assert math.isnan(stat) and math.isnan(p)
+    with pytest.raises(ValueError):
+        ks_one_sample([], stats.norm.cdf)
 
 
 def test_scaling_limit_check_behaviour():

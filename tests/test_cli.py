@@ -297,22 +297,44 @@ def test_scaling_refuses_unbounded_work_before_starting():
     cases = [
         (["--t", "inf"], "finite"),
         (["--t", "nan"], "finite"),
-        (["--dt", "inf"], "finite"),
         (["--scales", "1e9"], f"events per walker exceed the cap of {cap}"),
         (["--scales", "4,nan"], f"events per walker exceed the cap of {cap}"),
-        (["--dt", "1e-12"], f"Euler steps exceed the cap of {cap}"),
-        (["--drift", "1e200", "--scales", "1e201"], f"Euler steps exceed the cap of {cap}"),
+        (["--drift", "1e200", "--scales", "1e201"], f"events per walker exceed the cap of {cap}"),
+        # the limit law is exact, so the old oracle's Euler step is no option
+        (["--dt", "1e-3"], "unrecognized arguments: --dt"),
     ]
     for extra, message in cases:
         proc = run_child(["scaling", "--n", "100", *extra], timeout=30)
         assert proc.returncode == EXIT_CONFIG, extra
         assert one_error_line(proc.stderr) and message in proc.stderr, extra
-    # the defaults sit a factor 100 or more inside both caps
-    t, scales, drift = (cli._OPTIONS[key].defaults["scaling"] for key in ("t", "scales", "drift"))
+    # the defaults sit a factor 100 or more inside the cap
+    t, scales = (cli._OPTIONS[key].defaults["scaling"] for key in ("t", "scales"))
     assert 100 * t * max(cli._parse_floats(scales)) ** 2 <= cli._SCALING_CAP
-    assert 100 * t / analysis.default_oracle_dt(drift) <= cli._SCALING_CAP
     helped = run_child(["scaling", "--help"])
     assert f"capped at {cap}" in " ".join(helped.stdout.split())
+
+
+def test_scaling_gate_rejects_positions_scaled_by_1_2(monkeypatch):
+    # the mutant sits about 0.035 in KS distance from the exact law, which
+    # the gate's p > 0.001 at the largest scale sees at the default n
+    argv = ["scaling", "--scales", "4,16,64", "--check", "--out", os.devnull]
+    assert main(argv) == EXIT_OK
+    sample = analysis.sample_unreflected_states
+
+    def stretched(*args):
+        pos, vel = sample(*args)
+        return 1.2 * pos, vel
+
+    monkeypatch.setattr(analysis, "sample_unreflected_states", stretched)
+    assert main(argv) == EXIT_GATE
+
+
+def test_scaling_at_time_zero_reads_no_distance(capsys):
+    # both laws are the point mass at the start
+    for x0 in ("0", "1.5", "-2"):
+        assert main(["scaling", "--n", "100", "--t", "0", f"--x0={x0}", "--check"]) == EXIT_OK
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split(",", 3)[3] for row in rows] == ["0.0,1.0"] * 3, x0
 
 
 def test_tvcurve_invalid_reflected_starts_exit_one(capsys):
@@ -382,6 +404,15 @@ def test_non_finite_inputs_and_unrepresentable_references_exit_one():
         proc = run_child(argv, timeout=30)
         assert proc.returncode == EXIT_CONFIG, argv
         assert one_error_line(proc.stderr) and message in proc.stderr, argv
+
+
+def test_non_integer_moment_orders_exit_one(capsys):
+    # the order was once rounded, so these ran orders 0, 2 and 2 without a word
+    for arg in ("0.5", "1.7", "2.5"):
+        assert main(["invariant", "--integrand", "moment", "--arg", arg, "--n", "200"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert one_error_line(captured.err) and "nonnegative integer" in captured.err, arg
+        assert captured.out == "", arg
 
 
 def test_references_past_the_float_range_exit_one(capsys):

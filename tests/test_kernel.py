@@ -212,6 +212,25 @@ def test_batch_of_one_has_the_batch_law(params, s, v, seed):
         assert gate(check)
 
 
+@pytest.mark.parametrize("size", [1, 2, 8, 9, 1024])
+def test_poisson_counts_keep_the_draws_of_one_array_call(size):
+    # up to excursions._SCALAR_POISSON means go through scalar calls; the
+    # means run from 0, which takes no draw, past 10, where numpy switches
+    # from inversion to rejection sampling
+    for spread in (0.0, 0.5, 5.0, 50.0):
+        rng, twin = make_stream(size, 0), make_stream(size, 0)
+        means = spread * rng.random(size)
+        twin.random(size)
+        counts = excursions._poisson(rng, means)
+        expected = twin.poisson(means)
+        assert counts.dtype == expected.dtype and counts.tobytes() == expected.tobytes()
+        assert rng.random() == twin.random()
+    rng, twin = make_stream(size, 1), make_stream(size, 1)
+    count = excursions._poisson(rng, np.float64(size))  # a 0-d mean, as a batch of one
+    assert count.shape == () and count == twin.poisson(float(size))
+    assert rng.random() == twin.random()
+
+
 def reference_unreflected_states(y0, w0, t, n, params, rng):
     """The batch endpoint loop before its live walkers were compacted.
 
