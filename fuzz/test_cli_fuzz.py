@@ -6,10 +6,14 @@ capped and a wall-time limit.  The flag cases set one of ``--start``,
 signed zero, 1e308 or an ordinary float.  The config cases set any option
 of any subcommand, in a --config file, to a JSON string, null, a list, a
 bool, 1e308 or "nan"; ``--n`` is also tried at 1 and at 2, with and
-without ``--check``, and past its cap.  A case passes when the child exits
-with one of the CLI's codes 0-3 inside the limit and prints no traceback;
-an ``--n`` case must also print no numpy ``RuntimeWarning``.  The example
-counts and the generation are fixed, so every run tries the same cases.
+without ``--check``, and past its cap.  The edge cases run every
+subcommand at near-critical rates (b/a = 1 + 1e-9), at a == b, at b/a = 1e6
+and at a = 1e-300, and try ``--t-grid`` at one point, at 10,000 points and
+with a step at the float spacing, far starts with long horizons, and
+``--lam`` = -1e300.  A case passes when the child exits with one of the
+CLI's codes 0-3 inside the limit and prints no traceback; an ``--n`` case
+must also print no numpy ``RuntimeWarning``.  The example counts and the
+generation are fixed, so every run tries the same cases.
 Kept out of the tier-1 suite; run from the repository root:
 
     python3 -m pytest -q fuzz/test_cli_fuzz.py
@@ -160,3 +164,41 @@ def test_small_and_capped_sample_counts_run_or_exit_cleanly(command, n, check):
     proc = run_config(command, conf, argv)
     # a standard error of one draw is nan, which numpy reports with a RuntimeWarning
     assert "RuntimeWarning" not in proc.stderr, (command, argv, proc.stderr[-2000:])
+
+
+# the rates where the samplers' scales run to their extremes: a mean
+# excursion length 2/(b - a) of 2e9, no drift at all, flips a million times
+# faster moving away from the origin than moving toward it, and almost no
+# flips while moving toward it
+RATES = {
+    "near-critical": ["--a", "1", "--b", "1.000000001"],
+    "a == b": ["--a", "1", "--b", "1"],
+    "b/a = 1e6": ["--a", "1", "--b", "1e6"],
+    "a = 1e-300": ["--a", "1e-300", "--b", "2"],
+}
+SMALL = {
+    command: [arg for key, value in conf.items() for arg in (f"--{key.replace('_', '-')}", str(value))]
+    for command, conf in CONFIG_BASE.items()
+}
+EDGES = [
+    *([command, *SMALL[command], *rates] for rates in RATES.values() for command in SMALL),
+    # one grid point, 10,000 of them, and steps at and below the float spacing near 1
+    ["tvcurve", "--n", "1000", "--t-grid", "1"],
+    ["tvcurve", "--n", "1000", "--t-grid", "1:10000"],
+    ["tvcurve", "--n", "1000", "--t-grid", "1:1.000000000000001:2.220446049250313e-16"],
+    ["tvcurve", "--n", "1000", "--t-grid", "1:1.0000000000000002:1e-17"],
+    # far starts with long horizons, near the event caps
+    ["simulate", "--start", "1e5", "--horizon", "6e5"],
+    ["couple", "--n", "20", "--start=1e5,1", "--horizon", "1e5"],
+    ["tvcurve", "--n", "1000", "--start=1e4,1", "--t-grid", "1000:5000:1000"],
+    ["hitting", "--n", "200", "--lam=-1e300"],
+    ["hitting", "--n", "200", "--start", "1e5", "--lam=-1e300"],
+    ["formulas", "--lam=-1e300"],
+]
+
+
+@pytest.mark.parametrize("check", [False, True])
+@pytest.mark.parametrize("argv", EDGES, ids=" ".join)
+def test_edge_inputs_run_or_exit_cleanly(argv, check):
+    argv = [*argv, "--out", os.devnull] + (["--check"] if check else [])
+    assert_clean(argv, run_child(argv))

@@ -41,6 +41,18 @@ __all__ = [
 ]
 
 
+def _ecdf_gaps(sample_1, sample_2) -> np.ndarray:
+    """F_1 - F_2, the gap between two nonempty samples' empirical CDFs, at every point of both."""
+    s1 = np.sort(np.asarray(sample_1, dtype=np.float64))
+    s2 = np.sort(np.asarray(sample_2, dtype=np.float64))
+    if s1.size == 0 or s2.size == 0:
+        raise ValueError("samples must be nonempty")
+    both = np.concatenate([s1, s2])
+    gaps = np.searchsorted(s1, both, side="right") / s1.size
+    gaps -= np.searchsorted(s2, both, side="right") / s2.size
+    return gaps
+
+
 def ks_two_sample(sample_1, sample_2) -> tuple[float, float]:
     """Two-sample Kolmogorov-Smirnov statistic and asymptotic p-value.
 
@@ -50,18 +62,12 @@ def ks_two_sample(sample_1, sample_2) -> tuple[float, float]:
     (sqrt(en) + 0.12 + 0.11/sqrt(en)) * D, with en = nm/(n+m) (Stephens,
     JRSS B 32, 1970).  A NaN in either sample gives (nan, nan).
     """
-    s1 = np.sort(np.asarray(sample_1, dtype=np.float64))
-    s2 = np.sort(np.asarray(sample_2, dtype=np.float64))
-    if s1.size == 0 or s2.size == 0:
-        raise ValueError("samples must be nonempty")
-    if np.isnan(s1[-1]) or np.isnan(s2[-1]):  # sorting puts any NaN last
+    x1, x2 = (np.asarray(x, dtype=np.float64) for x in (sample_1, sample_2))
+    gaps = _ecdf_gaps(x1, x2)
+    if np.isnan(x1).any() or np.isnan(x2).any():
         return math.nan, math.nan
-    both = np.concatenate([s1, s2])
-    diffs = np.searchsorted(s1, both, side="right") / s1.size
-    diffs -= np.searchsorted(s2, both, side="right") / s2.size
-    # the last point of `both` has difference 0, so this is max |diffs|
-    stat = max(float(diffs.max()), float(-diffs.min()))
-    root = math.sqrt(s1.size * s2.size / (s1.size + s2.size))  # sqrt(en)
+    stat = float(np.abs(gaps).max())
+    root = math.sqrt(x1.size * x2.size / (x1.size + x2.size))  # sqrt(en)
     return stat, _kolmogorov_sf((root + 0.12 + 0.11 / root) * stat)
 
 
@@ -91,14 +97,7 @@ def domination_gap(dominated, dominating) -> float:
     population value is <= 0; sampling noise keeps the empirical value below
     the one-sided KS band.
     """
-    xs = np.sort(np.asarray(dominated, dtype=np.float64))
-    ys = np.sort(np.asarray(dominating, dtype=np.float64))
-    if xs.size == 0 or ys.size == 0:
-        raise ValueError("samples must be nonempty")
-    grid = np.concatenate([xs, ys])
-    f_dominated = np.searchsorted(xs, grid, side="right") / xs.size
-    f_dominating = np.searchsorted(ys, grid, side="right") / ys.size
-    return float(np.max(f_dominating - f_dominated))
+    return float(_ecdf_gaps(dominating, dominated).max())
 
 
 def _binned_masses(pos_1, vel_1, pos_2, vel_2, bin_width: float):

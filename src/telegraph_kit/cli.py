@@ -8,11 +8,14 @@ byte; batch subcommands split work into fixed-size chunks with one stream
 per chunk and run them in order on one thread.  --threads is still accepted,
 and checked, so that existing commands run, but it changes nothing.
 
-Exit codes: 0 success, 1 invalid configuration, 2 runtime abort,
-3 check-gate failure.  With --check each subcommand verifies a gate on its
-own output; statistical gates are retried on two derived seeds before
-failing, so a correct implementation fails a whole run with probability
-around 1e-6 per gate at the 0.01 level.
+Exit codes: 0 success, 1 invalid configuration, 2 runtime abort, 3 check-gate
+failure.  --check verifies one gate, retried on two derived seeds; a correct
+run fails an attempt about 1% of the time or less, a whole run about once in
+1e6.  Gated: excursions' mean length, invariant's ratio estimate (moments,
+and exponentials with 2*theta >= b - a, capped at 3/(b - a)) and hitting's
+mean of T, each within 3 standard errors; couple's and tvcurve's survival
+below tv_bound, and tvcurve's binned-TV sandwich; scaling's KS p-value above
+0.01 at the largest scale; simulate's path consistency; formulas' identities.
 """
 
 from __future__ import annotations
@@ -609,12 +612,8 @@ def _cmd_scaling(cfg: RunConfig, seed: int):
     text = "N,c,t,ks_stat,p_value\n" + "".join(
         f"{s!r},{c!r},{tt!r},{st!r},{pv!r}\n" for s, c, tt, st, pv in rows
     )
-    ok = True
-    if cfg.check:
-        stats = [r[3] for r in rows]
-        inversions = sum(1 for u, w in zip(stats, stats[1:]) if w > u)
-        ok = rows[-1][4] > 0.001 and inversions <= 1
-    return text, ok
+    # one KS test at level 0.01, at the largest scale (rows sort by scale first)
+    return text, not cfg.check or max(rows)[4] > 0.01
 
 
 def _cmd_formulas(cfg: RunConfig, seed: int):

@@ -316,7 +316,7 @@ def test_scaling_refuses_unbounded_work_before_starting():
 
 def test_scaling_gate_rejects_positions_scaled_by_1_2(monkeypatch):
     # the mutant sits about 0.035 in KS distance from the exact law, which
-    # the gate's p > 0.001 at the largest scale sees at the default n
+    # the gate's p > 0.01 at the largest scale sees at the default n
     argv = ["scaling", "--scales", "4,16,64", "--check", "--out", os.devnull]
     assert main(argv) == EXIT_OK
     sample = analysis.sample_unreflected_states
@@ -327,6 +327,25 @@ def test_scaling_gate_rejects_positions_scaled_by_1_2(monkeypatch):
 
     monkeypatch.setattr(analysis, "sample_unreflected_states", stretched)
     assert main(argv) == EXIT_GATE
+
+
+def test_scaling_gate_reads_one_p_value_at_the_largest_scale(monkeypatch):
+    # at the noise floor the statistics fall in any order across the scales,
+    # so only the largest scale's p-value is gated, at level 0.01
+    argv = ["scaling", "--check", "--out", os.devnull]
+
+    def rising(scale, drift, t, n, rng, x0=0.0):
+        return 0.001 * scale, 0.5
+
+    monkeypatch.setattr(analysis, "scaling_limit_check", rising)
+    assert main(argv) == EXIT_OK
+
+    def rejected_at_the_largest(scale, drift, t, n, rng, x0=0.0):
+        return 0.05, 0.005 if scale == 100.0 else 0.5
+
+    monkeypatch.setattr(analysis, "scaling_limit_check", rejected_at_the_largest)
+    assert main(argv) == EXIT_GATE
+    assert main(argv + ["--scales", "100,4,16"]) == EXIT_GATE
 
 
 def test_scaling_at_time_zero_reads_no_distance(capsys):
@@ -487,6 +506,13 @@ def test_one_draw_runs_needing_a_standard_error_exit_one(argv, monkeypatch, caps
 def test_one_excursion_without_check_writes_its_row(capsys):
     assert main(["excursions", "--n", "1"]) == EXIT_OK
     assert len(capsys.readouterr().out.splitlines()) == 2
+
+
+@pytest.mark.parametrize("b", ["1.05", "10"])
+def test_excursions_gate_holds_the_mean_length_away_from_b_over_a_two(b):
+    # the mean excursion length is 2/(b - a): 40 near criticality, 2/9 at b/a = 10
+    argv = ["excursions", "--a", "1", "--b", b, "--check", "--seed", "3", "--out", os.devnull]
+    assert main(argv) == EXIT_OK
 
 
 def test_moment_orders_up_to_a_float_reference_run(tmp_path):
