@@ -65,6 +65,10 @@ PERFBENCH_PAIRS = 4
 SCALING_CLI = ("-m", "telegraph_kit.cli", "scaling", "--n", "1000", "--scales", "4,16,100")
 EXCURSION_CHUNK = 1024
 HITTING_BATCHES = (1, 2048, 100_000)
+STREAMS = 1024
+WALK_HORIZON = 20_000.0
+TREE_EXCURSIONS = 20_480
+INVARIANT_EXCURSIONS = 4096
 
 # Spawns its arguments as a program, waits, and prints the program's wall
 # seconds, peak RSS in KiB and exit code.  A spawned process's ru_maxrss
@@ -109,6 +113,12 @@ def load_package(root: Path, name: str):
     sys.modules[name] = module
     spec.loader.exec_module(module)
     return module
+
+
+def unload_packages() -> None:
+    """Forget every package :func:`load_package` loaded, so the next load starts afresh."""
+    for module in [m for m in sys.modules if m.startswith("telegraph_kit_")]:
+        del sys.modules[module]
 
 
 def perfbench_jobs() -> dict:
@@ -182,6 +192,108 @@ def _sigma(pkg):
     return lambda: pkg.excursions.sample_sigma(1.0, params, rng)
 
 
+def _streams(pkg):
+    def call():
+        for i in range(STREAMS):
+            pkg.simulate.ExpSource(pkg.simulate.make_stream(1, i)).draw()
+
+    return call
+
+
+def _walk(pkg, add=lambda t, x, v: None):
+    def call():
+        src = pkg.simulate.ExpSource(pkg.simulate.make_stream(1, 0))
+        pkg.simulate.walk_reflected(0.0, 1, 0.0, WALK_HORIZON, 1.0, 2.0, src, add)
+
+    return call
+
+
+def _tree(pkg):
+    params = pkg.model.ModelParams(1.0, 2.0)
+    return lambda: pkg.excursions.sample_excursions(
+        TREE_EXCURSIONS, params, pkg.simulate.make_stream(1, 0)
+    )
+
+
+def _regenerative(pkg):
+    params = pkg.model.ModelParams(1.0, 2.0)
+    integrands = [(lambda pos, v: np.exp(0.5 * pos), ())]
+    return lambda: pkg.excursions._regenerative_estimates(
+        integrands, INVARIANT_EXCURSIONS, params, pkg.simulate.make_stream(1, 0)
+    )
+
+
+def drawn_counts() -> tuple[int, int]:
+    """Events of one ``_walk`` call and tree nodes of one ``_tree`` call, drawn here.
+
+    Both are fixed by the seed, so they count the items of either checkout
+    as long as its walk and trees keep this checkout's draws.
+    """
+    pkg = load_package(ROOT, "telegraph_kit_counts")
+    try:
+        knots = []
+        _walk(pkg, lambda t, x, v: knots.append(t))()
+        nodes = (_tree(pkg)().jump_count + 1) // 2  # a tree of k nodes makes 2k - 1 flips
+    finally:
+        unload_packages()
+    return len(knots), int(nodes.sum())
+
+
+def _phase_inputs(pkg):
+    """Where the first TV_RUNS of 2*TV_RUNS couplings from tv_curve's starts cross, then merge.
+
+    Times and heights of the crossings, then of the merges.  The starts
+    (1, +1) and (0, +1) are their own folds, the higher first, on either
+    process.
+    """
+    params, horizon, runs = pkg.model.ModelParams(1.0, 2.0), TV_GRID[-1], 2 * TV_RUNS
+    rng = pkg.simulate.make_stream(1, 0)
+    t_c, x_c = pkg.coupling._crossing_times(
+        runs, *TV_STARTS, horizon, params, rng, np.zeros(runs, dtype=bool)
+    )
+    met = ~np.isnan(t_c)
+    t_m, x_m = pkg.coupling._merge_times(t_c[met], x_c[met], horizon, params, rng)
+    merged = t_m <= horizon
+    if merged.sum() < TV_RUNS:
+        raise RuntimeError(f"{pkg.__name__}: fewer than {TV_RUNS} of {runs} couplings merged")
+    return [column[:TV_RUNS] for column in (t_c[met], x_c[met], t_m[merged], x_m[merged])]
+
+
+def _crossing(pkg):
+    params = pkg.model.ModelParams(1.0, 2.0)
+    return lambda: pkg.coupling._crossing_times(
+        TV_RUNS, *TV_STARTS, TV_GRID[-1], params, pkg.simulate.make_stream(1, 0),
+        np.zeros(TV_RUNS, dtype=bool),
+    )
+
+
+def _merging(pkg):
+    params = pkg.model.ModelParams(1.0, 2.0)
+    t, x, _, _ = _phase_inputs(pkg)
+    return lambda: pkg.coupling._merge_times(
+        t, x, TV_GRID[-1], params, pkg.simulate.make_stream(1, 1)
+    )
+
+
+def _repairing(pkg):
+    params = pkg.model.ModelParams(1.0, 2.0)
+    _, _, t, x = _phase_inputs(pkg)
+    return lambda: pkg.coupling._repair_times(
+        t, x, -1, TV_GRID[-1], params, pkg.simulate.make_stream(1, 2)
+    )
+
+
+def _binned_tv(pkg):
+    params = pkg.model.ModelParams(1.0, 2.0)
+    pos = np.repeat([p for p, _ in TV_STARTS], TV_RUNS).astype(np.float64)
+    vel = np.repeat([v for _, v in TV_STARTS], TV_RUNS)
+    p, v = pkg.simulate.sample_reflected_states(
+        pos, vel, TV_GRID[-1], 2 * TV_RUNS, params, pkg.simulate.make_stream(1, 0)
+    )
+    n = TV_RUNS
+    return lambda: pkg.analysis.binned_tv_noise_floor(p[:n], v[:n], p[n:], v[n:], 0.05)
+
+
 def _cli_jobs(pkg, argvs):
     cli = importlib.import_module(f"{pkg.__name__}.cli")
 
@@ -231,6 +343,28 @@ def case_table(jobs: dict, seed: int) -> dict:
         table[f"sample_hitting/{size}"] = (size, partial(_hitting, size=size))
     # sample_sigma(1.0) at a = 1, b = 2, a batch of 1
     table["sample_sigma/1"] = (1, _sigma)
+    # the layers below each time one kernel, at a = 1, b = 2.  Stream
+    # creation: make_stream(1, i) for i < 1,024, each with its ExpSource's
+    # first refill of 32 draws, per stream
+    table["make_stream+ExpSource"] = (STREAMS, _streams)
+    events, nodes = drawn_counts()
+    # the scalar event loop from (0, +1) to time 20,000, knots passed to a
+    # no-op, per event
+    table["walk_reflected"] = (events, _walk)
+    # the heights tree of 20,480 excursions, the `excursions` job's size, per node
+    table["sample_excursions/nodes"] = (nodes, _tree)
+    # the regenerative estimator of the `invariant` job, 4,096 excursions
+    # with f = exp(0.5 x), per excursion
+    table["_regenerative_estimates"] = (INVARIANT_EXCURSIONS, _regenerative)
+    # the phases of coalescence_times at tv_curve's starts and horizon 20,
+    # per run: the crossing stage of 1,000 runs, the sticking blocks of the
+    # first 1,000 that cross, and the sign repair of the first 1,000 that merge
+    table["coalescence_times/_crossing_times"] = (TV_RUNS, _crossing)
+    table["coalescence_times/_merge_times"] = (TV_RUNS, _merging)
+    table["coalescence_times/_repair_times"] = (TV_RUNS, _repairing)
+    # one grid time of tv_curve's binned TV: both starts' 1,000 reflected
+    # walkers at time 20 in bins of 0.05, per walker
+    table["binned_tv_noise_floor"] = (2 * TV_RUNS, _binned_tv)
     for workload, workload_jobs in jobs.items():
         argvs = [job.cli_argv(seed) for job in workload_jobs]
         for job, argv in zip(workload_jobs, argvs):
@@ -301,8 +435,7 @@ def time_cases(table: dict, roots: dict, repeats: int) -> dict:
             }
             for label, seconds in timed({label: factory(pkgs[label]) for label in labels}).items():
                 samples[name][label].append(seconds)
-            for module in [m for m in sys.modules if m.startswith("telegraph_kit_")]:
-                del sys.modules[module]
+            unload_packages()
             labels.reverse()
     return samples
 

@@ -2,9 +2,10 @@
 
 Everything here treats the simulators and couplings as black boxes and
 checks their outputs against each other or against closed forms: one- and
-two-sample distribution tests, binned total-variation lower bounds against
-coupling survival upper bounds, tail decay-rate fits, and the exact law of
-the Brownian limit with sign drift, with an Euler-Maruyama oracle beside it.
+two-sample Kolmogorov-Smirnov tests sharing one p-value rule, binned
+total-variation lower bounds against coupling survival upper bounds, tail
+decay-rate fits, and the exact law of the Brownian limit with sign drift,
+with an Euler-Maruyama oracle beside it.
 """
 
 from __future__ import annotations
@@ -67,8 +68,13 @@ def ks_two_sample(sample_1, sample_2) -> tuple[float, float]:
     if np.isnan(x1).any() or np.isnan(x2).any():
         return math.nan, math.nan
     stat = float(np.abs(gaps).max())
-    root = math.sqrt(x1.size * x2.size / (x1.size + x2.size))  # sqrt(en)
-    return stat, _kolmogorov_sf((root + 0.12 + 0.11 / root) * stat)
+    return stat, _ks_p_value(stat, x1.size * x2.size / (x1.size + x2.size))
+
+
+def _ks_p_value(stat: float, en) -> float:
+    """Kolmogorov's limit law at Stephens' argument (sqrt(en) + 0.12 + 0.11/sqrt(en)) * stat."""
+    root = math.sqrt(en)
+    return _kolmogorov_sf((root + 0.12 + 0.11 / root) * stat)
 
 
 def _kolmogorov_sf(lam: float) -> float:
@@ -100,29 +106,33 @@ def domination_gap(dominated, dominating) -> float:
     return float(_ecdf_gaps(dominating, dominated).max())
 
 
-def _binned_masses(pos_1, vel_1, pos_2, vel_2, bin_width: float):
-    """Per-bin mass fractions of both samples, stacked over the velocity strata."""
+def _binned_tv(pos_1, vel_1, pos_2, vel_2, bin_width: float) -> tuple[float, float]:
+    """Binned TV of two state samples and its same-law noise floor, from one binning of each.
+
+    A cell is a position bin, those of velocity -1 past those of +1; other velocities count nowhere.
+    """
     if not 0.0 < bin_width < math.inf:
         raise ValueError(f"bin width must be finite and positive, got {bin_width}")
     p1 = np.asarray(pos_1, dtype=np.float64)
     p2 = np.asarray(pos_2, dtype=np.float64)
-    v1 = np.asarray(vel_1)
-    v2 = np.asarray(vel_2)
     if p1.size == 0 or p2.size == 0:
         raise ValueError("samples must be nonempty")
     lo = min(p1.min(), p2.min())
     hi = max(p1.max(), p2.max())
     n_bins = max(1, int(math.ceil((hi - lo) / bin_width)))
     edges = lo + bin_width * np.arange(n_bins + 1)
-    edges[-1] = max(edges[-1], hi)  # guard the top sample against roundoff
-    m1 = []
-    m2 = []
-    for s in (1, -1):
-        h1, _ = np.histogram(p1[v1 == s], bins=edges)
-        h2, _ = np.histogram(p2[v2 == s], bins=edges)
-        m1.append(h1 / p1.size)
-        m2.append(h2 / p2.size)
-    return np.concatenate(m1), np.concatenate(m2), p1.size, p2.size
+    edges[-1] = math.inf  # the last bin takes the top sample, which roundoff may put past its edge
+    masses = []
+    for p, v in ((p1, np.asarray(vel_1)), (p2, np.asarray(vel_2))):
+        # a bin holds its left edge, so it counts the points below its right
+        # edge less those below its left one, in each velocity stratum
+        below = [np.searchsorted(np.sort(p[v == s], axis=None), edges) for s in (1, -1)]
+        masses.append(np.concatenate([np.diff(b) for b in below]) / p.size)
+    m1, m2 = masses
+    n1, n2 = p1.size, p2.size
+    pooled = (n1 * m1 + n2 * m2) / (n1 + n2)
+    tv = float(0.5 * np.abs(m1 - m2).sum())
+    return tv, float(0.5 * np.sqrt(pooled * (1.0 / n1 + 1.0 / n2)).sum())
 
 
 def binned_tv_estimate(pos_1, vel_1, pos_2, vel_2, bin_width: float) -> float:
@@ -132,8 +142,7 @@ def binned_tv_estimate(pos_1, vel_1, pos_2, vel_2, bin_width: float) -> float:
     of the given width.  Binning can only lose mass differences, so the
     estimate lower-bounds the true distance up to sampling noise.
     """
-    m1, m2, _, _ = _binned_masses(pos_1, vel_1, pos_2, vel_2, bin_width)
-    return _tv_of_masses(m1, m2)
+    return _binned_tv(pos_1, vel_1, pos_2, vel_2, bin_width)[0]
 
 
 def binned_tv_noise_floor(pos_1, vel_1, pos_2, vel_2, bin_width: float) -> float:
@@ -145,16 +154,7 @@ def binned_tv_noise_floor(pos_1, vel_1, pos_2, vel_2, bin_width: float) -> float
     this far ABOVE zero when the laws agree, so sandwich gates must allow
     for it before declaring a violation.
     """
-    return _floor_of_masses(*_binned_masses(pos_1, vel_1, pos_2, vel_2, bin_width))
-
-
-def _tv_of_masses(m1, m2) -> float:
-    return float(0.5 * np.abs(m1 - m2).sum())
-
-
-def _floor_of_masses(m1, m2, n1: int, n2: int) -> float:
-    pooled = (n1 * m1 + n2 * m2) / (n1 + n2)
-    return float(0.5 * np.sqrt(pooled * (1.0 / n1 + 1.0 / n2)).sum())
+    return _binned_tv(pos_1, vel_1, pos_2, vel_2, bin_width)[1]
 
 
 # tv_curve refuses a bin width that would cut the walkers' reach into
@@ -212,8 +212,8 @@ def tv_curve(
     ``_GRID_CELLS // (2n)`` times (one time at least), each chunk started
     from the states at the last time of the one before; by the Markov
     property that is exact, and the recorded states take O(n) memory.
-    Each grid time's histograms are built once, for both the estimate and
-    its noise floor.
+    Each grid time's cells are counted once, for both the estimate and its
+    noise floor.
     """
     if process not in ("reflected", "unreflected"):
         raise ValueError(f"process must be 'reflected' or 'unreflected', got {process!r}")
@@ -259,9 +259,7 @@ def tv_curve(
         rows_pos, rows_vel = sample(pos, vel, chunk - t_prev, 2 * n, params, rng)
         pos, vel, t_prev = rows_pos[-1], rows_vel[-1], chunk[-1]
         for j, p, v in zip(range(j0, j0 + chunk.size), rows_pos, rows_vel):
-            masses = _binned_masses(p[:n], v[:n], p[n:], v[n:], bin_width)
-            tv[j] = _tv_of_masses(*masses[:2])
-            floor[j] = _floor_of_masses(*masses)
+            tv[j], floor[j] = _binned_tv(p[:n], v[:n], p[n:], v[n:], bin_width)
     bound = np.array([tv_bound(t, pos_a, pos_b, process, params) for t in grid])
     return TvCurve(grid, survival, tv, bound, n, n, floor)
 
@@ -280,10 +278,6 @@ def empirical_decay_rate(curve: TvCurve) -> float:
     return float(-slope)
 
 
-# normals one draw of sde_oracle holds at most: a block of steps, a row each
-_NORMAL_BLOCK = 1 << 16
-
-
 def sde_oracle(
     drift: float,
     x0: float,
@@ -294,10 +288,9 @@ def sde_oracle(
 ) -> np.ndarray:
     """Euler-Maruyama endpoints of dX = dB - drift * sign(X) dt, sign(0) = 0.
 
-    The normals are drawn a block of steps at a time and each step updates
-    the endpoints in place; the draws, the endpoint bits and the generator
-    state after the call are those of one ``standard_normal(n)`` call per
-    step, the last step being the remainder of horizon/dt if there is one.
+    Each step draws one standard normal per walker, ``standard_normal(n)``,
+    and updates the endpoints in place; the last step is the remainder of
+    horizon/dt if there is one.
     """
     dt = float(dt)
     horizon = float(horizon)
@@ -308,24 +301,16 @@ def sde_oracle(
     steps = int(horizon / dt)
     rem = horizon - steps * dt
     work = np.empty(n, dtype=np.float64)
-    per_block = max(1, _NORMAL_BLOCK // max(n, 1))
-    for done in range(0, steps, per_block):
-        _euler_steps(x, drift, dt, min(per_block, steps - done), rng, work)
-    if rem > 1e-15 * max(1.0, horizon):
-        _euler_steps(x, drift, rem, 1, rng, work)
+    for h, count in ((dt, steps), (rem, int(rem > 1e-15 * max(1.0, horizon)))):
+        root, pull = math.sqrt(h), -drift * h
+        for _ in range(count):
+            noise = rng.standard_normal(n)
+            noise *= root
+            np.sign(x, out=work)
+            work *= pull
+            work += noise
+            x += work
     return x
-
-
-def _euler_steps(x, drift, h, steps, rng, work) -> None:
-    """``steps`` Euler steps of length h on x in place, from one block of normals."""
-    z = rng.standard_normal((steps, x.size))
-    z *= math.sqrt(h)
-    pull = -drift * h
-    for noise in z:
-        np.sign(x, out=work)
-        work *= pull
-        work += noise
-        x += work
 
 
 # e^a * Phi(-v) is taken as written below _TAIL_SPLIT, and above it as
@@ -427,8 +412,7 @@ def ks_one_sample(sample, cdf) -> tuple[float, float]:
     f = cdf(x)
     steps = np.arange(x.size + 1) / x.size
     stat = max(float((steps[1:] - f).max()), float((f - steps[:-1]).max()))
-    root = math.sqrt(x.size)
-    return stat, _kolmogorov_sf((root + 0.12 + 0.11 / root) * stat)
+    return stat, _ks_p_value(stat, x.size)
 
 
 def scaling_limit_check(

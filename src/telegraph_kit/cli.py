@@ -47,6 +47,8 @@ _SCALING_CAP = 1_000_000
 # simulate refuses more expected events than this, horizon*(a+b)/2 (the default needs 75);
 # so do couple per run and tvcurve per walker (the defaults need 1.5 and 30)
 _PATH_CAP = 1_000_000
+# couple also refuses more events than this over all its runs (the default needs 15,000)
+_COUPLE_CAP = 10_000_000
 # the invariant gate caps exp(theta*x) and x**k above x = _GATE_CAP_SCALE / (b - a)
 _GATE_CAP_SCALE = 3.0
 # formulas --check tests its identities to 1e-10 relative, which their own float
@@ -547,8 +549,9 @@ def _cmd_couple(cfg: RunConfig, seed: int):
     # the folded gap closes at speed 2 at best, one Exp(a+b) round at a time when b >> a;
     # min keeps the horizon for a nan gap, and the coupling refuses a non-finite start itself
     reach = min(horizon, 0.5 * abs(abs(start_1[0]) - abs(start_2[0])))
-    rate = cfg.params.a + cfg.params.b
-    _check_cost("(a+b)*min(gap/2, horizon)", rate * reach, "events per run", _PATH_CAP)
+    events = (cfg.params.a + cfg.params.b) * reach
+    _check_cost("(a+b)*min(gap/2, horizon)", events, "events per run", _PATH_CAP)
+    _check_cost("n*(a+b)*min(gap/2, horizon)", cfg.n * events, "events per call", _COUPLE_CAP)
     run = coupling.coalescent_couple_reflected
     if process == "unreflected":
         run = coupling.coalescent_couple_unreflected

@@ -564,6 +564,16 @@ def test_couplings_and_walkers_are_capped_by_their_expected_events():
     assert main(["couple", "--n", "100", "--horizon", "1e6", "--out", os.devnull]) == EXIT_OK
 
 
+def test_couple_refuses_a_call_past_its_total_events_before_any_work(capsys):
+    # at b/a = 1e6 each run flips about 5e5 times, inside the per-run cap, so
+    # 200 runs would take minutes; their 1e8 events are refused at once
+    begun = time.perf_counter()
+    assert main(["couple", "--a", "1", "--b", "1e6", "--n", "200", "--horizon", "10"]) == EXIT_CONFIG
+    assert time.perf_counter() - begun < 1.0
+    err = capsys.readouterr().err
+    assert one_error_line(err) and f"events per call exceed the cap of {cli._COUPLE_CAP:,}" in err
+
+
 def test_time_grids_are_capped_before_they_are_built():
     cap = cli._GRID_CAP
     for grid in ("0:1e12", "0:inf", f"0:{cap}", ",".join(["1"] * (cap + 1))):
