@@ -10,6 +10,7 @@ with an Euler-Maruyama oracle beside it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -121,13 +122,13 @@ def _binned_tv(pos_1, vel_1, pos_2, vel_2, bin_width: float) -> tuple[float, flo
     hi = max(p1.max(), p2.max())
     n_bins = max(1, int(math.ceil((hi - lo) / bin_width)))
     edges = lo + bin_width * np.arange(n_bins + 1)
-    edges[-1] = math.inf  # the last bin takes the top sample, which roundoff may put past its edge
     masses = []
     for p, v in ((p1, np.asarray(vel_1)), (p2, np.asarray(vel_2))):
-        # a bin holds its left edge, so it counts the points below its right
-        # edge less those below its left one, in each velocity stratum
-        below = [np.searchsorted(np.sort(p[v == s], axis=None), edges) for s in (1, -1)]
-        masses.append(np.concatenate([np.diff(b) for b in below]) / p.size)
+        # a bin holds its left edge, the last also what lies at or past its right
+        # one; cell 2*n_bins takes the other velocities and is dropped
+        cell = np.minimum(np.searchsorted(edges, p, "right") - 1, n_bins - 1)
+        cell = np.where(np.abs(v) == 1, cell + n_bins * (v == -1), 2 * n_bins)
+        masses.append(np.bincount(cell.ravel(), minlength=2 * n_bins + 1)[:-1] / p.size)
     m1, m2 = masses
     n1, n2 = p1.size, p2.size
     pooled = (n1 * m1 + n2 * m2) / (n1 + n2)
@@ -300,16 +301,16 @@ def sde_oracle(
     x = np.full(n, float(x0), dtype=np.float64)
     steps = int(horizon / dt)
     rem = horizon - steps * dt
+    # rem < 0 where steps * dt overshoots the horizon by roundoff: no remainder step
+    last = (rem,) if rem > 1e-15 * max(1.0, horizon) else ()
     work = np.empty(n, dtype=np.float64)
-    for h, count in ((dt, steps), (rem, int(rem > 1e-15 * max(1.0, horizon)))):
-        root, pull = math.sqrt(h), -drift * h
-        for _ in range(count):
-            noise = rng.standard_normal(n)
-            noise *= root
-            np.sign(x, out=work)
-            work *= pull
-            work += noise
-            x += work
+    for h in itertools.chain(itertools.repeat(dt, steps), last):
+        noise = rng.standard_normal(n)
+        noise *= math.sqrt(h)
+        np.sign(x, out=work)
+        work *= -drift * h
+        work += noise
+        x += work
     return x
 
 

@@ -425,6 +425,7 @@ def reference_sde_oracle(drift, x0, dt, horizon, n, rng):
 @example(1.0, 0.0, 1e-3, 1.0, 1000, 1)  # scaling's size, several blocks of normals
 @example(1.0, 0.0, 0.3, 1.0, 5, 2)  # three steps and a remainder
 @example(0.0, 0.0, 0.25, 1.0, 5, 3)  # no drift: sign(0) times a zero pull
+@example(1.0, 0.0, 1e-3, 0.009, 5, 4)  # nine steps overshoot the horizon by roundoff
 def test_sde_oracle_keeps_every_draw_of_the_old_loop(drift, x0, dt, horizon, n, seed):
     rng, twin = make_stream(seed, 0), make_stream(seed, 0)
     x = sde_oracle(drift, x0, dt, horizon, n, rng)
