@@ -392,7 +392,7 @@ def test_sde_oracle_zero_drift_is_exact():
 
 
 def reference_sde_oracle(drift, x0, dt, horizon, n, rng):
-    """The Euler loop before its normals came in blocks: one draw and new arrays a step.
+    """The Euler loop as first written: one draw and new arrays a step.
 
     Kept verbatim, but for its name and this docstring, to pin the draws,
     the endpoint bits and the generator state of :func:`sde_oracle`.
@@ -422,7 +422,7 @@ def reference_sde_oracle(drift, x0, dt, horizon, n, rng):
     st.integers(1, 300),
     st.integers(0, 2**32 - 1),
 )
-@example(1.0, 0.0, 1e-3, 1.0, 1000, 1)  # scaling's size, several blocks of normals
+@example(1.0, 0.0, 1e-3, 1.0, 1000, 1)  # scaling's size, a thousand steps
 @example(1.0, 0.0, 0.3, 1.0, 5, 2)  # three steps and a remainder
 @example(0.0, 0.0, 0.25, 1.0, 5, 3)  # no drift: sign(0) times a zero pull
 @example(1.0, 0.0, 1e-3, 0.009, 5, 4)  # nine steps overshoot the horizon by roundoff
