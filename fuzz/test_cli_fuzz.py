@@ -9,8 +9,9 @@ bool, 1e308 or "nan"; ``--n`` is also tried at 1 and at 2, with and
 without ``--check``, and past its cap.  The edge cases run every
 subcommand at near-critical rates (b/a = 1 + 1e-9), at a == b, at b/a = 1e6
 and at a = 1e-300, and try ``--t-grid`` at one point, at 10,000 points and
-with a step at the float spacing, far starts with long horizons, and
-``--lam`` = -1e300.  A case passes when the child exits with one of the
+with a step at the float spacing, far starts with long horizons, calls
+past the per-call event caps of ``tvcurve`` and ``scaling``, and ``--lam``
+= -1e300.  A case passes when the child exits with one of the
 CLI's codes 0-3 inside the limit and prints no traceback; an ``--n`` case
 must also print no numpy ``RuntimeWarning``.  The example counts and the
 generation are fixed, so every run tries the same cases.
@@ -191,6 +192,10 @@ EDGES = [
     ["simulate", "--start", "1e5", "--horizon", "6e5"],
     ["couple", "--n", "20", "--start=1e5,1", "--horizon", "1e5"],
     ["tvcurve", "--n", "1000", "--start=1e4,1", "--t-grid", "1000:5000:1000"],
+    # calls whose items each sit inside the per-item cap, but hours of work in all
+    ["tvcurve", "--n", "100000", "--t-grid", "1:600000:1000"],
+    ["scaling", "--n", "1000000", "--scales", "1000"],
+    ["scaling", "--n", "9000000"],
     ["hitting", "--n", "200", "--lam=-1e300"],
     ["hitting", "--n", "200", "--start", "1e5", "--lam=-1e300"],
     ["formulas", "--lam=-1e300"],

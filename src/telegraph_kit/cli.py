@@ -41,14 +41,6 @@ RESEED_STRIDE = 1_000_003
 GATE_ATTEMPTS = 3
 GATE_Z = 3.0
 _GRID_CAP = 10_000
-# scaling refuses more than this many events per walker (t * scale**2);
-# the defaults need 1e4
-_SCALING_CAP = 1_000_000
-# simulate refuses more expected events than this, horizon*(a+b)/2 (the default needs 75);
-# so do couple per run and tvcurve per walker (the defaults need 1.5 and 30)
-_PATH_CAP = 1_000_000
-# couple also refuses more events than this over all its runs (the default needs 15,000)
-_COUPLE_CAP = 10_000_000
 # the invariant gate caps exp(theta*x) and x**k above x = _GATE_CAP_SCALE / (b - a)
 _GATE_CAP_SCALE = 3.0
 # formulas --check tests its identities to 1e-10 relative, which their own float
@@ -228,6 +220,28 @@ _SIZES = {
     "formulas": (1, (1, ""), 1),
 }
 _MEMORY_BUDGET = 2 << 30
+# An event-driven run costs its expected events.  _COSTS holds, per subcommand, the cap
+# on one call, then one item's formula and item, then the items in one call and one item's
+# events from n, a+b and the options; main refuses an item past _PATH_CAP and a call past
+# its cap before any work.  A path flips (a+b)/2 times per unit time (its stationary
+# velocity is +1 half the time); a folded coupling gap closes at speed 2 at best, one
+# Exp(a+b) round at a time when b >> a (min keeps the horizon for a nan gap); tvcurve runs
+# n couplings and 2n walkers to the last grid time; a scaling walker flips N**2 times per
+# unit t at scale N, and a nan scale, which max drops unless first, counts as inf.  The
+# defaults need 75; 1.5 and 15,000; 30 and 1.8e5; 1e4 and 3e8.  _WALKER_CAP is about 12 s
+# of scaling at scale 100.
+_PATH_CAP = 1_000_000
+_COUPLE_CAP = 10_000_000
+_WALKER_CAP = 1_000_000_000
+_COSTS = {
+    "simulate": (_PATH_CAP, "horizon*(a+b)/2", "path", lambda n, r, o: (1, 0.5 * r * o["horizon"])),
+    "couple": (_COUPLE_CAP, "(a+b)*min(gap/2, horizon)", "run", lambda n, r, o: (n, r * min(
+        o["horizon"], 0.5 * abs(abs(o["start"][0]) - abs(o["start2"][0]))))),
+    "tvcurve": (_WALKER_CAP, "(last grid time)*(a+b)/2", "walker",
+                lambda n, r, o: (3 * n, 0.5 * r * max(o["t_grid"], default=0.0))),
+    "scaling": (_WALKER_CAP, "t*scale**2", "walker", lambda n, r, o: (n * len(o["scales"]),
+                o["t"] * max(math.inf if math.isnan(s) else s * s for s in o["scales"]))),
+}
 _EVERY = tuple(_SIZES)
 _PAIR = "'position,velocity' with velocity -1 or 1"
 
@@ -284,7 +298,7 @@ _OPTIONS = {
     "drift": _real("finite and nonnegative", "diffusive drift parameter", {"scaling": 1.0}),
     "t": _real(
         "finite and nonnegative",
-        f"diffusive time; t*scale**2 events per walker are capped at {_SCALING_CAP:,}",
+        f"diffusive time; t*scale**2 events per walker are capped at {_PATH_CAP:,}",
         {"scaling": 1.0},
     ),
     "x0": _real("finite", "diffusive start position", {"scaling": 0.0}),
@@ -370,9 +384,6 @@ def _check_cost(formula: str, count: float, unit: str, cap: int) -> None:
 
 def _cmd_simulate(cfg: RunConfig, seed: int):
     (pos0, vel0), horizon, process = (cfg.options[k] for k in ("start", "horizon", "process"))
-    # the stationary velocity is +1 half the time, so a path flips (a + b)/2 times per unit time
-    events = 0.5 * (cfg.params.a + cfg.params.b) * horizon
-    _check_cost("horizon*(a+b)/2", events, "events", _PATH_CAP)
     run = simulate.simulate_reflected if process == "reflected" else simulate.simulate_unreflected
     path = run(pos0, vel0, horizon, cfg.params, simulate.make_stream(seed, 0))
     buf = io.StringIO()
@@ -546,12 +557,6 @@ def _cmd_couple(cfg: RunConfig, seed: int):
     start_1, start_2, horizon, process = (
         cfg.options[k] for k in ("start", "start2", "horizon", "process")
     )
-    # the folded gap closes at speed 2 at best, one Exp(a+b) round at a time when b >> a;
-    # min keeps the horizon for a nan gap, and the coupling refuses a non-finite start itself
-    reach = min(horizon, 0.5 * abs(abs(start_1[0]) - abs(start_2[0])))
-    events = (cfg.params.a + cfg.params.b) * reach
-    _check_cost("(a+b)*min(gap/2, horizon)", events, "events per run", _PATH_CAP)
-    _check_cost("n*(a+b)*min(gap/2, horizon)", cfg.n * events, "events per call", _COUPLE_CAP)
     run = coupling.coalescent_couple_reflected
     if process == "unreflected":
         run = coupling.coalescent_couple_unreflected
@@ -578,8 +583,6 @@ def _cmd_couple(cfg: RunConfig, seed: int):
 
 def _cmd_tvcurve(cfg: RunConfig, seed: int):
     opts = cfg.options
-    walk = 0.5 * (cfg.params.a + cfg.params.b) * max(opts["t_grid"], default=0.0)
-    _check_cost("(last grid time)*(a+b)/2", walk, "events per walker", _PATH_CAP)
     curve = analysis.tv_curve(
         opts["start"], opts["start2"], opts["process"], opts["t_grid"], cfg.n, cfg.params,
         simulate.make_stream(seed, 0), bin_width=opts["bin_width"],
@@ -604,9 +607,6 @@ def _cmd_tvcurve(cfg: RunConfig, seed: int):
 
 def _cmd_scaling(cfg: RunConfig, seed: int):
     scales, drift, t, x0 = (cfg.options[k] for k in ("scales", "drift", "t", "x0"))
-    # predicted cost, refused before any work; the negated test refuses nan
-    for scale in scales:
-        _check_cost("t*scale**2", t * scale * scale, "events per walker", _SCALING_CAP)
     rows = []
     for i, scale in enumerate(scales):
         rng = simulate.make_stream(seed, 2 * i)
@@ -698,6 +698,11 @@ def _write_output(out: str, text: str) -> None:
 def main(argv=None) -> int:
     try:
         cfg = _resolve(argv)
+        if cfg.command in _COSTS:
+            cap, formula, item, cost = _COSTS[cfg.command]
+            items, each = cost(cfg.n, cfg.params.a + cfg.params.b, cfg.options)
+            _check_cost(formula, each, f"events per {item}", _PATH_CAP)
+            _check_cost(f"{items:,} {item}s x {formula}", items * each, "events per call", cap)
         command = _COMMANDS[cfg.command]
         text, ok = command(cfg, cfg.seed)
         _write_output(cfg.out, text)

@@ -293,7 +293,7 @@ def test_bad_hitting_starts_end_with_one_error_line():
 
 
 def test_scaling_refuses_unbounded_work_before_starting():
-    cap = f"{cli._SCALING_CAP:,}"
+    cap = f"{cli._PATH_CAP:,}"
     cases = [
         (["--t", "inf"], "finite"),
         (["--t", "nan"], "finite"),
@@ -309,7 +309,7 @@ def test_scaling_refuses_unbounded_work_before_starting():
         assert one_error_line(proc.stderr) and message in proc.stderr, extra
     # the defaults sit a factor 100 or more inside the cap
     t, scales = (cli._OPTIONS[key].defaults["scaling"] for key in ("t", "scales"))
-    assert 100 * t * max(cli._parse_floats(scales)) ** 2 <= cli._SCALING_CAP
+    assert 100 * t * max(cli._parse_floats(scales)) ** 2 <= cli._PATH_CAP
     helped = run_child(["scaling", "--help"])
     assert f"capped at {cap}" in " ".join(helped.stdout.split())
 
@@ -566,12 +566,20 @@ def test_couplings_and_walkers_are_capped_by_their_expected_events():
 
 def test_couple_refuses_a_call_past_its_total_events_before_any_work(capsys):
     # at b/a = 1e6 each run flips about 5e5 times, inside the per-run cap, so
-    # 200 runs would take minutes; their 1e8 events are refused at once
-    begun = time.perf_counter()
-    assert main(["couple", "--a", "1", "--b", "1e6", "--n", "200", "--horizon", "10"]) == EXIT_CONFIG
-    assert time.perf_counter() - begun < 1.0
-    err = capsys.readouterr().err
-    assert one_error_line(err) and f"events per call exceed the cap of {cli._COUPLE_CAP:,}" in err
+    # 200 runs would take minutes; their 1e8 events are refused at once.  So are
+    # tvcurve's 3e5 couplings and walkers of 9e5 events each, and scaling's 1e6
+    # walkers of 1e6 events each: hours of work, each item inside its own cap
+    cases = [
+        (["couple", "--a", "1", "--b", "1e6", "--n", "200", "--horizon", "10"], cli._COUPLE_CAP),
+        (["tvcurve", "--n", "100000", "--t-grid", "1:600000:1000"], cli._WALKER_CAP),
+        (["scaling", "--n", "1000000", "--scales", "1000"], cli._WALKER_CAP),
+    ]
+    for argv, cap in cases:
+        begun = time.perf_counter()
+        assert main(argv) == EXIT_CONFIG, argv
+        assert time.perf_counter() - begun < 1.0, argv
+        err = capsys.readouterr().err
+        assert one_error_line(err) and f"events per call exceed the cap of {cap:,}" in err, argv
 
 
 def test_time_grids_are_capped_before_they_are_built():

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import gammainc
 
 from conftest import gate
 from telegraph_kit import excursions
@@ -138,6 +139,41 @@ def test_length_transform_matches_closed_form():
         return ok
 
     assert gate(check)
+
+
+def _length_cdf(params: ModelParams):
+    """The exact CDF of the excursion length, F(l) = sum_k P(k) * P(2k - 1, (a + b) * l / 2).
+
+    A tree of k nodes is an M/M/1 busy period of k customers (arrival rate a,
+    service rate b) with 2k - 1 flips, and its length is 2 * Gamma(2k - 1, a + b).
+    k has the Catalan law P(k) = (1/k) * C(2k - 2, k - 1) * p**(k-1) * q**k, with
+    p = a/(a + b) and q = b/(a + b); a term is at most 4pq times the one before,
+    so the sum stops once that geometric bound on the rest is below 1e-17.
+    """
+    a, b = params.a, params.b
+    p, q = a / (a + b), b / (a + b)
+    ratio = 4.0 * p * q
+    weights = []
+    while not weights or weights[-1] * ratio / (1.0 - ratio) >= 1e-17:
+        k = len(weights) + 1
+        log_binom = math.lgamma(2 * k - 1) - 2.0 * math.lgamma(k)
+        weights.append(math.exp(log_binom - math.log(k) + (k - 1) * math.log(p) + k * math.log(q)))
+    assert abs(math.fsum(weights) - 1.0) < 1e-15
+    shapes = 2.0 * np.arange(1, len(weights) + 1) - 1.0
+    return lambda x: np.asarray(weights) @ gammainc(shapes[:, None], 0.5 * (a + b) * x[None, :])
+
+
+def test_lengths_follow_the_exact_busy_period_law():
+    # one-sample KS against the closed form, at fixed seeds; a sampler whose b is
+    # 5% high reads p below 1e-5 on each of them
+    for b in (2.0, 10.0):
+        cdf = _length_cdf(ModelParams(1.0, b))
+        for seed in (1, 2):
+            lengths = sample_excursions(20000, ModelParams(1.0, b), make_stream(seed, 0)).length
+            assert stats.kstest(lengths, cdf).pvalue > 0.01, (b, seed)
+            high = ModelParams(1.0, 1.05 * b)
+            lengths = sample_excursions(20000, high, make_stream(seed, 0)).length
+            assert stats.kstest(lengths, cdf).pvalue < 0.01, (b, seed)
 
 
 def _beyond_domain_contrast(lengths, lam):
