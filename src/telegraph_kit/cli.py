@@ -228,8 +228,8 @@ _MEMORY_BUDGET = 2 << 30
 # Exp(a+b) round at a time when b >> a (min keeps the horizon for a nan gap); tvcurve runs
 # n couplings and 2n walkers to the last grid time; a scaling walker flips N**2 times per
 # unit t at scale N, and a nan scale, which max drops unless first, counts as inf.  The
-# defaults need 75; 1.5 and 15,000; 30 and 1.8e5; 1e4 and 3e8.  _WALKER_CAP is about 12 s
-# of scaling at scale 100.
+# defaults need 75; 1.5 and 15,000; 30 and 1.8e5; 1e4 and 3e8.  _WALKER_CAP is about 11 s
+# of scaling at scale 100 on one x86-64 core (2e8 walker-events took 2.3 s).
 _PATH_CAP = 1_000_000
 _COUPLE_CAP = 10_000_000
 _WALKER_CAP = 1_000_000_000
