@@ -41,6 +41,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import importlib.util
+import io
 import json
 import os
 import platform
@@ -69,6 +70,7 @@ STREAMS = 1024
 WALK_HORIZON = 20_000.0
 TREE_EXCURSIONS = 20_480
 INVARIANT_EXCURSIONS = 4096
+PATH_HORIZON = 600_000.0
 
 # Spawns its arguments as a program, waits, and prints the program's wall
 # seconds, peak RSS in KiB and exit code.  A spawned process's ru_maxrss
@@ -223,10 +225,27 @@ def _regenerative(pkg):
     )
 
 
-def drawn_counts() -> tuple[int, int]:
-    """Events of one ``_walk`` call and tree nodes of one ``_tree`` call, drawn here.
+def _path(pkg):
+    """The whole-line path from (0, +1) to PATH_HORIZON at a = 1, b = 2."""
+    params = pkg.model.ModelParams(1.0, 2.0)
+    rng = pkg.simulate.make_stream(1, 0)
+    return pkg.simulate.simulate_unreflected(0.0, 1, PATH_HORIZON, params, rng)
 
-    Both are fixed by the seed, so they count the items of either checkout
+
+def _reflect(pkg):
+    path = _path(pkg)
+    return lambda: pkg.paths.reflect_path(path)
+
+
+def _path_csv(pkg):
+    path = _path(pkg)
+    return lambda: pkg.paths.write_path_csv(path, io.StringIO())
+
+
+def drawn_counts() -> tuple[int, int, int]:
+    """Events of one ``_walk`` call, tree nodes of one ``_tree`` call and knots of ``_path``.
+
+    All are fixed by the seed, so they count the items of either checkout
     as long as its walk and trees keep this checkout's draws.
     """
     pkg = load_package(ROOT, "telegraph_kit_counts")
@@ -234,9 +253,10 @@ def drawn_counts() -> tuple[int, int]:
         knots = []
         _walk(pkg, lambda t, x, v: knots.append(t))()
         nodes = (_tree(pkg)().jump_count + 1) // 2  # a tree of k nodes makes 2k - 1 flips
+        path_knots = _path(pkg).knot_times.size
     finally:
         unload_packages()
-    return len(knots), int(nodes.sum())
+    return len(knots), int(nodes.sum()), path_knots
 
 
 def _phase_inputs(pkg):
@@ -347,7 +367,7 @@ def case_table(jobs: dict, seed: int) -> dict:
     # creation: make_stream(1, i) for i < 1,024, each with its ExpSource's
     # first refill of 32 draws, per stream
     table["make_stream+ExpSource"] = (STREAMS, _streams)
-    events, nodes = drawn_counts()
+    events, nodes, path_knots = drawn_counts()
     # the scalar event loop from (0, +1) to time 20,000, knots passed to a
     # no-op, per event
     table["walk_reflected"] = (events, _walk)
@@ -365,6 +385,11 @@ def case_table(jobs: dict, seed: int) -> dict:
     # one grid time of tv_curve's binned TV: both starts' 1,000 reflected
     # walkers at time 20 in bins of 0.05, per walker
     table["binned_tv_noise_floor"] = (2 * TV_RUNS, _binned_tv)
+    # the whole-line path of `simulate --process unreflected --horizon
+    # 600000` from (0, +1), about 900,000 knots: folded, and written as
+    # CSV rows to memory, per knot
+    table["reflect_path"] = (path_knots, _reflect)
+    table["write_path_csv"] = (path_knots, _path_csv)
     for workload, workload_jobs in jobs.items():
         argvs = [job.cli_argv(seed) for job in workload_jobs]
         for job, argv in zip(workload_jobs, argvs):

@@ -9,11 +9,12 @@ bool, 1e308 or "nan"; ``--n`` is also tried at 1 and at 2, with and
 without ``--check``, and past its cap.  The edge cases run every
 subcommand at near-critical rates (b/a = 1 + 1e-9), at a == b, at b/a = 1e6
 and at a = 1e-300, and try ``--t-grid`` at one point, at 10,000 points and
-with a step at the float spacing, far starts with long horizons, calls
-past the per-call event caps of ``tvcurve`` and ``scaling``, and ``--lam``
-= -1e300.  A case passes when the child exits with one of the
-CLI's codes 0-3 inside the limit and prints no traceback; an ``--n`` case
-must also print no numpy ``RuntimeWarning``.  The example counts and the
+with a step at the float spacing, far starts with long horizons, paths of
+both processes near the per-path event cap, calls past the per-call event
+caps of ``tvcurve`` and ``scaling``, and ``--lam`` = -1e300.  A case passes
+when the child exits with one of the CLI's codes 0-3 inside the limit and
+prints no traceback; an ``--n`` case must also print no numpy
+``RuntimeWarning``, and a path near the cap must exit 0.  The example counts and the
 generation are fixed, so every run tries the same cases.
 Kept out of the tier-1 suite; run from the repository root:
 
@@ -181,6 +182,11 @@ SMALL = {
     command: [arg for key, value in conf.items() for arg in (f"--{key.replace('_', '-')}", str(value))]
     for command, conf in CONFIG_BASE.items()
 }
+# 900,000 expected events at a + b = 3, near the per-path cap of 1,000,000;
+# each must run and pass its check
+NEAR_CAP_PATHS = [
+    ["simulate", "--process", process, "--horizon", "600000"] for process in ("reflected", "unreflected")
+]
 EDGES = [
     *([command, *SMALL[command], *rates] for rates in RATES.values() for command in SMALL),
     # one grid point, 10,000 of them, and steps at and below the float spacing near 1
@@ -190,6 +196,7 @@ EDGES = [
     ["tvcurve", "--n", "1000", "--t-grid", "1:1.0000000000000002:1e-17"],
     # far starts with long horizons, near the event caps
     ["simulate", "--start", "1e5", "--horizon", "6e5"],
+    *NEAR_CAP_PATHS,
     ["couple", "--n", "20", "--start=1e5,1", "--horizon", "1e5"],
     ["tvcurve", "--n", "1000", "--start=1e4,1", "--t-grid", "1000:5000:1000"],
     # calls whose items each sit inside the per-item cap, but hours of work in all
@@ -205,5 +212,9 @@ EDGES = [
 @pytest.mark.parametrize("check", [False, True])
 @pytest.mark.parametrize("argv", EDGES, ids=" ".join)
 def test_edge_inputs_run_or_exit_cleanly(argv, check):
+    near_cap = argv in NEAR_CAP_PATHS
     argv = [*argv, "--out", os.devnull] + (["--check"] if check else [])
-    assert_clean(argv, run_child(argv))
+    proc = run_child(argv)
+    assert_clean(argv, proc)
+    if near_cap:
+        assert proc.returncode == 0, (argv, proc.stderr[-2000:])

@@ -295,8 +295,8 @@ def sde_oracle(
     """
     dt = float(dt)
     horizon = float(horizon)
-    if dt <= 0.0 or horizon < 0.0:
-        raise ValueError("need dt > 0 and horizon >= 0")
+    if not (0.0 < dt < math.inf and 0.0 <= horizon < math.inf):
+        raise ValueError(f"need a finite dt > 0 and a finite horizon >= 0, got {dt} and {horizon}")
     n = int(n)
     x = np.full(n, float(x0), dtype=np.float64)
     steps = int(horizon / dt)

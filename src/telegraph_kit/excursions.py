@@ -49,9 +49,10 @@ __all__ = [
 # hang.
 NODE_BUDGET = 100_000_000
 
-# numpy's Poisson sampler costs about 10 us a call on an array and under 1 us
-# on a scalar, and an array call draws what scalar calls in its order draw;
-# so this many means or fewer go through scalar calls
+# numpy's Poisson sampler costs about 7 us a call on an array of up to 32
+# means and about 0.45 us a scalar mean (break-even near 14), and an array
+# call draws what scalar calls in its order draw; so this many means or
+# fewer go through scalar calls
 _SCALAR_POISSON = 8
 
 

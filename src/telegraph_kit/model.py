@@ -174,10 +174,12 @@ def invariant_density(y: float, process: str, params: ModelParams) -> float:
     """
     params.require_contracting("the invariant law")
     gap = params.rate_gap
+    y = float(y)
+    if math.isnan(y):
+        raise ValueError("position must be a number, got nan")
     if process == "unreflected":
         return 0.5 * gap * math.exp(-gap * abs(y))
     if process == "reflected":
-        y = float(y)
         if y < 0.0:
             raise ValueError(f"reflected positions live on [0, inf), got {y}")
         return gap * math.exp(-gap * y)
@@ -235,12 +237,14 @@ def tv_bound(t: float, x: float, x_other: float, process: str, params: ModelPara
     """
     if process not in ("reflected", "unreflected"):
         raise ValueError(f"process must be 'reflected' or 'unreflected', got {process!r}")
-    t = float(t)
-    if t < 0.0:
+    t, x, x_other = float(t), float(x), float(x_other)
+    if not t >= 0.0:
         raise ValueError(f"time must be nonnegative, got {t}")
+    if not (math.isfinite(x) and math.isfinite(x_other)):
+        raise ValueError(f"start positions must be finite, got {x} and {x_other}")
     consts = bound_constants(params)
     pref = consts.reflected_prefactor if process == "reflected" else consts.prefactor
-    growth = consts.spatial_rate * max(abs(float(x)), abs(float(x_other)))
+    growth = consts.spatial_rate * max(abs(x), abs(x_other))
     decay = critical_rate(params) * t
     log_head = math.log(pref) + growth
     if log_head < _LOG_FLOAT_MAX - 1.0:

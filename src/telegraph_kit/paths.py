@@ -14,6 +14,7 @@ it when signed; :func:`unreflect_path` feeds that recorder a path's knots.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -96,20 +97,15 @@ class PiecewisePath:
         ]
 
     def eval(self, t: float) -> tuple[float, int]:
-        """Position and velocity at time t (right-continuous at events)."""
-        t = float(t)
-        if t < 0.0 or t > self.horizon:
-            raise ValueError(f"t={t} outside [0, {self.horizon}]")
-        i = int(np.searchsorted(self.knot_times, t, side="right")) - 1
-        dt = t - float(self.knot_times[i])
-        v = int(self.knot_velocities[i])
-        return float(self.knot_positions[i]) + v * dt, v
+        """Position and velocity at time t (right-continuous at events), a batch of one."""
+        pos, vel = self.eval_many([t])
+        return float(pos[0]), int(vel[0])
 
     def eval_many(self, ts) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorised :meth:`eval` over an array of query times."""
+        """Positions and velocities at an array of query times in [0, horizon]; nan is refused."""
         ts = np.asarray(ts, dtype=np.float64)
-        if ts.size and (ts.min() < 0.0 or ts.max() > self.horizon):
-            raise ValueError("query times outside [0, horizon]")
+        if ts.size and not (ts.min() >= 0.0 and ts.max() <= self.horizon):
+            raise ValueError(f"query times outside [0, {self.horizon}]")
         idx = np.searchsorted(self.knot_times, ts, side="right") - 1
         v = self.knot_velocities[idx].astype(np.float64)
         pos = self.knot_positions[idx] + v * (ts - self.knot_times[idx])
@@ -210,35 +206,24 @@ class KnotRecorder:
 def reflect_path(path: PiecewisePath) -> PiecewisePath:
     """Fold a whole-line path to the half line: position |Y|, sign-fixed velocity.
 
-    Each knot is folded by :func:`fold`, and interior zero crossings of Y
-    become origin knots with velocity +1.  Crossing times are found
+    Every knot is folded as :func:`fold` folds it, and interior zero
+    crossings of Y become origin knots with velocity +1, each placed right
+    after the knot whose segment it ends.  Crossing times are found
     algebraically from the unit speed, so a path produced by unfolding a
     generated reflected path folds back to it exactly.
     """
-    t = path.knot_times
-    y = path.knot_positions
-    w = path.knot_velocities
-    out_t: list[float] = []
-    out_x: list[float] = []
-    out_v: list[int] = []
-    n = len(t)
-    for k in range(n):
-        tk = float(t[k])
-        xk, vk, _ = fold(float(y[k]), int(w[k]))
-        out_t.append(tk)
-        out_x.append(xk)
-        out_v.append(vk)
-        seg_end = float(t[k + 1]) if k + 1 < n else path.horizon
-        # one crossing at most per segment: the segment heads toward 0 and
-        # reaches it strictly inside (a zero exactly at the next knot is that
-        # knot's own business)
-        if vk == -1:
-            tz = tk + xk
-            if tz < seg_end or (k + 1 == n and tz <= seg_end):
-                out_t.append(tz)
-                out_x.append(0.0)
-                out_v.append(1)
-    return PiecewisePath.from_lists(out_t, out_x, out_v, path.horizon)
+    t, y, w = path.knot_times, path.knot_positions, path.knot_velocities
+    up, down = y > 0.0, y < 0.0
+    x = np.where(up, y, np.where(down, -y, 0.0))
+    v = np.where(up, w, np.where(down, -w, 1))
+    # a segment heading to the origin reaches it strictly inside (a zero
+    # exactly at the next knot is that knot's own), or on the horizon itself
+    tz = t + x
+    cross = (v == -1) & (tz < np.append(t[1:], path.horizon))
+    cross[-1:] |= (v[-1:] == -1) & (tz[-1:] <= path.horizon)
+    after = cross.nonzero()[0] + 1
+    t, x, v = np.insert(t, after, tz[cross]), np.insert(x, after, 0.0), np.insert(v, after, 1)
+    return PiecewisePath.from_lists(t, x, v, path.horizon)
 
 
 def unreflect_path(path: PiecewisePath, y0: float) -> PiecewisePath:
@@ -283,12 +268,9 @@ def write_path_csv(path: PiecewisePath, dest) -> None:
     ``dest`` is a filename or a text file object.  Floats are written with
     repr so a re-read round-trips bit for bit.
     """
-
-    def lines():
-        for t, x, v in zip(path.knot_times, path.knot_positions, path.knot_velocities):
-            yield f"{float(t)!r},{float(x)!r},{int(v)}\n"
-        if float(path.knot_times[-1]) < path.horizon:
-            pos, vel = path.eval(path.horizon)
-            yield f"{float(path.horizon)!r},{pos!r},{vel}\n"
-
-    write_csv(dest, "t,position,velocity", lines())
+    row = "{!r},{!r},{}\n".format
+    columns = (path.knot_times, path.knot_positions, path.knot_velocities)
+    rows = map(row, *(c.tolist() for c in columns))
+    end = path.knot_times[-1] < path.horizon
+    tail = [row(float(path.horizon), *path.eval(path.horizon))] if end else []
+    write_csv(dest, "t,position,velocity", itertools.chain(rows, tail))

@@ -135,6 +135,20 @@ def walk_reflected(x, v, t, horizon, a, b, src, add, stop_at_zero=False):
         add(t, x, v)
 
 
+def _recorded_walk(x, v, horizon, params, rng, signed):
+    """The walk from the checked start (x, v), folded, on [0, horizon].
+
+    Its knots are recorded unfolded when ``signed``, as walked otherwise.
+    """
+    horizon = float(horizon)
+    if not 0.0 <= horizon < math.inf:
+        raise ValueError("horizon must be finite and nonnegative")
+    rec = KnotRecorder(x, v, signed=signed)
+    x, v, _ = fold(x, v)
+    walk_reflected(x, v, 0.0, horizon, params.a, params.b, ExpSource(rng), rec.add)
+    return rec.build(horizon)
+
+
 def simulate_unreflected(
     y0: float,
     w0: int,
@@ -150,14 +164,7 @@ def simulate_unreflected(
     every origin visit.  Returns the exact path; memory is proportional to
     the number of flips.
     """
-    y, w = check_start(y0, w0)
-    horizon = float(horizon)
-    if not 0.0 <= horizon < math.inf:
-        raise ValueError("horizon must be finite and nonnegative")
-    rec = KnotRecorder(y, w, signed=True)
-    x, v, _ = fold(y, w)
-    walk_reflected(x, v, 0.0, horizon, params.a, params.b, ExpSource(rng), rec.add)
-    return rec.build(horizon)
+    return _recorded_walk(*check_start(y0, w0), horizon, params, rng, signed=True)
 
 
 def simulate_reflected(
@@ -173,13 +180,7 @@ def simulate_reflected(
     is reflected there to velocity +1 and that knot stores position 0.0
     exactly.  A start at the origin must carry velocity +1.
     """
-    x, v = check_start(x0, v0, reflected=True)
-    horizon = float(horizon)
-    if not 0.0 <= horizon < math.inf:
-        raise ValueError("horizon must be finite and nonnegative")
-    rec = KnotRecorder(x, v)
-    walk_reflected(x, v, 0.0, horizon, params.a, params.b, ExpSource(rng), rec.add)
-    return rec.build(horizon)
+    return _recorded_walk(*check_start(x0, v0, reflected=True), horizon, params, rng, signed=False)
 
 
 def _start_arrays(y0, w0, n, rng: np.random.Generator, reflected: bool = False):

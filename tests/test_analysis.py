@@ -24,7 +24,7 @@ from telegraph_kit.analysis import (
     tv_curve,
     write_tv_curve_csv,
 )
-from telegraph_kit.model import ModelParams, critical_rate, tv_bound
+from telegraph_kit.model import ModelParams, critical_rate, invariant_density, tv_bound
 from telegraph_kit.simulate import make_stream, sample_reflected_states, sample_unreflected_states
 
 P12 = ModelParams(1.0, 2.0)
@@ -389,6 +389,31 @@ def test_sde_oracle_zero_drift_is_exact():
         sde_oracle(1.0, 0.0, 0.0, 1.0, 10, make_stream(108, 9))
     with pytest.raises(ValueError):
         sde_oracle(1.0, 0.0, 0.01, -1.0, 10, make_stream(108, 9))
+
+
+@pytest.mark.parametrize(
+    "call, args",
+    [
+        (tv_bound, (math.nan, 0.0, 0.0, "reflected", P12)),
+        (tv_bound, (1.0, math.nan, 0.0, "reflected", P12)),
+        (tv_bound, (1.0, 0.0, math.nan, "reflected", P12)),
+        (tv_bound, (1.0, 0.0, -math.inf, "unreflected", P12)),
+        (sde_oracle, (1.0, 0.0, 1e-3, math.inf, 10)),
+        (sde_oracle, (1.0, 0.0, math.inf, 1.0, 10)),
+        (sde_oracle, (1.0, 0.0, math.nan, 1.0, 10)),
+        (sde_oracle, (1.0, 0.0, 1e-3, math.nan, 10)),
+        (invariant_density, (math.nan, "unreflected", P12)),
+        (invariant_density, (math.nan, "reflected", P12)),
+    ],
+)
+def test_non_finite_inputs_are_refused(call, args):
+    # each of these once returned nan, inf, 2.75 or the start, or raised
+    # OverflowError; an infinite time still gives a bound of 0
+    if call is sde_oracle:
+        args += (make_stream(108, 9),)
+    with pytest.raises(ValueError):
+        call(*args)
+    assert tv_bound(math.inf, 1.0, 0.0, "reflected", P12) == 0.0
 
 
 def reference_sde_oracle(drift, x0, dt, horizon, n, rng):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.special import gammainc
+from scipy.special import gammainc, gammaln
 
 from conftest import gate
 from telegraph_kit import excursions
@@ -174,6 +174,70 @@ def test_lengths_follow_the_exact_busy_period_law():
             high = ModelParams(1.0, 1.05 * b)
             lengths = sample_excursions(20000, high, make_stream(seed, 0)).length
             assert stats.kstest(lengths, cdf).pvalue < 0.01, (b, seed)
+
+
+def _hitting_law(x: float, v: int, params: ModelParams):
+    """P(T = x) and the CDF of T - x given T > x, for T the hitting time from (x, v).
+
+    T is x plus the lengths of K = J + [v = +1] trees, J ~ Poisson(a*x).  K
+    trees of N nodes in all have 2N - K flips and length 2 * Gamma(2N - K, a + b),
+    and N has the Otter-Dwass law P(N = m) = (K/m) * C(2m - K - 1, m - K) *
+    p**(m-K) * q**m, with p = a/(a + b) and q = b/(a + b).  J stops 12 standard
+    deviations and 40 past its mean and N 1e-17 into its geometric tail, whose
+    terms shrink by at most 4pq; the weights are summed by Gamma shape, so
+    that ``gammainc`` runs once per shape and point.  The atom is K = 0.
+    """
+    a, b = params.a, params.b
+    p, q = a / (a + b), b / (a + b)
+    mean = a * x
+    j = np.arange(int(mean + 12.0 * math.sqrt(mean) + 40.0))[:, None]
+    k = j + (v == 1)
+    m = np.arange(1, k[-1, 0] + int(math.log(1e-17) / math.log(4.0 * p * q)) + 2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_w = (
+            j * math.log(mean) - mean - gammaln(j + 1.0)
+            + np.log(k) - np.log(m) + gammaln(2 * m - k) - gammaln(m - k + 1.0) - gammaln(m)
+            + (m - k) * math.log(p) + m * math.log(q)
+        )
+    tree = (m >= k) & (k > 0)
+    weights = np.bincount((2 * m - k)[tree], np.exp(log_w[tree]))
+    atom = math.exp(-mean) if v == -1 else 0.0
+    assert abs(math.fsum(weights) + atom - 1.0) < 1e-12
+    shapes = weights.nonzero()[0]
+    rate = 0.5 * (a + b)
+    return atom, lambda t: weights[shapes] @ gammainc(shapes[:, None], rate * t[None, :]) / (1.0 - atom)
+
+
+def _hitting_p_value(draws, x, law) -> float:
+    """One-sample KS p-value of the draws above x against the law above its atom."""
+    atom, cdf = law
+    above = draws - x
+    return stats.kstest(above[above > 0.0] if atom else above, cdf).pvalue
+
+
+def test_hitting_times_follow_the_exact_law():
+    # from (3, -1) an atom at 3 of mass e^-3 and the law above it, and from
+    # (3, +1) no atom, at a fixed seed; a sampler whose b is 5% high fails
+    # from both starts, and so do draws from (3, -1) held to the (3, +1) law,
+    # which a lengths kernel without the ascending root would give (at x = 1
+    # the 5%-high sampler passes from (1, -1))
+    x, n = 3.0, 5000
+    for b in (2.0, 10.0):
+        params = ModelParams(1.0, b)
+        down, up = _hitting_law(x, -1, params), _hitting_law(x, 1, params)
+
+        def draws(v, sampler=params):
+            return sample_hitting(x, v, sampler, make_stream(1, 0), size=n)
+
+        atom = down[0]
+        hits = int(np.count_nonzero(draws(-1) == x))
+        assert abs(hits - n * atom) <= 3.0 * math.sqrt(n * atom * (1.0 - atom)), (b, hits)
+        assert _hitting_p_value(draws(-1), x, down) > 0.01, b
+        assert _hitting_p_value(draws(1), x, up) > 0.01, b
+        assert _hitting_p_value(draws(-1), x, up) < 0.01, b
+        high = ModelParams(1.0, 1.05 * b)
+        assert _hitting_p_value(draws(-1, high), x, down) < 0.01, b
+        assert _hitting_p_value(draws(1, high), x, up) < 0.01, b
 
 
 def _beyond_domain_contrast(lengths, lam):

@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from telegraph_kit.model import ModelParams
-from telegraph_kit.paths import PiecewisePath, reflect_path, unreflect_path, write_path_csv
+from telegraph_kit.paths import PiecewisePath, fold, reflect_path, unreflect_path, write_path_csv
 from telegraph_kit.simulate import make_stream, simulate_reflected, simulate_unreflected
 
 P12 = ModelParams(1.0, 2.0)
@@ -22,6 +24,10 @@ def test_eval_basic_and_bounds():
         path.eval(-0.1)
     with pytest.raises(ValueError):
         path.eval(5.1)
+    with pytest.raises(ValueError):
+        path.eval(math.nan)
+    with pytest.raises(ValueError):
+        path.eval_many([1.0, math.nan])
 
 
 def test_eval_right_continuous_at_events():
@@ -95,6 +101,83 @@ def test_reflect_origin_start_convention():
     folded = reflect_path(path)
     assert folded.initial_state == (0.0, 1)
     assert folded.eval(1.5) == (1.5, 1)
+
+
+def reference_reflect_path(path: PiecewisePath) -> PiecewisePath:
+    """:func:`reflect_path` as first written: one knot at a time, in Python.
+
+    Kept to pin the array form's bits: times, positions, velocities and the
+    velocity dtype.
+    """
+    t = path.knot_times
+    y = path.knot_positions
+    w = path.knot_velocities
+    out_t: list[float] = []
+    out_x: list[float] = []
+    out_v: list[int] = []
+    n = len(t)
+    for k in range(n):
+        tk = float(t[k])
+        xk, vk, _ = fold(float(y[k]), int(w[k]))
+        out_t.append(tk)
+        out_x.append(xk)
+        out_v.append(vk)
+        seg_end = float(t[k + 1]) if k + 1 < n else path.horizon
+        if vk == -1:
+            tz = tk + xk
+            if tz < seg_end or (k + 1 == n and tz <= seg_end):
+                out_t.append(tz)
+                out_x.append(0.0)
+                out_v.append(1)
+    return PiecewisePath.from_lists(out_t, out_x, out_v, path.horizon)
+
+
+@st.composite
+def whole_line_paths(draw):
+    """Unit-speed whole-line paths with strictly increasing knot times.
+
+    On a half-unit lattice, knots land exactly on the origin, as +0.0 or
+    -0.0, and the horizon may sit exactly where the last segment reaches it;
+    off the lattice the gaps and the start are any floats.
+    """
+    lattice = draw(st.booleans())
+    halves = st.integers(-6, 6).map(lambda k: 0.5 * k)
+    gaps = halves.filter(lambda g: g > 0.0) if lattice else st.floats(1e-3, 3.0)
+    w = draw(st.lists(st.sampled_from((-1, 1)), min_size=1, max_size=12))
+    t, y = [0.0], [draw(halves if lattice else st.floats(-5.0, 5.0))]
+    for v in w[:-1]:
+        gap = draw(gaps)
+        t.append(t[-1] + gap)
+        y.append(y[-1] + v * gap)
+    y = [draw(st.sampled_from((0.0, -0.0))) if yk == 0.0 else yk for yk in y]
+    tail = draw(st.sampled_from((0.0, abs(y[-1]))) | gaps)
+    return PiecewisePath.from_lists(t, y, w, t[-1] + tail)
+
+
+simulated_paths = st.builds(
+    lambda y0, w0, horizon, seed: simulate_unreflected(y0, w0, horizon, P12, make_stream(seed, 0)),
+    st.floats(-5.0, 5.0) | st.sampled_from((0.0, -0.0)),
+    st.sampled_from((-1, 1)),
+    st.floats(0.0, 30.0),
+    st.integers(0, 2**32 - 1),
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(whole_line_paths() | simulated_paths)
+@example(PiecewisePath.from_lists([0.0, 1.0], [1.0, 0.0], [-1, 1], 2.0))  # a zero on the next knot
+@example(PiecewisePath.from_lists([0.0, 1.0], [1.0, -0.0], [-1, -1], 2.0))  # ... as -0.0, going on down
+@example(PiecewisePath.from_lists([0.0], [1.0], [-1], 1.0))  # a zero on the horizon
+@example(PiecewisePath.from_lists([0.0, 1.0], [-0.0, -1.0], [-1, 1], 3.0))  # a start at -0.0
+def test_reflect_path_keeps_the_bits_of_the_knot_loop(path):
+    folded, reference = reflect_path(path), reference_reflect_path(path)
+    assert folded.knot_velocities.dtype == reference.knot_velocities.dtype
+    for got, want in zip(
+        (folded.knot_times, folded.knot_positions, folded.knot_velocities),
+        (reference.knot_times, reference.knot_positions, reference.knot_velocities),
+    ):
+        assert got.tobytes() == want.tobytes()
+    assert folded.horizon == reference.horizon
 
 
 def test_unreflect_round_trip_exact():
