@@ -14,8 +14,8 @@ both processes near the per-path event cap, calls past the per-call event
 caps of ``tvcurve`` and ``scaling``, and ``--lam`` = -1e300.  A case passes
 when the child exits with one of the CLI's codes 0-3 inside the limit and
 prints no traceback; an ``--n`` case must also print no numpy
-``RuntimeWarning``, and a path near the cap must exit 0.  The example counts and the
-generation are fixed, so every run tries the same cases.
+``RuntimeWarning``, and a path near the cap must exit 0.  The example
+counts and the generation are fixed, so every run tries the same cases.
 Kept out of the tier-1 suite; run from the repository root:
 
     python3 -m pytest -q fuzz/test_cli_fuzz.py

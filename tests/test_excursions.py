@@ -229,12 +229,12 @@ def test_hitting_times_follow_the_exact_law():
         def draws(v, sampler=params):
             return sample_hitting(x, v, sampler, make_stream(1, 0), size=n)
 
-        atom = down[0]
-        hits = int(np.count_nonzero(draws(-1) == x))
+        atom, descending = down[0], draws(-1)
+        hits = int(np.count_nonzero(descending == x))
         assert abs(hits - n * atom) <= 3.0 * math.sqrt(n * atom * (1.0 - atom)), (b, hits)
-        assert _hitting_p_value(draws(-1), x, down) > 0.01, b
+        assert _hitting_p_value(descending, x, down) > 0.01, b
         assert _hitting_p_value(draws(1), x, up) > 0.01, b
-        assert _hitting_p_value(draws(-1), x, up) < 0.01, b
+        assert _hitting_p_value(descending, x, up) < 0.01, b
         high = ModelParams(1.0, 1.05 * b)
         assert _hitting_p_value(draws(-1, high), x, down) < 0.01, b
         assert _hitting_p_value(draws(1, high), x, up) < 0.01, b
