@@ -17,7 +17,9 @@ line count of each module of ``src/telegraph_kit`` with their total, then:
   checkout;
 - ``perfbench``: for both workloads, the JSON that ``perfbench/run.py
   --workload W --trace 0`` prints, run unchanged ``PERFBENCH_PAIRS`` times a
-  checkout.
+  checkout;
+- ``cli_bytes``: for every CLI-job case, the sha256 of what the job writes
+  and its exit code (:func:`cli_bytes`), one untimed run a checkout.
 
 The record is stored under ``--label`` in ``--out``; records under other
 labels are kept, so one file can hold a parent commit and a change measured
@@ -33,12 +35,15 @@ one after the other can differ by more than the change being measured.
 Even so a perfbench run lasts long enough to catch one speed regime of the
 host, so a pair of them reads the host as much as the code: only the
 in-process readings, medians with their win counts and paired ratios,
-back a speed claim.
+back a speed claim.  Each record then also holds ``same_bytes``: for every
+CLI-job case, whether both checkouts wrote the same bytes with the same
+exit code.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import importlib
 import importlib.util
 import io
@@ -48,6 +53,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from functools import partial
 from pathlib import Path
@@ -326,6 +332,12 @@ def _cli_jobs(pkg, argvs):
     return call
 
 
+def job_case(job) -> str:
+    """The case name of one perfbench job: its subcommand, then its process if it takes one."""
+    process = dict(zip(job.argv, job.argv[1:])).get("--process")
+    return f"cli/{job.command}" if process is None else f"cli/{job.command}/{process}"
+
+
 def case_table(jobs: dict, seed: int) -> dict:
     """Name -> (items per call, factory); ``factory(pkg)`` returns one call of the case.
 
@@ -395,9 +407,7 @@ def case_table(jobs: dict, seed: int) -> dict:
         for job, argv in zip(workload_jobs, argvs):
             # one perfbench job through cli.main, output to the null device;
             # its items as perfbench counts them
-            process = dict(zip(job.argv, job.argv[1:])).get("--process")
-            name = job.command if process is None else f"{job.command}/{process}"
-            table[f"cli/{name}"] = (job.items, partial(_cli_jobs, argvs=[argv]))
+            table[job_case(job)] = (job.items, partial(_cli_jobs, argvs=[argv]))
         # a whole pass of the workload's job list, in its order
         table[f"cli/pass/{workload}"] = (
             sum(job.items for job in workload_jobs), partial(_cli_jobs, argvs=argvs)
@@ -501,6 +511,19 @@ def scaling_process(root: Path) -> dict:
     return {"wall_s": float(wall), "peak_rss_mb": int(rss_kib) / 1024, "returncode": int(code)}
 
 
+def cli_bytes(root: Path, argv: list) -> dict:
+    """sha256 of what one fresh, untimed CLI process writes to ``--out``, and its exit code."""
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    with tempfile.TemporaryDirectory() as workdir:
+        out = Path(workdir) / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "telegraph_kit.cli", *argv, "--out", str(out)],
+            cwd=root, env=env, capture_output=True, check=False,
+        )
+        text = out.read_bytes() if out.exists() else b""
+    return {"sha256": hashlib.sha256(text).hexdigest(), "returncode": proc.returncode}
+
+
 def perfbench_run(root: Path, argv: list) -> dict:
     proc = subprocess.run(
         [sys.executable, *argv], cwd=root, capture_output=True, text=True, check=False
@@ -560,6 +583,13 @@ def main(argv=None) -> int:
         )
         for label in roots:
             perfbench[label][workload] = {"argv": bench_argv, "runs": runs[label]}
+    job_argvs = {
+        job_case(job): job.cli_argv(args.seed) for listed in jobs.values() for job in listed
+    }
+    written = {
+        label: {name: cli_bytes(root, argv) for name, argv in job_argvs.items()}
+        for label, root in roots.items()
+    }
     out = Path(args.out)
     records = json.loads(out.read_text()) if out.exists() else {}
     for label, root in roots.items():
@@ -583,7 +613,12 @@ def main(argv=None) -> int:
             "cases": cases[label],
             "scaling_process": {"argv": ["python", *SCALING_CLI], "runs": scaling[label]},
             "perfbench": perfbench[label],
+            "cli_bytes": written[label],
         }
+        for other in roots.keys() - {label}:
+            records[label]["same_bytes"] = {
+                name: written[label][name] == written[other][name] for name in job_argvs
+            }
     out.write_text(json.dumps(records, indent=2, sort_keys=True) + "\n")
     return 0
 

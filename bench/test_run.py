@@ -1,4 +1,5 @@
-"""Smoke test of the timing record: every case timed for both labels, every perfbench run exits 0.
+"""Smoke test of the timing record: every case timed for both labels, every perfbench run
+exits 0, and every CLI job of a checkout compared with itself writes the same bytes.
 
 Run from the repository root:  python3 -m pytest -q bench/test_run.py
 """
@@ -41,6 +42,11 @@ def test_checkout_against_itself_times_every_case(tmp_path):
             assert case["won"] in (0, 1), (label, name)
             assert math.isfinite(case["median_paired_ratio"]), (label, name)
         assert [run["returncode"] for run in record["scaling_process"]["runs"]] == [0]
+        cli_cases = {bench.job_case(job) for listed in jobs.values() for job in listed}
+        assert set(record["cli_bytes"]) == cli_cases, label
+        assert all(job["returncode"] == 0 for job in record["cli_bytes"].values()), label
+        # a checkout writes what it writes again
+        assert record["same_bytes"] == dict.fromkeys(cli_cases, True), label
         assert set(record["perfbench"]) == set(jobs)
         for workload, runs in record["perfbench"].items():
             codes = [run["returncode"] for run in runs["runs"]]

@@ -7,11 +7,12 @@ signed zero, 1e308 or an ordinary float.  The config cases set any option
 of any subcommand, in a --config file, to a JSON string, null, a list, a
 bool, 1e308 or "nan"; ``--n`` is also tried at 1 and at 2, with and
 without ``--check``, and past its cap.  The edge cases run every
-subcommand at near-critical rates (b/a = 1 + 1e-9), at a == b, at b/a = 1e6
-and at a = 1e-300, and try ``--t-grid`` at one point, at 10,000 points and
-with a step at the float spacing, far starts with long horizons, paths of
-both processes near the per-path event cap, calls past the per-call event
-caps of ``tvcurve`` and ``scaling``, and ``--lam`` = -1e300.  A case passes
+subcommand, and ``invariant`` with an indicator integrand, at near-critical
+rates (b/a = 1 + 1e-9), at a == b, at b/a = 1e6 and at a = 1e-300, and try
+``--t-grid`` at one point, at 10,000 points and with a step at the float
+spacing, far starts with long horizons, paths of both processes near the
+per-path event cap, calls past the per-call event caps of ``tvcurve`` and
+``scaling``, and ``--lam`` = -1e300.  A case passes
 when the child exits with one of the CLI's codes 0-3 inside the limit and
 prints no traceback; an ``--n`` case must also print no numpy
 ``RuntimeWarning``, and a path near the cap must exit 0.  The example
@@ -189,6 +190,10 @@ NEAR_CAP_PATHS = [
 ]
 EDGES = [
     *([command, *SMALL[command], *rates] for rates in RATES.values() for command in SMALL),
+    # the default integrand refuses the first two rates; near b == a one
+    # excursion walks past the estimator's event budget
+    *(["invariant", *SMALL["invariant"], "--integrand", "indicator", "--arg", "1", *rates]
+      for rates in RATES.values()),
     # one grid point, 10,000 of them, and steps at and below the float spacing near 1
     ["tvcurve", "--n", "1000", "--t-grid", "1"],
     ["tvcurve", "--n", "1000", "--t-grid", "1:10000"],

@@ -450,13 +450,6 @@ def scaling_limit_check(
 
 
 def write_tv_curve_csv(curve: TvCurve, dest) -> None:
-    """Write ``t,coupling_survival,binned_tv,theoretical_bound`` rows."""
+    """Write ``t,coupling_survival,binned_tv,theoretical_bound`` rows, floats as repr."""
     columns = (curve.t_grid, curve.coupling_survival, curve.binned_tv, curve.theoretical_bound)
-    write_csv(
-        dest,
-        "t,coupling_survival,binned_tv,theoretical_bound",
-        (
-            f"{float(t)!r},{float(s)!r},{float(tv)!r},{float(bd)!r}\n"
-            for t, s, tv, bd in zip(*columns)
-        ),
-    )
+    write_csv(dest, "t,coupling_survival,binned_tv,theoretical_bound", np.array(columns, float))

@@ -8,14 +8,15 @@ byte; batch subcommands split work into fixed-size chunks with one stream
 per chunk and run them in order on one thread.  --threads is still accepted,
 and checked, so that existing commands run, but it changes nothing.
 
-Exit codes: 0 success, 1 invalid configuration, 2 runtime abort, 3 check-gate
-failure.  --check verifies one gate, retried on two derived seeds; a correct
-run fails an attempt about 1% of the time or less, a whole run about once in
-1e6.  Gated: excursions' mean length, invariant's ratio estimate (moments,
-and exponentials with 2*theta >= b - a, capped at 3/(b - a)) and hitting's
-mean of T, each within 3 standard errors; couple's and tvcurve's survival
-below tv_bound, and tvcurve's binned-TV sandwich; scaling's KS p-value above
-0.01 at the largest scale; simulate's path consistency; formulas' identities.
+Exit codes: 0 success, 1 invalid configuration, 2 runtime abort (among them a
+node or event budget passed near b = a), 3 check-gate failure.  --check
+verifies one gate, retried on two derived seeds; a correct run fails an
+attempt about 1% of the time or less, a whole run about once in 1e6.
+Gated: excursions' mean length, invariant's ratio estimate (moments, and
+exponentials with 2*theta >= b - a, capped at 3/(b - a)) and hitting's mean
+of T, each within 3 standard errors; couple's and tvcurve's survival below
+tv_bound, and tvcurve's binned-TV sandwich; scaling's KS p-value above 0.01
+at the largest scale; simulate's path consistency; formulas' identities.
 """
 
 from __future__ import annotations
@@ -382,40 +383,35 @@ def _check_cost(formula: str, count: float, unit: str, cap: int) -> None:
         raise _ConfigError(f"{formula} = {count:.3g} {unit} exceed the cap of {cap:,}")
 
 
-def _cmd_simulate(cfg: RunConfig, seed: int):
+def _cmd_simulate(cfg: RunConfig, seed: int, out) -> bool:
     (pos0, vel0), horizon, process = (cfg.options[k] for k in ("start", "horizon", "process"))
     run = simulate.simulate_reflected if process == "reflected" else simulate.simulate_unreflected
     path = run(pos0, vel0, horizon, cfg.params, simulate.make_stream(seed, 0))
-    buf = io.StringIO()
-    paths.write_path_csv(path, buf)
-    ok = True
+    paths.write_path_csv(path, out)
     if cfg.check:
         try:
             path.validate(reflected=process == "reflected")
             if process == "unreflected":
-                folded = paths.reflect_path(path)
-                folded.validate(reflected=True)
+                paths.reflect_path(path).validate(reflected=True)
         except ValueError:
-            ok = False
-    return buf.getvalue(), ok
+            return False
+    return True
 
 
-def _cmd_excursions(cfg: RunConfig, seed: int):
+def _cmd_excursions(cfg: RunConfig, seed: int, out) -> bool:
     if cfg.check and cfg.n < 2:
         raise _ConfigError(f"--check needs --n of at least 2 for a standard error, got {cfg.n}")
     chunks = [
         excursions.sample_excursions(count, cfg.params, rng) for rng, count in _chunks(cfg.n, seed)
     ]
     batch = excursions.ExcursionRecord._make(map(np.concatenate, zip(*chunks)))
-    buf = io.StringIO()
-    excursions.write_excursions_csv(batch, buf)
-    ok = True
+    excursions.write_excursions_csv(batch, out)
     if cfg.check and cfg.params.b > cfg.params.a:
         lengths = batch.length
         target = model.mean_excursion_length(cfg.params)
         se = float(lengths.std(ddof=1)) / math.sqrt(lengths.size)
-        ok = abs(float(lengths.mean()) - target) <= GATE_Z * se
-    return buf.getvalue(), ok
+        return abs(float(lengths.mean()) - target) <= GATE_Z * se
+    return True
 
 
 _INTEGRANDS = {
@@ -493,7 +489,7 @@ def _mean_hitting_time(x: float, v: int, params: model.ModelParams) -> float:
     return mean + model.mean_excursion_length(params) if v == 1 else mean
 
 
-def _cmd_invariant(cfg: RunConfig, seed: int):
+def _cmd_invariant(cfg: RunConfig, seed: int, out) -> bool:
     if cfg.params.b == cfg.params.a:
         raise _ConfigError("the invariant law requires b > a")
     kind, arg = cfg.options["integrand"], cfg.options["arg"]
@@ -511,10 +507,8 @@ def _cmd_invariant(cfg: RunConfig, seed: int):
     rng = simulate.make_stream(seed, 0)
     estimates = excursions._regenerative_estimates(integrands, cfg.n, cfg.params, rng)
     est = estimates[0]
-    text = "estimate,std_error,n,reference\n" + (
-        f"{est.value!r},{est.std_error!r},{est.n},{reference!r}\n"
-    )
-    ok = True
+    rows = [(est.value, est.std_error, est.n, reference)]
+    paths.write_csv(out, "estimate,std_error,n,reference", zip(*rows))
     if cfg.check:
         gated = estimates[-1]
         # the estimate is a ratio of two float sums over n excursions, which
@@ -522,11 +516,11 @@ def _cmd_invariant(cfg: RunConfig, seed: int):
         # integrand that makes it exact, as min(x, L)**0 = 1 does with a
         # standard error of rounding noise
         rounding = cfg.n * sys.float_info.epsilon * abs(gate_reference)
-        ok = abs(gated.value - gate_reference) <= GATE_Z * gated.std_error + rounding
-    return text, ok
+        return abs(gated.value - gate_reference) <= GATE_Z * gated.std_error + rounding
+    return True
 
 
-def _cmd_hitting(cfg: RunConfig, seed: int):
+def _cmd_hitting(cfg: RunConfig, seed: int, out) -> bool:
     (pos0, vel0), lam = cfg.options["start"], cfg.options["lam"]
     reference = model.hitting_mgf(pos0, vel0, lam, cfg.params)
     if not math.isfinite(model.hitting_exponent(lam, cfg.params)):
@@ -540,20 +534,18 @@ def _cmd_hitting(cfg: RunConfig, seed: int):
     values = np.exp(lam * times)
     est = float(values.mean())
     se = float(values.std(ddof=1)) / math.sqrt(values.size)
-    text = "lam,estimate,std_error,n,reference\n" + (
-        f"{lam!r},{est!r},{se!r},{values.size},{reference!r}\n"
-    )
-    ok = True
+    rows = [(lam, est, se, values.size, reference)]
+    paths.write_csv(out, "lam,estimate,std_error,n,reference", zip(*rows))
     if cfg.check and cfg.params.b > cfg.params.a:
         # exp(lam*T) from a far start is a rare-event mean whose standard
         # error is no scale for a gate; T itself has every moment when b > a
         target = _mean_hitting_time(pos0, vel0, cfg.params)
         se_t = float(times.std(ddof=1)) / math.sqrt(times.size)
-        ok = abs(float(times.mean()) - target) <= GATE_Z * se_t
-    return text, ok
+        return abs(float(times.mean()) - target) <= GATE_Z * se_t
+    return True
 
 
-def _cmd_couple(cfg: RunConfig, seed: int):
+def _cmd_couple(cfg: RunConfig, seed: int, out) -> bool:
     start_1, start_2, horizon, process = (
         cfg.options[k] for k in ("start", "start2", "horizon", "process")
     )
@@ -565,9 +557,7 @@ def _cmd_couple(cfg: RunConfig, seed: int):
         for rng, count in _chunks(cfg.n, seed)
         for _ in range(count)
     ]
-    buf = io.StringIO()
-    coupling.write_coupling_batch_csv(results, buf)
-    ok = True
+    coupling.write_coupling_batch_csv(results, out)
     if cfg.check and cfg.params.b > cfg.params.a:
         times = np.array(
             [math.inf if r.coalescence_time is None else r.coalescence_time for r in results]
@@ -577,19 +567,17 @@ def _cmd_couple(cfg: RunConfig, seed: int):
             surv = float((times > t).mean())
             bound = model.tv_bound(t, start_1[0], start_2[0], process, cfg.params)
             if surv > min(1.0, bound) + GATE_Z * _binom_se(surv, times.size):
-                ok = False
-    return buf.getvalue(), ok
+                return False
+    return True
 
 
-def _cmd_tvcurve(cfg: RunConfig, seed: int):
+def _cmd_tvcurve(cfg: RunConfig, seed: int, out) -> bool:
     opts = cfg.options
     curve = analysis.tv_curve(
         opts["start"], opts["start2"], opts["process"], opts["t_grid"], cfg.n, cfg.params,
         simulate.make_stream(seed, 0), bin_width=opts["bin_width"],
     )
-    buf = io.StringIO()
-    analysis.write_tv_curve_csv(curve, buf)
-    ok = True
+    analysis.write_tv_curve_csv(curve, out)
     if cfg.check:
         for s, tv, bd, floor in zip(
             curve.coupling_survival, curve.binned_tv, curve.theoretical_bound, curve.noise_floor
@@ -599,27 +587,25 @@ def _cmd_tvcurve(cfg: RunConfig, seed: int):
             # the histogram reads this high on identical laws, so the
             # sandwich slack must carry the floor on top of the 3-sigma part
             if tv > s + float(floor) + GATE_Z * (se_s + _binom_se(tv, curve.n_paths)):
-                ok = False
+                return False
             if cfg.params.b > cfg.params.a and s > min(1.0, float(bd)) + GATE_Z * se_s:
-                ok = False
-    return buf.getvalue(), ok
+                return False
+    return True
 
 
-def _cmd_scaling(cfg: RunConfig, seed: int):
+def _cmd_scaling(cfg: RunConfig, seed: int, out) -> bool:
     scales, drift, t, x0 = (cfg.options[k] for k in ("scales", "drift", "t", "x0"))
     rows = []
     for i, scale in enumerate(scales):
         rng = simulate.make_stream(seed, 2 * i)
         stat, pval = analysis.scaling_limit_check(scale, drift, t, cfg.n, rng, x0=x0)
         rows.append((scale, drift, t, stat, pval))
-    text = "N,c,t,ks_stat,p_value\n" + "".join(
-        f"{s!r},{c!r},{tt!r},{st!r},{pv!r}\n" for s, c, tt, st, pv in rows
-    )
+    paths.write_csv(out, "N,c,t,ks_stat,p_value", zip(*rows))
     # one KS test at level 0.01, at the largest scale (rows sort by scale first)
-    return text, not cfg.check or max(rows)[4] > 0.01
+    return not cfg.check or max(rows)[4] > 0.01
 
 
-def _cmd_formulas(cfg: RunConfig, seed: int):
+def _cmd_formulas(cfg: RunConfig, seed: int, out) -> bool:
     lam = cfg.options["lam"]
     p = cfg.params
     contracting = p.b > p.a
@@ -654,25 +640,21 @@ def _cmd_formulas(cfg: RunConfig, seed: int):
     }
     import json
 
-    text = json.dumps(table, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    ok = True
+    out.write(json.dumps(table, indent=2, sort_keys=True, allow_nan=False) + "\n")
     if cfg.check:
         top = model.critical_rate(p) if contracting else 0.0
         for lam_k in np.linspace(top - 5.0, top, 101):
             psi = model.excursion_mgf(float(lam_k), p)
             c = model.hitting_exponent(float(lam_k), p)
             if not (math.isfinite(psi) and math.isfinite(c)):
-                ok = False
-                continue
+                return False
             square = psi**2  # psi <= sqrt(b/a), so this is at most _FORMULAS_RATIO_CAP
             res = p.a * square - (p.a + p.b - 2.0 * lam_k) * psi + p.b
             scale = p.a * square + abs(p.a + p.b - 2.0 * lam_k) * psi + p.b
-            if abs(res) > 1e-10 * scale:
-                ok = False
             consistency = lam_k + p.a * (psi - 1.0)
-            if abs(c - consistency) > 1e-10 * max(1.0, abs(c)):
-                ok = False
-    return text, ok
+            if abs(res) > 1e-10 * scale or abs(c - consistency) > 1e-10 * max(1.0, abs(c)):
+                return False
+    return True
 
 
 _COMMANDS = {
@@ -704,11 +686,13 @@ def main(argv=None) -> int:
             _check_cost(formula, each, f"events per {item}", _PATH_CAP)
             _check_cost(f"{items:,} {item}s x {formula}", items * each, "events per call", cap)
         command = _COMMANDS[cfg.command]
-        text, ok = command(cfg, cfg.seed)
-        _write_output(cfg.out, text)
+        # the first attempt's text is the output; a retry writes into a throwaway stream
+        text = io.StringIO()
+        ok = command(cfg, cfg.seed, text)
+        _write_output(cfg.out, text.getvalue())
         attempt = 1
         while cfg.check and not ok and attempt < GATE_ATTEMPTS:
-            _, ok = command(cfg, cfg.seed + attempt * RESEED_STRIDE)
+            ok = command(cfg, cfg.seed + attempt * RESEED_STRIDE, io.StringIO())
             attempt += 1
     except ValueError as exc:  # an option, or a combination the library refused
         print(f"error: {exc}", file=sys.stderr)

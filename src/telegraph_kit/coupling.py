@@ -691,12 +691,13 @@ def write_coupling_batch_csv(results, dest) -> None:
     def fmt(value):
         return "" if value is None else repr(float(value))
 
+    results = list(results)
+    times = (
+        [fmt(getattr(res, name)) for res in results]
+        for name in ("crossing_time", "coalescence_time", "crossing_position")
+    )
     write_csv(
         dest,
         "run_id,crossing_time,coalescence_time,crossing_position,coalesced",
-        (
-            f"{i},{fmt(res.crossing_time)},{fmt(res.coalescence_time)},"
-            f"{fmt(res.crossing_position)},{int(res.coalesced)}\n"
-            for i, res in enumerate(results)
-        ),
+        (range(len(results)), *times, [int(res.coalesced) for res in results]),
     )

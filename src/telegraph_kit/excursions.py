@@ -49,6 +49,12 @@ __all__ = [
 # hang.
 NODE_BUDGET = 100_000_000
 
+# Cap on the events the regenerative estimator walks in one call: the CLI's
+# 2 GiB memory budget at about 380 bytes an event (4.29e6 events peaked at
+# 1.55 GB on x86-64 Linux), above the 3.6e6 of the largest ``invariant --n``
+# at b/a = 2.  Near b == a one excursion alone can walk past any budget.
+_EVENT_BUDGET = (2 << 30) // 380
+
 # numpy's Poisson sampler costs about 7 us a call on an array of up to 32
 # means and about 0.45 us a scalar mean (break-even near 14), and an array
 # call draws what scalar calls in its order draw; so this many means or
@@ -57,7 +63,7 @@ _SCALAR_POISSON = 8
 
 
 class RecursionBudgetError(RuntimeError):
-    """Branching sampler exceeded its node budget (plausible only at a == b)."""
+    """A call passed its node or event budget (plausible only at or near a == b)."""
 
 
 def _check_budget(nodes) -> None:
@@ -219,11 +225,14 @@ def simulate_excursion(params: ModelParams, rng: np.random.Generator) -> Piecewi
     which the test suite checks with two-sample statistics.  The terminal
     knot is (S, 0.0, +1) and the path's horizon is S.
     """
-    a, b = params.a, params.b
-    rec = KnotRecorder(0.0, 1)
-    src = ExpSource(rng)
-    t_hit = walk_reflected(0.0, 1, 0.0, math.inf, a, b, src, rec.add, stop_at_zero=True)
-    return rec.build(t_hit)
+    return _walk_excursion(params, rng, math.inf)
+
+
+def _walk_excursion(params: ModelParams, rng: np.random.Generator, horizon: float):
+    """The path :func:`simulate_excursion` walks, same draws and all, or None past the horizon."""
+    rec, a, b = KnotRecorder(0.0, 1), params.a, params.b
+    t_hit = walk_reflected(0.0, 1, 0.0, horizon, a, b, ExpSource(rng), rec.add, stop_at_zero=True)
+    return None if t_hit is None else rec.build(t_hit)
 
 
 def first_return_time(params: ModelParams, rng: np.random.Generator) -> float:
@@ -298,7 +307,9 @@ def _regenerative_estimates(integrands, n_excursions, params, rng):
 
     Every integrand is integrated along the same event-simulated segments,
     split only at its own breakpoints, so the first estimate is bit for bit
-    the one :func:`regenerative_estimate` gives for it alone.
+    the one :func:`regenerative_estimate` gives for it alone.  An excursion
+    still walking when the events left of ``_EVENT_BUDGET`` run out, as time
+    at the mean flip rate (a+b)/2, raises :class:`RecursionBudgetError`.
     """
     n_excursions = int(n_excursions)
     if n_excursions < 2:
@@ -309,8 +320,13 @@ def _regenerative_estimates(integrands, n_excursions, params, rng):
     seg_dt: list[np.ndarray] = []
     seg_owner: list[np.ndarray] = []
     lengths = np.empty(n_excursions, dtype=np.float64)
+    events_left = _EVENT_BUDGET
     for i in range(n_excursions):
-        path = simulate_excursion(params, rng)
+        # the events left as time at the mean flip rate, halved first so that a + b cannot overflow
+        path = _walk_excursion(params, rng, events_left / (0.5 * params.a + 0.5 * params.b))
+        if path is None:
+            raise RecursionBudgetError(f"excursions passed {_EVENT_BUDGET:,} events in one call")
+        events_left -= path.knot_times.size - 1
         lengths[i] = path.horizon
         x = path.knot_positions
         t = path.knot_times
@@ -335,6 +351,5 @@ def _regenerative_estimates(integrands, n_excursions, params, rng):
 
 
 def write_excursions_csv(records: ExcursionRecord, dest) -> None:
-    """Write a ``length,jump_count,max_height`` row per excursion; floats as Python reprs."""
-    row = "{!r},{},{!r}\n".format
-    write_csv(dest, "length,jump_count,max_height", map(row, *(c.tolist() for c in records)))
+    """Write a ``length,jump_count,max_height`` row per excursion, as :func:`write_csv` writes."""
+    write_csv(dest, "length,jump_count,max_height", records)

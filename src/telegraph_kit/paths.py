@@ -10,11 +10,11 @@ This module owns what every simulator and coupling shares: the start rule
 (:func:`check_start`), the fold of a whole-line state (:func:`fold`) and the
 recorder of a leg from folded knots (:class:`KnotRecorder`), which unfolds
 it when signed; :func:`unreflect_path` feeds that recorder a path's knots.
+Every table the package writes goes through :func:`write_csv`.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -118,29 +118,30 @@ class PiecewisePath:
         the previous one advanced at the previous velocity, up to one
         rounding of that arithmetic (reflection knots are written as exact
         zeros rather than accumulated, which costs at most a few ulps).
+        Each test negates what a valid path meets, so a NaN fails it.
         """
         t = self.knot_times
         x = self.knot_positions
         v = self.knot_velocities
         if not (len(t) == len(x) == len(v)):
             raise ValueError("knot arrays must share a length")
-        if len(t) == 0 or t[0] != 0.0:
-            raise ValueError("first knot must sit at t=0")
-        if np.any(np.diff(t) <= 0.0):
+        if not (len(t) and t[0] == 0.0 and math.isfinite(x[0])):
+            raise ValueError("first knot must sit at t=0, at a finite position")
+        if not np.all(np.diff(t) > 0.0):
             raise ValueError("knot times must be strictly increasing")
-        if t[-1] > self.horizon:
+        if not t[-1] <= self.horizon:
             raise ValueError("knot beyond the horizon")
         if not np.all(np.isin(v, (-1, 1))):
             raise ValueError("velocities must be -1 or +1")
         dt = np.diff(t)
         drift = x[1:] - (x[:-1] + v[:-1].astype(np.float64) * dt)
         scale = np.maximum(1.0, np.maximum(np.abs(x[1:]), t[1:]))
-        bad = np.abs(drift) > 1e-9 * scale
+        bad = ~(np.abs(drift) <= 1e-9 * scale)
         if np.any(bad):
             k = int(np.nonzero(bad)[0][0])
             raise ValueError(f"speed violated between knots {k} and {k + 1}")
         if reflected:
-            if np.any(x < 0.0):
+            if not np.all(x >= 0.0):
                 raise ValueError("reflected path with a negative knot")
             at_zero = x == 0.0
             if np.any(v[at_zero] != 1):
@@ -248,29 +249,33 @@ def unreflect_path(path: PiecewisePath, y0: float) -> PiecewisePath:
     return rec.build(path.horizon)
 
 
-def write_csv(dest, header: str, lines) -> None:
-    """Write a header row, then ``lines`` (each ending in a newline).
+def write_csv(dest, header: str, columns) -> None:
+    """Write a header row, then one row per index of the equal-length ``columns``.
 
-    ``dest`` is a filename or a text file object; a file opened here is
-    closed here, a file object passed in stays open.
+    The one table format of the package: every cell is written as str gives
+    it, an array column through ``tolist()``, so a float is a Python float,
+    whose str is its repr and a re-read round-trips bit for bit.  ``dest``
+    is a filename, opened here with ``newline=""`` and closed here, or a
+    text file object, which stays open.
     """
     if isinstance(dest, (str, bytes)):
-        with open(dest, "w") as fh:
-            write_csv(fh, header, lines)
+        with open(dest, "w", newline="") as fh:
+            write_csv(fh, header, columns)
         return
+    cells = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns]
+    if len(set(map(len, cells))) > 1:
+        raise ValueError("table columns must share a length")
     dest.write(header + "\n")
-    dest.writelines(lines)
+    dest.writelines(map((",".join(["{}"] * len(cells)) + "\n").format, *cells))
 
 
 def write_path_csv(path: PiecewisePath, dest) -> None:
     """Write ``t,position,velocity`` rows: t=0, every event, and the horizon.
 
-    ``dest`` is a filename or a text file object.  Floats are written with
-    repr so a re-read round-trips bit for bit.
+    ``dest`` is a filename or a text file object, as :func:`write_csv` takes.
     """
-    row = "{!r},{!r},{}\n".format
-    columns = (path.knot_times, path.knot_positions, path.knot_velocities)
-    rows = map(row, *(c.tolist() for c in columns))
-    end = path.knot_times[-1] < path.horizon
-    tail = [row(float(path.horizon), *path.eval(path.horizon))] if end else []
-    write_csv(dest, "t,position,velocity", itertools.chain(rows, tail))
+    t, x, v = path.knot_times, path.knot_positions, path.knot_velocities
+    if t[-1] < path.horizon:
+        x_end, v_end = path.eval_many([path.horizon])
+        t, x, v = np.append(t, path.horizon), np.append(x, x_end), np.append(v, v_end)
+    write_csv(dest, "t,position,velocity", (t, x, v))

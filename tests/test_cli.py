@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -267,6 +268,30 @@ def test_critical_hitting_budget_exits_two_with_one_line(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert one_error_line(captured.err) and "4096 nodes" in captured.err
     assert captured.out == ""
+
+
+def test_invariant_event_budget_exits_two_with_one_line(monkeypatch, capsys):
+    # near b == a one excursion can walk without end; the estimator's event
+    # budget ends the run with a one-line error rather than a traceback
+    monkeypatch.setattr(cli.excursions, "_EVENT_BUDGET", 4096)
+    argv = ["invariant", "--b", "1.0001", "--n", "200", "--integrand", "indicator", "--arg", "1"]
+    assert main(argv) == EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert one_error_line(captured.err) and "4,096 events" in captured.err
+    assert captured.out == ""
+    # the budget's horizon needs the mean flip rate (a + b)/2 as a float, not inf
+    huge = ["invariant", "--a", "1e308", "--b", "1.5e308", "--n", "200", "--out", os.devnull]
+    assert main(huge) == EXIT_OK
+
+
+def test_invariant_event_budget_holds_the_largest_run_at_b_over_a_two():
+    # an excursion walks 2b/(b - a) events on average: 2b/(b - a) - 1 flips
+    # and its return to the origin; the budget's events must fit in memory
+    params = ModelParams(1.0, 2.0)
+    mean_events = 2.0 * params.b / params.rate_gap
+    largest = cli._OPTIONS["n"].caps["invariant"]
+    assert largest * mean_events < 0.7 * cli.excursions._EVENT_BUDGET
+    assert cli.excursions._EVENT_BUDGET * 380 <= cli._MEMORY_BUDGET
 
 
 def test_hitting_roots_past_the_budget_exit_two_before_allocating():
@@ -666,8 +691,9 @@ def test_invariant_gate_allows_for_the_rounding_of_an_exact_ratio(integrand, arg
     # each integrand is 1 here, so the estimate is 1 up to rounding and its
     # standard error is rounding noise; this attempt failed on 0.9999999999999998
     argv = ["invariant", "--integrand", integrand, "--arg", arg, "--n", "2000", "--check"]
-    text, ok = cli._cmd_invariant(cli._resolve(argv), 2)
-    assert text.splitlines()[1].startswith("0.9999999999999998,")
+    out = io.StringIO()
+    ok = cli._cmd_invariant(cli._resolve(argv), 2, out)
+    assert out.getvalue().splitlines()[1].startswith("0.9999999999999998,")
     assert ok
 
 

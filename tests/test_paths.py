@@ -7,7 +7,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from telegraph_kit.model import ModelParams
-from telegraph_kit.paths import PiecewisePath, fold, reflect_path, unreflect_path, write_path_csv
+from telegraph_kit.paths import (
+    PiecewisePath,
+    fold,
+    reflect_path,
+    unreflect_path,
+    write_csv,
+    write_path_csv,
+)
 from telegraph_kit.simulate import make_stream, simulate_reflected, simulate_unreflected
 
 P12 = ModelParams(1.0, 2.0)
@@ -71,6 +78,21 @@ def test_validate_catches_structural_breakage():
     # an origin touch must flip to +1 in a reflected path
     with pytest.raises(ValueError, match="origin"):
         PiecewisePath.from_lists([0.0, 1.0], [1.0, 0.0], [-1, -1], 1.0).validate(reflected=True)
+
+
+def test_validate_refuses_nan_knots():
+    # every check is a negated test, so a NaN comparison fails it
+    nan = math.nan
+    nan_positions = PiecewisePath.from_lists([0.0, 1.0], [nan, nan], [1, -1], 2.0)
+    nan_time = PiecewisePath.from_lists([0.0, nan, 1.5], [0.0, 1.0, 0.5], [1, -1, -1], 2.0)
+    for path in (nan_positions, nan_time):
+        for reflected in (False, True):
+            with pytest.raises(ValueError):
+                path.validate(reflected=reflected)
+    with pytest.raises(ValueError, match="finite"):
+        PiecewisePath.from_lists([0.0], [nan], [1], 2.0).validate()
+    with pytest.raises(ValueError, match="horizon"):
+        PiecewisePath.from_lists([0.0, 1.0], [0.0, 1.0], [1, -1], nan).validate()
 
 
 def test_reflect_simple_descent():
@@ -263,3 +285,31 @@ def test_write_path_csv_round_trips_through_repr(tmp_path):
     assert np.array_equal(xs[: len(path.knot_times)], path.knot_positions)
     assert set(vs) <= {-1, 1}
     assert ts[-1] == 12.0  # horizon row present
+
+
+def test_write_csv_rule():
+    # floats as repr, so a re-read gives the same bits; other columns as str gives them
+    floats = np.array([-0.0, 5e-324, 1e308, math.inf, -math.inf, 0.1, 1 / 3])
+    ints = np.arange(floats.size, dtype=np.int8) - 3
+    words = ["", "x", "", "1.5", "", "", "y"]
+    buf = io.StringIO()
+    write_csv(buf, "f,i,s", (floats, ints, words))
+    lines = buf.getvalue().split("\n")
+    assert lines[0] == "f,i,s" and lines[-1] == ""
+    rows = [line.split(",") for line in lines[1:-1]]
+    back = np.array([float(f) for f, _, _ in rows])
+    assert back.tobytes() == floats.tobytes()
+    assert [i for _, i, _ in rows] == [str(i) for i in ints.tolist()]
+    assert [w for _, _, w in rows] == words
+    assert rows[0][0] == "-0.0" and rows[1][0] == "5e-324" and rows[3][0] == "inf"
+
+
+def test_write_csv_file_and_stream_agree(tmp_path):
+    columns = ([1.5, -0.0], [2, 3], ["", "a"])
+    buf = io.StringIO()
+    write_csv(buf, "x,n,s", columns)
+    dest = tmp_path / "t.csv"
+    write_csv(str(dest), "x,n,s", columns)
+    assert dest.read_bytes() == buf.getvalue().encode() == b"x,n,s\n1.5,2,\n-0.0,3,a\n"
+    with pytest.raises(ValueError, match="length"):
+        write_csv(io.StringIO(), "x,n", ([1.0, 2.0], [1]))
