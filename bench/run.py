@@ -64,6 +64,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SCALES = (4.0, 16.0, 100.0)
 WALKERS = 1000
 TV_RUNS = 1000
+BIG_TV_RUNS = 10_000
 TV_GRID = tuple(float(t) for t in range(1, 21))
 TV_STARTS = ((1.0, 1), (0.0, 1))
 SAMPLE_S = 0.05
@@ -309,14 +310,13 @@ def _repairing(pkg):
     )
 
 
-def _binned_tv(pkg):
+def _binned_tv(pkg, n):
     params = pkg.model.ModelParams(1.0, 2.0)
-    pos = np.repeat([p for p, _ in TV_STARTS], TV_RUNS).astype(np.float64)
-    vel = np.repeat([v for _, v in TV_STARTS], TV_RUNS)
+    pos = np.repeat([p for p, _ in TV_STARTS], n).astype(np.float64)
+    vel = np.repeat([v for _, v in TV_STARTS], n)
     p, v = pkg.simulate.sample_reflected_states(
-        pos, vel, TV_GRID[-1], 2 * TV_RUNS, params, pkg.simulate.make_stream(1, 0)
+        pos, vel, TV_GRID[-1], 2 * n, params, pkg.simulate.make_stream(1, 0)
     )
-    n = TV_RUNS
     return lambda: pkg.analysis.binned_tv_noise_floor(p[:n], v[:n], p[n:], v[n:], 0.05)
 
 
@@ -395,8 +395,11 @@ def case_table(jobs: dict, seed: int) -> dict:
     table["coalescence_times/_merge_times"] = (TV_RUNS, _merging)
     table["coalescence_times/_repair_times"] = (TV_RUNS, _repairing)
     # one grid time of tv_curve's binned TV: both starts' 1,000 reflected
-    # walkers at time 20 in bins of 0.05, per walker
-    table["binned_tv_noise_floor"] = (2 * TV_RUNS, _binned_tv)
+    # walkers at time 20 in bins of 0.05, per walker; then 10,000 a start
+    table["binned_tv_noise_floor"] = (2 * TV_RUNS, partial(_binned_tv, n=TV_RUNS))
+    table[f"binned_tv_noise_floor/{BIG_TV_RUNS}"] = (
+        2 * BIG_TV_RUNS, partial(_binned_tv, n=BIG_TV_RUNS)
+    )
     # the whole-line path of `simulate --process unreflected --horizon
     # 600000` from (0, +1), about 900,000 knots: folded, and written as
     # CSV rows to memory, per knot

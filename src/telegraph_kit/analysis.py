@@ -121,14 +121,18 @@ def _binned_tv(pos_1, vel_1, pos_2, vel_2, bin_width: float) -> tuple[float, flo
     lo = min(p1.min(), p2.min())
     hi = max(p1.max(), p2.max())
     n_bins = max(1, int(math.ceil((hi - lo) / bin_width)))
-    edges = lo + bin_width * np.arange(n_bins + 1)
+    lefts = lo + bin_width * np.arange(n_bins)
     masses = []
-    for p, v in ((p1, np.asarray(vel_1)), (p2, np.asarray(vel_2))):
+    for p, v in ((p1, vel_1), (p2, vel_2)):
         # a bin holds its left edge, the last also what lies at or past its right
-        # one; cell 2*n_bins takes the other velocities and is dropped
-        cell = np.minimum(np.searchsorted(edges, p, "right") - 1, n_bins - 1)
-        cell = np.where(np.abs(v) == 1, cell + n_bins * (v == -1), 2 * n_bins)
-        masses.append(np.bincount(cell.ravel(), minlength=2 * n_bins + 1)[:-1] / p.size)
+        # one; the bins of a velocity count its sorted points below each left edge,
+        # differenced, and other velocities count nowhere
+        v = np.broadcast_to(v, p.shape)
+        counts = []
+        for s in (1, -1):
+            q = np.sort(p[v == s])
+            counts.append(np.diff(np.searchsorted(q, lefts), append=q.size))
+        masses.append(np.concatenate(counts) / p.size)
     m1, m2 = masses
     n1, n2 = p1.size, p2.size
     pooled = (n1 * m1 + n2 * m2) / (n1 + n2)

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import io
 import math
-import os
 import sys
 from dataclasses import dataclass, field
 from typing import Callable
@@ -49,8 +48,6 @@ _GATE_CAP_SCALE = 3.0
 _FORMULAS_RATIO_CAP = 1e12
 # a quantity whose log reaches this is past the largest float
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
-
-THREADS_ENV = "TELEGRAPH_THREADS"
 
 
 class _ConfigError(ValueError):
@@ -106,8 +103,8 @@ def _switch(raw) -> bool:
 
 
 def _threads(raw) -> int:
-    # None reads the environment, then 1; a count below 1 means 1
-    return max(1, _integer((os.environ.get(THREADS_ENV) or 1) if raw is None else raw))
+    # null means the default, 1; a count below 1 means 1
+    return max(1, _integer(1 if raw is None else raw))
 
 
 def _parse_state(raw) -> tuple[float, int | None]:
@@ -263,7 +260,7 @@ _OPTIONS = {
                    dict.fromkeys(_EVERY, "-"), bool),
     "threads": _Option(_threads, "an integer, below 1 meaning 1",
                        "accepted for old commands; chunks run in order on one thread",
-                       dict.fromkeys(_EVERY), shown=f"${THREADS_ENV} or 1"),
+                       dict.fromkeys(_EVERY), shown="1"),
     "check": _Option(_switch, "true or false in --config", "verify the subcommand's gate",
                      dict.fromkeys(_EVERY, False)),
     "start": _Option(

@@ -186,15 +186,18 @@ def test_config_file_resolution(tmp_path):
     assert main(["excursions", "--config", str(bad)]) == EXIT_CONFIG
 
 
-def test_threads_resolution(monkeypatch):
-    monkeypatch.setenv(cli.THREADS_ENV, "3")
-    cfg = cli._resolve(["excursions"])
-    assert cfg.threads == 3
-    cfg = cli._resolve(["excursions", "--threads", "5"])
-    assert cfg.threads == 5
-    monkeypatch.delenv(cli.THREADS_ENV)
-    cfg = cli._resolve(["excursions"])
-    assert cfg.threads == 1
+def test_threads_resolution(tmp_path, monkeypatch):
+    # --threads is set by its flag or its config key alone, null meaning the default
+    assert cli._resolve(["excursions"]).threads == 1
+    assert cli._resolve(["excursions", "--threads", "5"]).threads == 5
+    conf = tmp_path / "threads.json"
+    conf.write_text(json.dumps({"threads": None}))
+    assert cli._resolve(["excursions", "--config", str(conf)]).threads == 1
+    # the environment is not read: a value that is no integer changes nothing
+    plain = run_to_file(tmp_path, "plain.json", ["formulas"])
+    monkeypatch.setenv("TELEGRAPH_THREADS", "abc")
+    assert run_to_file(tmp_path, "env.json", ["formulas"]) == plain
+    assert plain[0] == EXIT_OK
 
 
 def test_far_start_bound_does_not_crash(tmp_path):

@@ -240,6 +240,30 @@ def test_hitting_times_follow_the_exact_law():
         assert _hitting_p_value(draws(1, high), x, up) < 0.01, b
 
 
+def test_sigma_follows_the_exact_law():
+    # sigma(u) is the length of Poisson(a*u/2) trees, so it is the hitting time
+    # from (u/2, -1) less u/2: an atom e^(-a*u/2) at 0 and that law above it.
+    # sigma(2x) takes the draws the hitting time from (x, -1) takes from one
+    # stream, so this test has a seed of its own.  A fixed root count of the
+    # same mean, two trees a draw, keeps the mean but fails both checks
+    u, n = 4.0, 5000
+    for b in (2.0, 10.0):
+        params = ModelParams(1.0, b)
+        atom, cdf = _hitting_law(0.5 * u, -1, params)
+
+        def atom_z_and_p(draws):
+            zeros = np.count_nonzero(draws == 0.0)
+            z = (zeros - n * atom) / math.sqrt(n * atom * (1.0 - atom))
+            return z, stats.kstest(draws[draws > 0.0], cdf).pvalue
+
+        z, p = atom_z_and_p(sample_sigma(u, params, make_stream(3, 0), size=n))
+        assert abs(z) <= 3.0 and p > 0.01, (b, z, p)
+        roots = round(0.5 * params.a * u)
+        fixed = sum(sample_excursions(n, params, make_stream(3, k)).length for k in range(roots))
+        z, p = atom_z_and_p(fixed)
+        assert abs(z) > 3.0 and p < 0.01, (b, z, p)
+
+
 def _beyond_domain_contrast(lengths, lam):
     """Mean of exp(lam * L) over the median of its 100 block means of 1,000.
 
