@@ -138,11 +138,35 @@ def perfbench_jobs() -> dict:
     return {workload: workloads.jobs_for(workload) for workload in sorted(workloads.WORKLOADS)}
 
 
-def _sampler(pkg, scale):
+def _scaling_walk(pkg, scale, rng):
     params = pkg.model.ModelParams(scale - 1.0, scale + 1.0)
-    return lambda: pkg.simulate.sample_unreflected_states(
-        0.0, None, scale, WALKERS, params, pkg.simulate.make_stream(1, 0)
-    )
+    return pkg.simulate.sample_unreflected_states(0.0, None, scale, WALKERS, params, rng)
+
+
+def _sampler(pkg, scale):
+    return lambda: _scaling_walk(pkg, scale, pkg.simulate.make_stream(1, 0))
+
+
+class _DrawLog(np.random.Generator):
+    """A generator that logs the size of each ``standard_exponential`` call."""
+
+    def __init__(self, bit_generator):
+        super().__init__(bit_generator)
+        self.sizes = []
+
+    def standard_exponential(self, size=None, *args, **kwargs):
+        self.sizes.append(size)
+        return super().standard_exponential(size, *args, **kwargs)
+
+
+def _draws(pkg, sizes):
+    rng = pkg.simulate.make_stream(1, 0)
+
+    def call():
+        for size in sizes:
+            rng.standard_exponential(size)
+
+    return call
 
 
 def _tv_walkers(pkg, process):
@@ -249,11 +273,12 @@ def _path_csv(pkg):
     return lambda: pkg.paths.write_path_csv(path, io.StringIO())
 
 
-def drawn_counts() -> tuple[int, int, int]:
-    """Events of one ``_walk`` call, tree nodes of one ``_tree`` call and knots of ``_path``.
+def drawn_counts() -> tuple[int, int, int, list]:
+    """Events of one ``_walk`` call, tree nodes of one ``_tree`` call, knots of ``_path``
+    and the size of each ``standard_exponential`` call of the scale-100 ``_sampler`` call.
 
     All are fixed by the seed, so they count the items of either checkout
-    as long as its walk and trees keep this checkout's draws.
+    as long as its walk, trees and batch sampler keep this checkout's draws.
     """
     pkg = load_package(ROOT, "telegraph_kit_counts")
     try:
@@ -261,9 +286,11 @@ def drawn_counts() -> tuple[int, int, int]:
         _walk(pkg, lambda t, x, v: knots.append(t))()
         nodes = (_tree(pkg)().jump_count + 1) // 2  # a tree of k nodes makes 2k - 1 flips
         path_knots = _path(pkg).knot_times.size
+        log = _DrawLog(pkg.simulate.make_stream(1, 0).bit_generator)
+        _scaling_walk(pkg, SCALES[-1], log)
     finally:
         unload_packages()
-    return len(knots), int(nodes.sum()), path_knots
+    return len(knots), int(nodes.sum()), path_knots, log.sizes
 
 
 def _phase_inputs(pkg):
@@ -379,7 +406,12 @@ def case_table(jobs: dict, seed: int) -> dict:
     # creation: make_stream(1, i) for i < 1,024, each with its ExpSource's
     # first refill of 32 draws, per stream
     table["make_stream+ExpSource"] = (STREAMS, _streams)
-    events, nodes, path_knots = drawn_counts()
+    events, nodes, path_knots, draw_sizes = drawn_counts()
+    # the draw floor of the scale-100 batch sampler: its standard_exponential
+    # calls alone, as many and as large as at seed 1, on one stream, per walker
+    table[f"sample_unreflected_states/{SCALES[-1]:g}/draws"] = (
+        WALKERS, partial(_draws, sizes=draw_sizes)
+    )
     # the scalar event loop from (0, +1) to time 20,000, knots passed to a
     # no-op, per event
     table["walk_reflected"] = (events, _walk)
@@ -482,10 +514,11 @@ def case_record(items: int, runs: dict) -> dict:
     """Per label: items per call, µs per item (median and quartiles) and the samples.
 
     Against the other label it adds ``won``, the repeats in which this label
-    was the faster, and ``median_paired_ratio``, the median over repeats of
-    its sample over the other's: a repeat's two samples are taken back to
-    back, so their ratio holds when a change of the host's speed regime
-    between repeats splits a median.
+    was the faster, and ``median_paired_ratio`` and ``paired_ratio_quartiles``,
+    the median and quartiles over repeats of its sample over the other's: a
+    repeat's two samples are taken back to back, so their ratio holds when a
+    change of the host's speed regime between repeats splits a median, and
+    the quartiles show whether the repeats resolve the median.
     """
     out = {}
     for label, samples in runs.items():
@@ -497,10 +530,10 @@ def case_record(items: int, runs: dict) -> dict:
             "runs_s": samples,
         }
         for other in runs.keys() - {label}:
+            ratios = [s / o for s, o in zip(samples, runs[other])]
             out[label]["won"] = sum(s < o for s, o in zip(samples, runs[other]))
-            out[label]["median_paired_ratio"] = statistics.median(
-                s / o for s, o in zip(samples, runs[other])
-            )
+            out[label]["median_paired_ratio"] = statistics.median(ratios)
+            out[label]["paired_ratio_quartiles"] = np.percentile(ratios, [25, 75]).tolist()
     return out
 
 

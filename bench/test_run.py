@@ -35,12 +35,15 @@ def test_checkout_against_itself_times_every_case(tmp_path):
     jobs = bench.perfbench_jobs()
     names = set(bench.case_table(jobs, 1))
     assert {f"cli/pass/{workload}" for workload in jobs} <= names
+    assert f"sample_unreflected_states/{bench.SCALES[-1]:g}/draws" in names
     for label, record in records.items():
         assert set(record["cases"]) == names, label
         for name, case in record["cases"].items():
             assert math.isfinite(case["median_us_per_item"]), (label, name)
             assert case["won"] in (0, 1), (label, name)
             assert math.isfinite(case["median_paired_ratio"]), (label, name)
+            low, high = case["paired_ratio_quartiles"]
+            assert low <= case["median_paired_ratio"] <= high, (label, name)
         assert [run["returncode"] for run in record["scaling_process"]["runs"]] == [0]
         cli_cases = {bench.job_case(job) for listed in jobs.values() for job in listed}
         assert set(record["cli_bytes"]) == cli_cases, label
@@ -51,3 +54,13 @@ def test_checkout_against_itself_times_every_case(tmp_path):
         for workload, runs in record["perfbench"].items():
             codes = [run["returncode"] for run in runs["runs"]]
             assert codes == [0] * bench.PERFBENCH_PAIRS, (label, workload, codes)
+
+
+def test_draw_floor_takes_the_draw_sizes_of_the_scale_100_walk():
+    bench = load_bench()
+    *_, sizes = bench.drawn_counts()
+    # every walker draws in the first round, and walkers only leave the live arrays
+    assert sizes[0] == bench.WALKERS
+    assert all(0 < later <= earlier for earlier, later in zip(sizes, sizes[1:]))
+    # about (a+b)/2 * t = 100 * 100 events for each of the 1,000 walkers
+    assert 0.9e7 < sum(sizes) < 1.1e7

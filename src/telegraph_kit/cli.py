@@ -303,28 +303,28 @@ _OPTIONS = {
 }
 
 
-def _build_parser():
+def _resolve(argv) -> RunConfig:
     import argparse
 
     class _Parser(argparse.ArgumentParser):
         def error(self, message):  # keep argparse from sys.exit(2)
             raise _ConfigError(message)
 
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse takes the first token not led by "-" as the subcommand; only its options are
+    # added and read, the others only named, for the top-level help and a bad choice's error
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    options = {key: opt for key, opt in _OPTIONS.items() if command in opt.defaults}
     parser = _Parser(prog="telegraph-kit", description=__doc__)
     sub = parser.add_subparsers(dest="command")
-    for command in _EVERY:
-        p = sub.add_parser(command)
-        for key, opt in _OPTIONS.items():
-            if command in opt.defaults:
+    for name in _EVERY:
+        p = sub.add_parser(name)
+        if name == command:
+            for key, opt in options.items():
                 flags = ["--" + key.replace("_", "-")] + (["--lambda"] if key == "lam" else [])
                 action = dict(action="store_const", const=True) if key == "check" else {}
                 p.add_argument(*flags, dest=key, help=opt.help_for(command), **action)
-        p.add_argument("--config", help="JSON object of option values; flags win")
-    return parser
-
-
-def _resolve(argv) -> RunConfig:
-    parser = _build_parser()
+            p.add_argument("--config", help="JSON object of option values; flags win")
     args = parser.parse_args(argv)
     if args.command is None:
         raise _ConfigError("a subcommand is required")
@@ -341,15 +341,14 @@ def _resolve(argv) -> RunConfig:
             raise _ConfigError("config file must hold a JSON object")
     # every value, from a flag, the config file or the default, goes through its option
     values = {}
-    for key, opt in _OPTIONS.items():
-        if args.command in opt.defaults:
-            raw = getattr(args, key)
-            if raw is None:
-                raw = file_conf.get(key, opt.defaults[args.command])
-            try:
-                values[key] = opt.convert(raw, args.command)
-            except ValueError as exc:
-                raise _ConfigError(f"--{key.replace('_', '-')} {exc}") from None
+    for key, opt in options.items():
+        raw = getattr(args, key)
+        if raw is None:
+            raw = file_conf.get(key, opt.defaults[command])
+        try:
+            values[key] = opt.convert(raw, command)
+        except ValueError as exc:
+            raise _ConfigError(f"--{key.replace('_', '-')} {exc}") from None
     # a bare start position takes --velocity, where the subcommand has one
     if "start" in values and values["start"][1] is None:
         if "velocity" not in values:
@@ -357,7 +356,7 @@ def _resolve(argv) -> RunConfig:
         values["start"] = (values["start"][0], values["velocity"])
     params = model.ModelParams(values.pop("a"), values.pop("b"))  # its ValueError exits 1 too
     common = [values.pop(key) for key in ("seed", "n", "out", "threads", "check")]
-    return RunConfig(args.command, params, *common, values)
+    return RunConfig(command, params, *common, values)
 
 
 def _chunks(n: int, seed: int):

@@ -243,13 +243,6 @@ def first_return_time(params: ModelParams, rng: np.random.Generator) -> float:
     return walk_reflected(0.0, 1, 0.0, math.inf, a, b, src, add, stop_at_zero=True)
 
 
-# 16-point Gauss-Legendre on [0, 1]; exact for polynomial segments and at
-# machine precision for the smooth integrands used here
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-_GL_NODES = 0.5 * (_GL_NODES + 1.0)
-_GL_WEIGHTS = 0.5 * _GL_WEIGHTS
-
-
 def _split_at_breakpoints(x0, v, dt, owner, breakpoints):
     """Split unit-speed segments wherever they cross a breakpoint position."""
     for q in breakpoints:
@@ -267,19 +260,25 @@ def _split_at_breakpoints(x0, v, dt, owner, breakpoints):
 
 
 def _integrate_segments(f, x0, v, dt, owner, n_exc):
-    """Per-excursion integrals of f along unit-speed segments."""
+    """Per-excursion integrals of f along unit-speed segments.
+
+    16-point Gauss-Legendre on [0, 1], exact for polynomial segments and at machine precision
+    for the smooth integrands used here; built on use, as numpy.polynomial slows every start.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    nodes, weights = 0.5 * (nodes + 1.0), 0.5 * weights
     totals = np.zeros(n_exc, dtype=np.float64)
     for sign in (1, -1):
         sel = v == sign
         if not np.any(sel):
             continue
-        pos = x0[sel, None] + sign * dt[sel, None] * _GL_NODES[None, :]
+        pos = x0[sel, None] + sign * dt[sel, None] * nodes[None, :]
         vals = np.asarray(f(pos, sign), dtype=np.float64)
         if vals.shape != pos.shape:
             raise ValueError("integrand must evaluate elementwise on position arrays")
         if not np.all(np.isfinite(vals)):
             raise ValueError("integrand returned a non-finite value")
-        seg = (vals * _GL_WEIGHTS[None, :]).sum(axis=1) * dt[sel]
+        seg = (vals * weights[None, :]).sum(axis=1) * dt[sel]
         np.add.at(totals, owner[sel], seg)
     return totals
 

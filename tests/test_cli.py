@@ -234,10 +234,25 @@ def test_config_errors_exit_one(tmp_path, capsys):
         ["scaling", "--scales", ""],
         ["scaling", "--drift", "4", "--scales", "2"],
         ["simulate", "--nope", "1"],
+        ["tvcurve", "--bogus", "1"],
     ]
     for argv in cases:
         assert main(argv) == EXIT_CONFIG, argv
-    capsys.readouterr()
+        assert one_error_line(capsys.readouterr().err), argv
+
+
+def test_top_level_help_names_every_subcommand(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["--help"])
+    assert stop.value.code == 0
+    assert "{" + ",".join(cli._COMMANDS) + "}" in capsys.readouterr().out
+
+
+def test_main_without_argv_reads_the_command_line(tmp_path, monkeypatch):
+    out = tmp_path / "formulas.json"
+    monkeypatch.setattr(sys, "argv", ["telegraph-kit", "formulas", "--out", str(out)])
+    assert main() == EXIT_OK
+    assert json.loads(out.read_text())["mean_return_time"] == 2.0
 
 
 def test_runtime_failure_exits_two(monkeypatch, capsys):
@@ -787,6 +802,14 @@ def test_no_subcommand_loads_scipy():
     codes, loaded = json.loads(proc.stdout)
     assert codes == [EXIT_OK] * len(runs)
     assert loaded == []
+
+
+def test_importing_the_cli_leaves_numpy_polynomial_unloaded():
+    # invariant's quadrature rule is built where it integrates, not at every start
+    probe = "import sys, telegraph_kit.cli; print('numpy.polynomial' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_installed_entry_point(tmp_path):

@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import gammainc, gammaln
 
-from conftest import gate
+from conftest import ecdf_on, gate
 from telegraph_kit import excursions
 from telegraph_kit.excursions import (
     EstimateWithCI,
@@ -158,7 +160,8 @@ def _length_cdf(params: ModelParams):
         k = len(weights) + 1
         log_binom = math.lgamma(2 * k - 1) - 2.0 * math.lgamma(k)
         weights.append(math.exp(log_binom - math.log(k) + (k - 1) * math.log(p) + k * math.log(q)))
-    assert abs(math.fsum(weights) - 1.0) < 1e-15
+    # the tail left out is below 1e-17; the weights' own rounding reaches 7e-15 near b/a = 1.05
+    assert abs(math.fsum(weights) - 1.0) < 1e-13
     shapes = 2.0 * np.arange(1, len(weights) + 1) - 1.0
     return lambda x: np.asarray(weights) @ gammainc(shapes[:, None], 0.5 * (a + b) * x[None, :])
 
@@ -174,6 +177,40 @@ def test_lengths_follow_the_exact_busy_period_law():
             high = ModelParams(1.0, 1.05 * b)
             lengths = sample_excursions(20000, high, make_stream(seed, 0)).length
             assert stats.kstest(lengths, cdf).pvalue < 0.01, (b, seed)
+
+
+LENGTH_DRAWS = 20000
+
+
+def _lengths_in_dkw_band(lengths, cdf, level=0.01) -> bool:
+    """Whether the empirical CDF at the nine sample deciles lies within the DKW band of cdf.
+
+    Massart's bound P(sup |F_n - F| > eps) <= 2 exp(-2 n eps**2) holds for the
+    supremum, so it holds at any points, the sample's own deciles among them.
+    """
+    x = np.quantile(lengths, np.arange(1, 10) / 10)
+    eps = math.sqrt(math.log(2.0 / level) / (2 * lengths.size))
+    return bool(np.all(np.abs(ecdf_on(lengths, x) - cdf(x)) <= eps))
+
+
+def _lengths_gate(params: ModelParams, sampler: ModelParams) -> bool:
+    cdf = _length_cdf(params)
+    return gate(lambda seed: _lengths_in_dkw_band(
+        sample_excursions(LENGTH_DRAWS, sampler, make_stream(seed, 0)).length, cdf
+    ))
+
+
+@settings(max_examples=10, deadline=None, database=None)
+@given(a=st.floats(0.25, 4.0), ratio=st.floats(1.05, 10.0))
+def test_lengths_follow_the_exact_law_across_rates(a, ratio):
+    # near b/a = 1.05 the mixture runs to about 5e4 terms, so the law is read at nine points
+    params = ModelParams(a, a * ratio)
+    assert _lengths_gate(params, params)
+
+
+def test_length_band_rejects_a_sampler_with_b_five_percent_high():
+    for b in (2.0, 10.0):
+        assert not _lengths_gate(ModelParams(1.0, b), ModelParams(1.0, 1.05 * b)), b
 
 
 def _hitting_law(x: float, v: int, params: ModelParams):
